@@ -8,13 +8,15 @@ the operator representation is basis dependent.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidChannel
-from .gates import PAULI_X, PAULI_Y, PAULI_Z
+from .gates import PAULI_X, PAULI_Y, PAULI_Z, matrix_2x2
 from .qmath import DensityMatrix, dagger, structural_atol
 
 
@@ -82,15 +84,43 @@ class PauliParams:
 ChannelParams = DephasingParams | GADParams | SGADParams | PauliParams
 
 
-def completeness_residual(operators) -> float:
-    """Frobenius norm of sum(M^dagger M) - I."""
+class ParamStack:
+    """Validated parameter points of one channel family, field by field.
+
+    Each field of the family's parameter record becomes an attribute holding
+    an array with one value per point, or a plain float where every point
+    agrees, so the lattice recipes and Kraus constructors that read a single
+    record read a stack the same way.
+    """
+
+    def __init__(self, points: Sequence[ChannelParams]):
+        points = tuple(points)
+        if not points:
+            raise InvalidArgument("a parameter stack needs at least one point")
+        family = type(points[0])
+        if any(type(p) is not family for p in points):
+            raise InvalidArgument("a parameter stack holds one channel family")
+        self.family = family
+        self.points = points
+        for f in dataclasses.fields(family):
+            values = np.array([getattr(p, f.name) for p in points])
+            setattr(self, f.name, float(values[0]) if np.all(values == values[0]) else values)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def completeness_residual(operators):
+    """Frobenius norm of sum(M^dagger M) - I.
+
+    ``operators`` is a KrausSet, a sequence of operators, or a stack of
+    shape (B, k, d, d), which gives one residual per point.
+    """
     ops = operators.operators if isinstance(operators, KrausSet) else operators
-    ops = [np.asarray(m, dtype=complex) for m in ops]
-    d = ops[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for m in ops:
-        acc += dagger(m) @ m
-    return float(np.linalg.norm(acc - np.eye(d)))
+    ops = np.asarray(ops, dtype=complex)
+    acc = np.sum(dagger(ops) @ ops, axis=-3)
+    res = np.linalg.norm(acc - np.eye(ops.shape[-1]), axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 @dataclass(frozen=True)
@@ -105,7 +135,7 @@ class KrausSet:
         if not ops:
             raise InvalidChannel("a Kraus set must be nonempty")
         shape = ops[0].shape
-        if any(m.shape != shape for m in ops) or shape[0] != shape[1]:
+        if any(m.shape != shape for m in ops) or len(shape) != 2 or shape[0] != shape[1]:
             raise InvalidChannel("Kraus operators must share one square shape")
         if labels is None:
             labels = tuple(f"M{k}" for k in range(len(ops)))
@@ -126,6 +156,16 @@ class KrausSet:
         return len(self.operators)
 
 
+def apply_operators(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_mu M_mu rho M_mu^dagger for operators of shape (..., k, d, d).
+
+    ``rho`` of shape (..., d, d) broadcasts against the leading axes, so one
+    input state can go through a whole stack of channels.
+    """
+    rho = np.asarray(rho, dtype=complex)[..., None, :, :]
+    return np.sum(ops @ rho @ dagger(ops), axis=-3)
+
+
 def kraus_apply(rho, k: KrausSet):
     """Apply the channel: rho' = sum_mu M_mu rho M_mu^dagger.
 
@@ -136,20 +176,69 @@ def kraus_apply(rho, k: KrausSet):
     mat = rho.matrix if wrapped else np.asarray(rho, dtype=complex)
     if mat.shape != (k.dim, k.dim):
         raise InvalidArgument(f"state dim {mat.shape} does not match Kraus dim {k.dim}")
-    out = np.zeros_like(mat)
-    for m in k.operators:
-        out += m @ mat @ dagger(m)
+    out = apply_operators(mat, np.asarray(k.operators))
     if wrapped:
         return DensityMatrix(out, rho.dims)
     return out
 
 
+# Operator builders, shape (k, 2, 2) for one parameter record and
+# (B, k, 2, 2) for a ParamStack whose fields vary.
+
+
+def _dephasing_ops(params) -> np.ndarray:
+    sq, sp = np.sqrt(1 - params.p), np.sqrt(params.p)
+    return np.stack([matrix_2x2(1, 0, 0, sq), matrix_2x2(0, 0, 0, sp)], axis=-3)
+
+
+def _gad_ops(params) -> np.ndarray:
+    sa, sb = np.sqrt(params.alpha2_sq), np.sqrt(1.0 - params.alpha2_sq)
+    sp, sq = np.sqrt(params.p), np.sqrt(1 - params.p)
+    return np.stack([
+        matrix_2x2(sa, 0, 0, sa * sq),
+        matrix_2x2(0, sa * sp, 0, 0),
+        matrix_2x2(0, 0, sb * sp, 0),
+        matrix_2x2(sb * sq, 0, 0, sb),
+    ], axis=-3)
+
+
+def _sgad_ops(params) -> np.ndarray:
+    a, b, mu, nu = params.alpha, params.beta, params.mu, params.nu
+    sa2 = np.sqrt(params.alpha2_sq)
+    sb2 = np.sqrt(1.0 - params.alpha2_sq)
+    eph = np.exp(-1j * np.asarray(params.phi))
+    ela = np.exp(-1j * np.asarray(params.lam))
+    return np.stack([
+        matrix_2x2(sa2 * np.sqrt(1 - a), 0, 0, sa2 * np.sqrt(1 - b)),
+        matrix_2x2(0, sa2 * np.sqrt(b), sa2 * (np.sqrt(a) * eph), 0),
+        matrix_2x2(sb2 * np.sqrt(1 - mu), 0, 0, sb2 * np.sqrt(1 - nu)),
+        matrix_2x2(0, sb2 * np.sqrt(nu), sb2 * (np.sqrt(mu) * ela), 0),
+    ], axis=-3)
+
+
+def _pauli_ops(params) -> np.ndarray:
+    weights = (1 - params.p, params.p * params.q1, params.p * params.q2, params.p * params.q3)
+    paulis = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
+    return np.stack([np.sqrt(np.asarray(w))[..., None, None] * m
+                     for w, m in zip(weights, paulis)], axis=-3)
+
+
+_FAMILY_OPS = {
+    DephasingParams: (_dephasing_ops, ("M0", "M1")),
+    GADParams: (_gad_ops, ("M00", "M01", "M10", "M11")),
+    SGADParams: (_sgad_ops, ("M00", "M01", "M11", "M10")),
+    PauliParams: (_pauli_ops, ("MI", "MX", "MY", "MZ")),
+}
+
+
+def _kraus_set(params: ChannelParams) -> KrausSet:
+    build, labels = _FAMILY_OPS[type(params)]
+    return KrausSet(build(params), labels)
+
+
 def dephasing_kraus(p: float) -> KrausSet:
     """Phase damping: coherences decay with probability p, populations fixed."""
-    p = _check_prob("p", p)
-    m0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
-    m1 = np.array([[0, 0], [0, math.sqrt(p)]], dtype=complex)
-    return KrausSet((m0, m1), ("M0", "M1"))
+    return _kraus_set(DephasingParams(p))
 
 
 def gad_kraus(p: float, alpha2_sq: float) -> KrausSet:
@@ -158,16 +247,7 @@ def gad_kraus(p: float, alpha2_sq: float) -> KrausSet:
     Four operators; the bath weights enter as sqrt prefactors so the raw list
     satisfies completeness on its own.
     """
-    p = _check_prob("p", p)
-    a2 = _check_prob("alpha2_sq", alpha2_sq)
-    b2 = 1.0 - a2
-    sa, sb = math.sqrt(a2), math.sqrt(b2)
-    sp, sq = math.sqrt(p), math.sqrt(1 - p)
-    m00 = sa * np.array([[1, 0], [0, sq]], dtype=complex)
-    m01 = sa * np.array([[0, sp], [0, 0]], dtype=complex)
-    m10 = sb * np.array([[0, 0], [sp, 0]], dtype=complex)
-    m11 = sb * np.array([[sq, 0], [0, 1]], dtype=complex)
-    return KrausSet((m00, m01, m10, m11), ("M00", "M01", "M10", "M11"))
+    return _kraus_set(GADParams(p, alpha2_sq))
 
 
 def sgad_kraus(params: SGADParams) -> KrausSet:
@@ -176,28 +256,12 @@ def sgad_kraus(params: SGADParams) -> KrausSet:
     Each mode pair gets its own transition rate (alpha, beta, mu, nu) and the
     upward transitions carry phases e^{-i phi}, e^{-i lam}.
     """
-    a, b, mu, nu = params.alpha, params.beta, params.mu, params.nu
-    sa2 = math.sqrt(params.alpha2_sq)
-    sb2 = math.sqrt(1.0 - params.alpha2_sq)
-    eph = np.exp(-1j * params.phi)
-    ela = np.exp(-1j * params.lam)
-    m00 = sa2 * np.array([[math.sqrt(1 - a), 0], [0, math.sqrt(1 - b)]], dtype=complex)
-    m01 = sa2 * np.array([[0, math.sqrt(b)], [math.sqrt(a) * eph, 0]], dtype=complex)
-    m11 = sb2 * np.array([[math.sqrt(1 - mu), 0], [0, math.sqrt(1 - nu)]], dtype=complex)
-    m10 = sb2 * np.array([[0, math.sqrt(nu)], [math.sqrt(mu) * ela, 0]], dtype=complex)
-    return KrausSet((m00, m01, m11, m10), ("M00", "M01", "M11", "M10"))
+    return _kraus_set(params)
 
 
 def pauli_kraus(p: float, q1: float, q2: float, q3: float) -> KrausSet:
     """Probabilistic Pauli noise: (1-p) rho + p sum_i q_i sigma_i rho sigma_i."""
-    params = PauliParams(p, q1, q2, q3)
-    ops = (
-        math.sqrt(1 - params.p) * np.eye(2, dtype=complex),
-        math.sqrt(params.p * params.q1) * PAULI_X,
-        math.sqrt(params.p * params.q2) * PAULI_Y,
-        math.sqrt(params.p * params.q3) * PAULI_Z,
-    )
-    return KrausSet(ops, ("MI", "MX", "MY", "MZ"))
+    return _kraus_set(PauliParams(p, q1, q2, q3))
 
 
 def channel_kraus(params: ChannelParams) -> KrausSet:
@@ -211,6 +275,23 @@ def channel_kraus(params: ChannelParams) -> KrausSet:
     if isinstance(params, PauliParams):
         return pauli_kraus(params.p, params.q1, params.q2, params.q3)
     raise InvalidArgument(f"unknown channel parameter type {type(params).__name__}")
+
+
+def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Operators of every point of a stack, shape (B, k, 2, 2), and their labels.
+
+    Each point's completeness residual is checked as KrausSet checks it; the
+    first point that fails is named in the InvalidChannel raised.
+    """
+    build, labels = _FAMILY_OPS[stack.family]
+    ops = build(stack)
+    ops = np.broadcast_to(ops, (len(stack),) + ops.shape[-3:])
+    res = completeness_residual(ops)
+    bad = np.flatnonzero(res > structural_atol())
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidChannel(f"point {i}: completeness residual {res[i]:.3e} exceeds tolerance")
+    return ops, labels
 
 
 def kraus_from_unitary(u: np.ndarray, env_weights: tuple[float, float]) -> KrausSet:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +37,11 @@ from .channels import (
     ChannelParams,
     DephasingParams,
     GADParams,
+    ParamStack,
     PauliParams,
     SGADParams,
+    apply_operators,
+    kraus_stack,
 )
 from .errors import InvalidArgument, InvalidState
 from .gates import (
@@ -48,14 +51,18 @@ from .gates import (
     cnot_pol_path,
     controlled_on_path,
     embed,
+    finite_values,
     make_register,
     path_wires,
     polarization_wire,
     u3,
 )
 from .qmath import (
+    ATOL_ARITHMETIC,
     DensityMatrix,
     PureState,
+    check_densities,
+    dagger,
     partial_trace,
     structural_atol,
     unitarity_residual,
@@ -118,6 +125,16 @@ def _acted_wires(placement: GatePlacement, register: Register) -> set[int]:
     return set(placement.wires)
 
 
+def _check_disjoint(register: Register, layers) -> None:
+    for layer in layers:
+        seen: set[int] = set()
+        for placement in layer:
+            acted = _acted_wires(placement, register)
+            if acted & seen:
+                raise InvalidArgument("placements within a layer must act on disjoint wires")
+            seen |= acted
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
     """Ordered layers of placements with a stage tag per layer."""
@@ -135,13 +152,7 @@ class CircuitSpec:
             raise InvalidArgument("one stage tag per layer required")
         if any(s not in STAGES for s in stages):
             raise InvalidArgument(f"stage tags must be among {STAGES}")
-        for layer in layers:
-            seen: set[int] = set()
-            for placement in layer:
-                acted = _acted_wires(placement, register)
-                if acted & seen:
-                    raise InvalidArgument("placements within a layer must act on disjoint wires")
-                seen |= acted
+        _check_disjoint(register, layers)
         object.__setattr__(self, "register", register)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "stages", stages)
@@ -159,11 +170,25 @@ class CircuitSpec:
         return 2 ** len(self.register)
 
 
+def _compose(register: Register, layers) -> np.ndarray:
+    """Product of the layers' placement matrices, the first layer acting first.
+
+    Placements with stacked angles give a stack of products.
+    """
+    out = None
+    for layer in layers:
+        for placement in layer:
+            m = placement_matrix(placement, register)
+            out = m if out is None else m @ out
+    return np.eye(2 ** len(register), dtype=complex) if out is None else out
+
+
 def layer_unitary(register: Register, layer: Sequence[GatePlacement]) -> np.ndarray:
-    out = np.eye(2 ** len(register), dtype=complex)
-    for placement in layer:
-        out = placement_matrix(placement, register) @ out
-    return out
+    return _compose(register, [layer])
+
+
+def _stage_layers(circuit: CircuitSpec, wanted) -> list:
+    return [layer for layer, stage in zip(circuit.layers, circuit.stages) if stage in wanted]
 
 
 def circuit_unitary(circuit: CircuitSpec, through_stage: str | None = None) -> np.ndarray:
@@ -171,23 +196,14 @@ def circuit_unitary(circuit: CircuitSpec, through_stage: str | None = None) -> n
     if through_stage is not None and through_stage not in STAGES:
         raise InvalidArgument(f"unknown stage {through_stage!r}")
     cutoff = len(STAGES) if through_stage is None else STAGES.index(through_stage) + 1
-    wanted = set(STAGES[:cutoff])
-    out = np.eye(circuit.dim, dtype=complex)
-    for layer, stage in zip(circuit.layers, circuit.stages):
-        if stage in wanted:
-            out = layer_unitary(circuit.register, layer) @ out
-    return out
+    return _compose(circuit.register, _stage_layers(circuit, STAGES[:cutoff]))
 
 
 def stage_unitary(circuit: CircuitSpec, stage: str) -> np.ndarray:
     """Composed unitary of exactly one stage's layers."""
     if stage not in STAGES:
         raise InvalidArgument(f"unknown stage {stage!r}")
-    out = np.eye(circuit.dim, dtype=complex)
-    for layer, tag in zip(circuit.layers, circuit.stages):
-        if tag == stage:
-            out = layer_unitary(circuit.register, layer) @ out
-    return out
+    return _compose(circuit.register, _stage_layers(circuit, (stage,)))
 
 
 def evolve(state: PureState, circuit: CircuitSpec, through_stage: str | None = None) -> PureState:
@@ -217,6 +233,7 @@ class ProductStateParams:
     half-angle: amplitudes are cos/sin of theta/2 (native gate convention).
     experimental: system amplitudes cos/sin of theta1, environment weights
     sin/cos of theta2, as the tabletop encoding imposes.
+    An angle may be an array with one value per point of a batch.
     """
 
     theta1: float
@@ -227,19 +244,16 @@ class ProductStateParams:
         if self.convention not in ("half-angle", "experimental"):
             raise InvalidArgument(f"unknown angle convention {self.convention!r}")
         for name in ("theta1", "theta2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidArgument(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_values(name, getattr(self, name)))
 
     def amplitudes(self) -> tuple[float, float, float, float]:
         """(a1, b1, a2, b2) with a^2 + b^2 = 1 for each pair."""
         if self.convention == "half-angle":
-            a1, b1 = math.cos(self.theta1 / 2), math.sin(self.theta1 / 2)
-            a2, b2 = math.cos(self.theta2 / 2), math.sin(self.theta2 / 2)
+            a1, b1 = np.cos(self.theta1 / 2), np.sin(self.theta1 / 2)
+            a2, b2 = np.cos(self.theta2 / 2), np.sin(self.theta2 / 2)
         else:
-            a1, b1 = math.cos(self.theta1), math.sin(self.theta1)
-            a2, b2 = math.sin(self.theta2), math.cos(self.theta2)
+            a1, b1 = np.cos(self.theta1), np.sin(self.theta1)
+            a2, b2 = np.sin(self.theta2), np.cos(self.theta2)
         return a1, b1, a2, b2
 
 
@@ -247,22 +261,26 @@ def channel_register() -> Register:
     return make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
 
 
-def _col0_u3(c: float, s: float) -> U3Params:
+# The angle helpers and layer recipes below take floats or arrays over the
+# points of a batch; an array gives a placement with stacked angles.
+
+
+def _col0_u3(c, s) -> U3Params:
     """Rotation whose first column is the real pair (c, s).
 
     Exact for c in (-1, 1]; at the c = -1 boundary the principal-range
     reduction flips the column's global sign.
     """
-    theta = 2.0 * math.acos(min(1.0, max(-1.0, c)))
-    phi = 0.0 if s >= 0 else math.pi
+    theta = 2.0 * np.arccos(np.clip(c, -1.0, 1.0))
+    phi = np.where(s >= 0, 0.0, math.pi)
     return U3Params(theta, phi, math.pi)
 
 
-def _col1_u3(c: float, s: float) -> U3Params:
+def _col1_u3(c, s) -> U3Params:
     """Rotation whose second column is the real pair (c, s), all signs exact."""
-    theta = 2.0 * math.atan2(abs(c), abs(s))
-    lam = 0.0 if c < 0 else math.pi
-    phi = ((0.0 if s >= 0 else math.pi) - lam) % (2.0 * math.pi)
+    theta = 2.0 * np.arctan2(np.abs(c), np.abs(s))
+    lam = np.where(c < 0, 0.0, math.pi)
+    phi = (np.where(s >= 0, 0.0, math.pi) - lam) % (2.0 * math.pi)
     return U3Params(theta, phi, lam)
 
 
@@ -278,8 +296,8 @@ def _preparation_layers(a1: float, b1: float, a2: float, b2: float, register: Re
     s = register[0].index
     e = register[1].index
     p_env_h = _col0_u3(a2, b2)
-    realized = u3(p_env_h)[:, 0]
-    p_env_v = _col1_u3(realized[0].real, realized[1].real)
+    realized = u3(p_env_h)[..., :, 0]
+    p_env_v = _col1_u3(realized[..., 0].real, realized[..., 1].real)
     layers = [
         (GatePlacement("local-u3", (pol,), _col0_u3(a1, b1)),),
         (GatePlacement("cnot-pol-path", (pol, s)),),
@@ -366,14 +384,14 @@ def encode_reservoir_state(system_amplitudes) -> PureState:
 _X = U3Params(math.pi, 0.0, math.pi)
 
 
-def _tag_h(stay: float, move: float, phase: float) -> U3Params:
+def _tag_h(stay, move, phase) -> U3Params:
     """Rotation sending |H> to stay|H> + move e^{i phase}|V>."""
-    return U3Params(2.0 * math.atan2(move, stay), phase, math.pi)
+    return U3Params(2.0 * np.arctan2(move, stay), phase, math.pi)
 
 
-def _tag_v(stay: float, move: float, phase: float) -> U3Params:
+def _tag_v(stay, move, phase) -> U3Params:
     """Rotation sending |V> to stay|H> + move e^{i phase}|V>."""
-    return U3Params(2.0 * math.atan2(stay, move), phase - math.pi, math.pi)
+    return U3Params(2.0 * np.arctan2(stay, move), phase - math.pi, math.pi)
 
 
 @dataclass(frozen=True)
@@ -422,7 +440,7 @@ def _dephasing_layers(register: Register, p: float):
     pol = polarization_wire(register).index
     e = register[1].index
     tag = GatePlacement(
-        "path-conditioned-u3", (pol,), _tag_h(math.sqrt(1 - p), math.sqrt(p), 0.0), "10"
+        "path-conditioned-u3", (pol,), _tag_h(np.sqrt(1 - p), np.sqrt(p), 0.0), "10"
     )
     park_01 = GatePlacement("path-conditioned-u3", (pol,), _X, "01")
     park_11 = GatePlacement("path-conditioned-u3", (pol,), _X, "11")
@@ -454,6 +472,72 @@ def sgad_caption_angles(params: SGADParams) -> dict[str, float]:
     }
 
 
+def _channel_layers(params, theta1: float, convention: str):
+    """(register, layers, stages) of one family's preparation plus evolve lattice.
+
+    ``params`` is one parameter record or a ParamStack; a stacked field gives
+    stacked angles wherever it enters.
+    """
+    family = params.family if isinstance(params, ParamStack) else type(params)
+    if family is PauliParams:
+        return _pauli_layers(params, theta1)
+    register = channel_register()
+    if family is DephasingParams:
+        alpha2_sq = 1.0
+        lattice = _dephasing_layers(register, params.p)
+    elif family is GADParams:
+        alpha2_sq = params.alpha2_sq
+        sp, sq = np.sqrt(params.p), np.sqrt(1 - params.p)
+        lattice = _pair_swap_layers(register, {
+            "00": ModeTransition(1.0, 0.0),
+            "10": ModeTransition(sq, sp),
+            "01": ModeTransition(sq, sp),
+            "11": ModeTransition(1.0, 0.0),
+        })
+    elif family is SGADParams:
+        alpha2_sq = params.alpha2_sq
+        lattice = _pair_swap_layers(register, {
+            "00": ModeTransition(np.sqrt(1 - params.alpha), np.sqrt(params.alpha), -params.phi),
+            "10": ModeTransition(np.sqrt(1 - params.beta), np.sqrt(params.beta)),
+            "01": ModeTransition(np.sqrt(1 - params.mu), np.sqrt(params.mu), -params.lam),
+            "11": ModeTransition(np.sqrt(1 - params.nu), np.sqrt(params.nu)),
+        })
+    else:
+        raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
+
+    prep = ProductStateParams(theta1, _theta2_for_weight(alpha2_sq, convention), convention)
+    layers = _preparation_layers(*prep.amplitudes(), register)
+    stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
+    return register, layers + lattice, stages
+
+
+def _lattice_metadata(params: ChannelParams, theta1: float, convention: str) -> dict:
+    """The metadata a lattice for one parameter record carries."""
+    if isinstance(params, PauliParams):
+        angles = pauli_caption_angles(params.p, params.q1, params.q2, params.q3)
+        t1, t2, t3 = (float(t) for t in angles)
+        return {
+            "channel": "pauli", "p": params.p, "q1": params.q1, "q2": params.q2, "q3": params.q3,
+            "caption_theta1": t1, "caption_theta2": t2, "caption_theta3": t3,
+            "prep_theta": theta1,
+        }
+    if isinstance(params, DephasingParams):
+        alpha2_sq = 1.0
+        meta = {"channel": "dephasing", "p": params.p,
+                "caption_theta": dephasing_caption_angle(params.p)}
+    elif isinstance(params, GADParams):
+        alpha2_sq = params.alpha2_sq
+        meta = {"channel": "gad", "p": params.p, "alpha2_sq": params.alpha2_sq,
+                "caption_theta": gad_caption_angle(params.p)}
+    else:
+        alpha2_sq = params.alpha2_sq
+        meta = {"channel": "sgad", "alpha2_sq": params.alpha2_sq,
+                **{k: getattr(params, k) for k in ("alpha", "beta", "mu", "nu", "phi", "lam")},
+                **sgad_caption_angles(params)}
+    meta.update({"theta1": theta1, "convention": convention, "alpha2_sq_prep": alpha2_sq})
+    return meta
+
+
 def build_channel_lattice(
     params: ChannelParams,
     *,
@@ -465,69 +549,24 @@ def build_channel_lattice(
     theta1 sets the system preparation rotation; the environment rotation is
     dictated by the channel's bath weights (ground state for dephasing).
     """
-    if isinstance(params, PauliParams):
-        return build_pauli_lattice(params.p, params.q1, params.q2, params.q3, prep_theta=theta1)
-
-    register = channel_register()
-    if isinstance(params, DephasingParams):
-        alpha2_sq = 1.0
-        transitions = None
-        evolve_layers = _dephasing_layers(register, params.p)
-        meta = {"channel": "dephasing", "p": params.p,
-                "caption_theta": dephasing_caption_angle(params.p)}
-    elif isinstance(params, GADParams):
-        alpha2_sq = params.alpha2_sq
-        sp, sq = math.sqrt(params.p), math.sqrt(1 - params.p)
-        transitions = {
-            "00": ModeTransition(1.0, 0.0),
-            "10": ModeTransition(sq, sp),
-            "01": ModeTransition(sq, sp),
-            "11": ModeTransition(1.0, 0.0),
-        }
-        meta = {"channel": "gad", "p": params.p, "alpha2_sq": params.alpha2_sq,
-                "caption_theta": gad_caption_angle(params.p)}
-    elif isinstance(params, SGADParams):
-        alpha2_sq = params.alpha2_sq
-        transitions = {
-            "00": ModeTransition(math.sqrt(1 - params.alpha), math.sqrt(params.alpha), -params.phi),
-            "10": ModeTransition(math.sqrt(1 - params.beta), math.sqrt(params.beta)),
-            "01": ModeTransition(math.sqrt(1 - params.mu), math.sqrt(params.mu), -params.lam),
-            "11": ModeTransition(math.sqrt(1 - params.nu), math.sqrt(params.nu)),
-        }
-        meta = {"channel": "sgad", "alpha2_sq": params.alpha2_sq,
-                **{k: getattr(params, k) for k in ("alpha", "beta", "mu", "nu", "phi", "lam")},
-                **sgad_caption_angles(params)}
-    else:
-        raise InvalidArgument(f"unknown channel parameter type {type(params).__name__}")
-
-    prep = ProductStateParams(theta1, _theta2_for_weight(alpha2_sq, convention), convention)
-    a1, b1, a2, b2 = prep.amplitudes()
-    layers = _preparation_layers(a1, b1, a2, b2, register)
-    stages = ["prepare"] * len(layers)
-    if transitions is None:
-        lattice = evolve_layers
-    else:
-        lattice = _pair_swap_layers(register, transitions)
-    layers += lattice
-    stages += ["evolve"] * len(lattice)
-    meta.update({"theta1": theta1, "convention": convention, "alpha2_sq_prep": alpha2_sq})
-    return CircuitSpec(register, layers, stages, meta)
+    register, layers, stages = _channel_layers(params, theta1, convention)
+    return CircuitSpec(register, layers, stages, _lattice_metadata(params, theta1, convention))
 
 
-def _theta2_for_weight(alpha2_sq: float, convention: str) -> float:
+def _theta2_for_weight(alpha2_sq, convention: str):
     """Preparation angle whose environment ground weight is alpha2_sq."""
-    a2 = math.sqrt(min(1.0, max(0.0, alpha2_sq)))
+    a2 = np.sqrt(np.clip(alpha2_sq, 0.0, 1.0))
     if convention == "half-angle":
-        return 2.0 * math.acos(a2)
-    return math.asin(a2)
+        return 2.0 * np.arccos(a2)
+    return np.arcsin(a2)
 
 
-def pauli_caption_angles(p: float, q1: float, q2: float, q3: float) -> tuple[float, float, float]:
+def pauli_caption_angles(p, q1, q2, q3) -> tuple[float, float, float]:
     """Knob angles from p = cos^2 t1, q1 = cos^2 t2, q2 = sin^2 t2 cos^2 t3,
     q3 = sin^2 t2 sin^2 t3; principal branch, ties toward [0, pi/2]."""
-    t1 = math.acos(min(1.0, math.sqrt(p)))
-    t2 = math.acos(min(1.0, math.sqrt(q1)))
-    t3 = math.atan2(math.sqrt(q3), math.sqrt(q2))
+    t1 = np.arccos(np.minimum(1.0, np.sqrt(p)))
+    t2 = np.arccos(np.minimum(1.0, np.sqrt(q1)))
+    t3 = np.arctan2(np.sqrt(q3), np.sqrt(q2))
     return (t1, t2, t3)
 
 
@@ -538,13 +577,21 @@ def pauli_register() -> Register:
 def build_pauli_lattice(
     p: float, q1: float, q2: float, q3: float, *, prep_theta: float = math.pi / 2
 ) -> CircuitSpec:
-    """Lattice coupling one system qubit to a 4-level reservoir.
+    """Lattice coupling one system qubit to a 4-level reservoir."""
+    params = PauliParams(p, q1, q2, q3)
+    register, layers, stages = _pauli_layers(params, prep_theta)
+    meta = _lattice_metadata(params, prep_theta, "half-angle")
+    return CircuitSpec(register, layers, stages, meta)
+
+
+def _pauli_layers(params, prep_theta: float):
+    """(register, layers, stages) of the Pauli lattice.
 
     The evolve stage splits each of the two H-polarized input modes into its
     stay amplitude and three double-flip transitions, one sqrt(p q_i) branch
     per round; signs and the i factors ride on the tag phases.
     """
-    params = PauliParams(p, q1, q2, q3)
+    prep_theta = finite_values("prep_theta", prep_theta)
     t1, t2, t3 = pauli_caption_angles(params.p, params.q1, params.q2, params.q3)
     register = pauli_register()
     pol = polarization_wire(register).index
@@ -559,9 +606,9 @@ def build_pauli_lattice(
     stages = ["prepare"] * len(layers)
 
     # absolute branch amplitudes from the knob angles
-    m_q1 = math.cos(t1) * math.cos(t2)
-    m_q2 = math.cos(t1) * math.sin(t2) * math.cos(t3)
-    m_q3 = math.cos(t1) * math.sin(t2) * math.sin(t3)
+    m_q1 = np.cos(t1) * np.cos(t2)
+    m_q2 = np.cos(t1) * np.sin(t2) * np.cos(t3)
+    m_q3 = np.cos(t1) * np.sin(t2) * np.sin(t3)
 
     rounds = [
         # (branch amplitude, phase on |000> row, phase on |100> row, flips, arrival modes)
@@ -571,9 +618,10 @@ def build_pauli_lattice(
     ]
     remaining = 1.0
     for amp, phase0, phase1, flips, arrivals in rounds:
-        move = amp / remaining if remaining > 1e-15 else 0.0
-        move = min(1.0, move)
-        stay = math.sqrt(max(0.0, 1.0 - move * move))
+        # once nothing stays, nothing moves; the floor keeps the unused quotient finite
+        move = np.where(remaining > 1e-15, amp / np.maximum(remaining, 1e-15), 0.0)
+        move = np.minimum(1.0, move)
+        stay = np.sqrt(np.maximum(0.0, 1.0 - move * move))
         layers.append(
             (GatePlacement("path-conditioned-u3", (pol,), _tag_h(stay, move, phase0), "000"),)
         )
@@ -584,15 +632,141 @@ def build_pauli_lattice(
             layers.append((GatePlacement("cnot-pol-path", (pol, wire)),))
         for mode in arrivals:
             layers.append((GatePlacement("path-conditioned-u3", (pol,), _X, mode),))
-        remaining *= stay
+        remaining = remaining * stay
 
     stages += ["evolve"] * (len(layers) - len(stages))
-    meta = {
-        "channel": "pauli", "p": params.p, "q1": params.q1, "q2": params.q2, "q3": params.q3,
-        "caption_theta1": t1, "caption_theta2": t2, "caption_theta3": t3,
-        "prep_theta": prep_theta,
-    }
-    return CircuitSpec(register, layers, stages, meta)
+    return register, layers, stages
+
+
+# -- batched lattices --------------------------------------------------------------
+
+BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sweep length
+
+
+def _is_stacked(placement: GatePlacement) -> bool:
+    u = placement.params
+    return u is not None and any(np.ndim(a) for a in (u.theta, u.phi, u.lam))
+
+
+def _block_placement(placement: GatePlacement, start: int, stop: int) -> GatePlacement:
+    """The placement at points start..stop-1 of its stacked angles."""
+    if not _is_stacked(placement):
+        return placement
+    u = placement.params
+    angles = (a[start:stop] if np.ndim(a) else a for a in (u.theta, u.phi, u.lam))
+    return GatePlacement(placement.kind, placement.wires, U3Params(*angles), placement.condition)
+
+
+def _first_failure(bad: np.ndarray, start: int, message) -> None:
+    """Raise InvalidState for the first flagged point, ``message(i)`` describing it."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise InvalidState(f"point {start + i}: {message(i)}")
+
+
+class ChannelLattices:
+    """The lattices of one channel family over a sequence of parameter points.
+
+    The layer recipes run once, on the points' stacked angles (half-angle
+    convention, as in build_channel_lattice's default). Each run of layers
+    whose angles agree at every point is composed here, once; the layers
+    whose angles vary are built and composed per block of points.
+    """
+
+    def __init__(self, points: Sequence[ChannelParams], *, theta1: float = math.pi / 2):
+        self.params = ParamStack(points)
+        self.theta1 = theta1
+        self.register, layers, _ = _channel_layers(self.params, theta1, "half-angle")
+        _check_disjoint(self.register, layers)
+        self._segments = []  # a composed constant run (an ndarray), or one stacked layer
+        run = []
+        for layer in layers:
+            if not any(_is_stacked(p) for p in layer):
+                run.append(layer)
+                continue
+            if run:
+                self._segments.append(_compose(self.register, run))
+                run = []
+            self._segments.append(layer)
+        if run:
+            self._segments.append(_compose(self.register, run))
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def metadata(self, i: int) -> dict:
+        """The metadata build_channel_lattice gives point i's lattice."""
+        return _lattice_metadata(self.params.points[i], self.theta1, "half-angle")
+
+    def unitaries(self, start: int, stop: int) -> np.ndarray:
+        """Composed lattice unitaries of points start..stop-1, shape (stop - start, d, d)."""
+        out = None
+        for seg in self._segments:
+            if not isinstance(seg, np.ndarray):
+                seg = _compose(self.register, [[_block_placement(p, start, stop) for p in seg]])
+            out = seg if out is None else seg @ out
+        return np.broadcast_to(out, (stop - start,) + out.shape[-2:])
+
+    def system_states(self, start: int, stop: int) -> np.ndarray:
+        """Reduced system states of points start..stop-1, shape (stop - start, 2, 2),
+        after each lattice acts on the initial photon.
+
+        Each point gets the checks of the per-point path: the composed
+        unitarity residual, the evolved state's norm, the joint density and
+        the traced density (Hermiticity and trace).
+        """
+        u = self.unitaries(start, stop)
+        res = unitarity_residual(u)
+        _first_failure(res > structural_atol(), start,
+                       lambda i: f"layer composition unitarity residual {res[i]:.3e}")
+        psi = u[..., 0]  # the initial photon |0...0> is the first basis vector
+        norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+        _first_failure(norm_dev > ATOL_ARITHMETIC, start,
+                       lambda i: f"state norm deviates from 1 by {norm_dev[i]:.3e}")
+        check_densities(psi[:, :, None] * psi[:, None, :].conj(), first_index=start)
+        amps = psi.reshape(len(psi), 2, -1)  # system wire first, the rest traced out
+        rho = amps @ dagger(amps)
+        check_densities(rho, eig_atol=None, first_index=start)
+        return rho
+
+
+@dataclass(frozen=True)
+class SweepBlock:
+    """Lattice and Kraus outputs of consecutive points of a sweep."""
+
+    start: int  # index of the block's first point in the sweep
+    params: list  # each point's lattice metadata
+    lattice: np.ndarray  # (b, 2, 2) system states from the lattices
+    kraus: np.ndarray  # (b, 2, 2) Kraus-route outputs on the prepared qubit
+    deviation: np.ndarray  # (b,) largest entrywise gap between the two
+    labels: tuple[str, ...]  # the Kraus operators' labels
+
+
+def channel_sweep(
+    points: Sequence[ChannelParams], *, theta1: float = math.pi / 2
+) -> Iterator[SweepBlock]:
+    """Send the qubit prepared by theta1 through each point's lattice and
+    through its Kraus set, BLOCK_SIZE points at a time.
+
+    Every point is validated, and its Kraus completeness checked, before this
+    returns; the lattice and output checks run as each block is computed.
+    """
+    lattices = ChannelLattices(points, theta1=theta1)
+    ops, labels = kraus_stack(lattices.params)
+    a1, b1, _, _ = ProductStateParams(theta1, 0.0).amplitudes()
+    rho_in = np.array([[a1 * a1, a1 * b1], [a1 * b1, b1 * b1]], dtype=complex)
+
+    def blocks():
+        for start in range(0, len(lattices), BLOCK_SIZE):
+            stop = min(start + BLOCK_SIZE, len(lattices))
+            lattice = lattices.system_states(start, stop)
+            kraus = apply_operators(rho_in, ops[start:stop])
+            check_densities(kraus, first_index=start)
+            deviation = np.max(np.abs(lattice - kraus), axis=(-2, -1))
+            meta = [lattices.metadata(i) for i in range(start, stop)]
+            yield SweepBlock(start, meta, lattice, kraus, deviation, labels)
+
+    return blocks()
 
 
 # -- readout helpers ------------------------------------------------------------

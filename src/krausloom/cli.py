@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,13 +31,14 @@ from . import channels as channels_mod
 from . import tomography as tomo_mod
 from .errors import InternalConsistencyError, KrausloomError
 from .qmath import (
-    DensityMatrix,
     density_to_payload,
     fidelity,
     load_json,
+    matrix_to_payload,
     save_json,
     state_from_payload,
     state_to_payload,
+    write_atomic,
 )
 
 CONSISTENCY_TOL = 1e-9
@@ -50,20 +50,17 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "csv":
-        lines = _payload_to_csv(payload)
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            tmp = f"{args.out}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, args.out)
+def _emit(payload: dict, fmt: str, path: str | None) -> None:
+    """Write a payload as json or csv to ``path``, or to stdout when it is None."""
+    if fmt == "csv":
+        text = "\n".join(_payload_to_csv(payload)) + "\n"
+        if path:
+            write_atomic(path, text)
         else:
             sys.stdout.write(text)
         return
-    if args.out:
-        save_json(payload, args.out)
+    if path:
+        save_json(payload, path)
     else:
         json.dump(payload, sys.stdout, sort_keys=True, indent=1)
         sys.stdout.write("\n")
@@ -140,34 +137,34 @@ def cmd_prepare(args) -> dict:
     }
 
 
+def _channel_payloads(blocks, channel: str):
+    """Each point's channel payload, in order, from the blocks of a channel_sweep.
+
+    A point whose lattice and Kraus outputs disagree raises
+    InternalConsistencyError naming its index.
+    """
+    for block in blocks:
+        for i, params in enumerate(block.params):
+            deviation = float(block.deviation[i])
+            if deviation >= CONSISTENCY_TOL:
+                raise InternalConsistencyError(
+                    f"point {block.start + i}: lattice and Kraus outputs deviate by "
+                    f"{deviation:.3e} (tolerance {CONSISTENCY_TOL})"
+                )
+            yield {
+                "command": "channel",
+                "channel": channel,
+                "params": params,
+                "lattice_output": matrix_to_payload(block.lattice[i], (2,)),
+                "kraus_output": matrix_to_payload(block.kraus[i], (2,)),
+                "max_deviation": deviation,
+                "kraus_labels": list(block.labels),
+            }
+
+
 def _run_channel_point(params, args) -> dict:
-    lattice = circuit_mod.build_channel_lattice(params, theta1=args.theta1)
-    psi = circuit_mod.evolve(circuit_mod.initial_state(lattice), lattice)
-    rho_lattice = circuit_mod.traced_system_state(psi)
-
-    kset = channels_mod.channel_kraus(params)
-    prep_amps = circuit_mod.ProductStateParams(
-        args.theta1, 0.0, "half-angle"
-    ).amplitudes()
-    a1, b1 = prep_amps[0], prep_amps[1]
-    rho_in = np.array([[a1 * a1, a1 * b1], [a1 * b1, b1 * b1]], dtype=complex)
-    rho_kraus = channels_mod.kraus_apply(rho_in, kset)
-
-    deviation = float(np.max(np.abs(rho_lattice.matrix - rho_kraus)))
-    payload = {
-        "command": "channel",
-        "channel": args.channel,
-        "params": dict(lattice.metadata),
-        "lattice_output": density_to_payload(rho_lattice),
-        "kraus_output": density_to_payload(DensityMatrix(rho_kraus, (2,))),
-        "max_deviation": deviation,
-        "kraus_labels": list(kset.labels),
-    }
-    if deviation >= CONSISTENCY_TOL:
-        raise InternalConsistencyError(
-            f"lattice and Kraus outputs deviate by {deviation:.3e} (tolerance {CONSISTENCY_TOL})"
-        )
-    return payload
+    blocks = circuit_mod.channel_sweep([params], theta1=args.theta1)
+    return next(_channel_payloads(blocks, args.channel))
 
 
 def cmd_channel(args) -> dict | None:
@@ -178,7 +175,10 @@ def cmd_channel(args) -> dict | None:
 
 
 def _run_channel_grid(args):
-    """Sweep --p over a start:stop:count grid, one output file per point."""
+    """Sweep --p over a start:stop:count grid, one output file per point.
+
+    Every grid value is validated before the first file is written.
+    """
     _require(args.out is not None, "--grid requires --out pointing at a directory")
     _require(args.channel != "sgad", "--grid sweeps --p; use explicit runs for sgad")
     try:
@@ -187,21 +187,20 @@ def _run_channel_grid(args):
         _require(count >= 1, "grid count must be >= 1")
     except ValueError as exc:
         raise KrausloomError(f"bad --grid spec {args.grid!r}; expected start:stop:count") from exc
-    os.makedirs(args.out, exist_ok=True)
     values = np.linspace(start, stop, count)
-
-    def one(point):
-        idx, p = point
-        local = argparse.Namespace(**vars(args))
+    local = argparse.Namespace(**vars(args))
+    points = []
+    for p in values:
         local.p = float(p)
-        params = _channel_params_from_args(local)
-        payload = _run_channel_point(params, local)
-        path = os.path.join(args.out, f"point_{idx:03d}.json")
-        save_json(payload, path)
-        return {"index": idx, "p": float(p), "file": os.path.basename(path)}
+        points.append(_channel_params_from_args(local))
+    blocks = circuit_mod.channel_sweep(points, theta1=args.theta1)
 
-    with ThreadPoolExecutor(max_workers=min(8, count)) as pool:
-        index = list(pool.map(one, enumerate(values)))
+    os.makedirs(args.out, exist_ok=True)
+    index = []
+    for idx, payload in enumerate(_channel_payloads(blocks, args.channel)):
+        name = f"point_{idx:03d}.{args.format}"
+        _emit(payload, args.format, os.path.join(args.out, name))
+        index.append({"index": idx, "p": float(values[idx]), "file": name})
     save_json({"command": "channel-grid", "channel": args.channel, "points": index},
               os.path.join(args.out, "index.json"))
     sys.stdout.write(f"wrote {count} grid points to {args.out}\n")
@@ -404,7 +403,7 @@ def main(argv=None) -> int:
             raise KrausloomError("--channel is required")
         payload = args.func(args)
         if payload is not None:
-            _emit(payload, args)
+            _emit(payload, args.format, args.out)
     except InternalConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 3

@@ -113,16 +113,7 @@ class DensityMatrix:
             raise InvalidState(f"dims {dims} do not multiply to matrix size {mat.shape[0]}")
         if not np.all(np.isfinite(mat)):
             raise InvalidState("density matrix entries must be finite")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > herm_atol:
-            raise InvalidState(f"hermiticity residual {herm:.3e} exceeds {herm_atol:.1e}")
-        tdev = abs(complex(np.trace(mat)) - 1.0)
-        if tdev > trace_atol:
-            raise InvalidState(f"trace deviates from 1 by {tdev:.3e}")
-        if eig_atol is not None:
-            lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
-            if lo < -eig_atol:
-                raise InvalidState(f"minimum eigenvalue {lo:.3e} below -{eig_atol:.1e}")
+        check_densities(mat, herm_atol=herm_atol, trace_atol=trace_atol, eig_atol=eig_atol)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
@@ -152,20 +143,60 @@ class DensityReport:
         )
 
 
+def density_residuals(mats, *, eig: bool = True):
+    """(hermiticity residual, trace deviation, minimum eigenvalue) of one
+    square matrix, or arrays of them over a stack of shape (B, d, d).
+
+    The eigenvalue is None when ``eig`` is false.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    adj = dagger(mats)
+    herm = np.abs(mats - adj).max(axis=(-2, -1))
+    tdev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
+    lo = np.linalg.eigvalsh((mats + adj) / 2).min(axis=-1) if eig else None
+    return herm, tdev, lo
+
+
+def check_densities(
+    mats,
+    *,
+    herm_atol: float = ATOL_STRUCTURAL,
+    trace_atol: float = ATOL_STRUCTURAL,
+    eig_atol: float | None = ATOL_SPECTRAL,
+    first_index: int = 0,
+) -> None:
+    """Raise InvalidState unless every matrix of ``mats`` is a density matrix.
+
+    ``mats`` is one matrix or a stack; a failing stack entry is named by its
+    index plus ``first_index``. ``eig_atol=None`` skips the eigenvalue check.
+    """
+    herm, tdev, lo = density_residuals(mats, eig=eig_atol is not None)
+    bad = (herm > herm_atol) | (tdev > trace_atol)
+    if eig_atol is not None:
+        bad = bad | (lo < -eig_atol)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    where = f"point {first_index + i}: " if np.ndim(mats) == 3 else ""
+    herm, tdev = np.ravel(herm)[i], np.ravel(tdev)[i]
+    if herm > herm_atol:
+        raise InvalidState(f"{where}hermiticity residual {herm:.3e} exceeds {herm_atol:.1e}")
+    if tdev > trace_atol:
+        raise InvalidState(f"{where}trace deviates from 1 by {tdev:.3e}")
+    raise InvalidState(f"{where}minimum eigenvalue {np.ravel(lo)[i]:.3e} below -{eig_atol:.1e}")
+
+
 def validate_density(rho) -> DensityReport:
     """Measure the three density-matrix invariants without judging them."""
     mat = _as_matrix(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidArgument(f"expected a square matrix, got shape {mat.shape}")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    tdev = float(abs(complex(np.trace(mat)) - 1.0))
-    lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)))
-    return DensityReport(herm, tdev, lo)
+    return DensityReport(*(float(x) for x in density_residuals(mat)))
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose; of each matrix, for a stack of them."""
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def tensor(a, b):
@@ -232,10 +263,11 @@ def fidelity(rho, sigma, *, psd_tol: float = PSD_TOL_MEASURED) -> float:
     return min(f, 1.0)
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    """Frobenius norm of U^dagger U - I."""
+def unitarity_residual(u: np.ndarray):
+    """Frobenius norm of U^dagger U - I; an array of them for a stack of matrices."""
     u = np.asarray(u, dtype=complex)
-    return float(np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])))
+    res = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 def assert_unitary(u: np.ndarray, atol: float | None = None) -> np.ndarray:
@@ -253,11 +285,12 @@ def assert_unitary(u: np.ndarray, atol: float | None = None) -> np.ndarray:
 
 
 def density_to_payload(rho: DensityMatrix) -> dict:
-    return {
-        "dims": list(rho.dims),
-        "re": rho.matrix.real.tolist(),
-        "im": rho.matrix.imag.tolist(),
-    }
+    return matrix_to_payload(rho.matrix, rho.dims)
+
+
+def matrix_to_payload(matrix: np.ndarray, dims: Sequence[int]) -> dict:
+    """The density payload of a matrix already checked, e.g. one of a checked stack."""
+    return {"dims": list(dims), "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
 def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:
@@ -286,12 +319,22 @@ def state_from_payload(payload: dict) -> PureState:
     return PureState(amps, dims)
 
 
-def save_json(payload: dict, path: str) -> None:
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through ``path.tmp`` and ``os.replace``, so
+    that ``path`` keeps its old content until the new one is complete."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def save_json(payload: dict, path: str) -> None:
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def load_json(path: str) -> dict:

@@ -20,6 +20,7 @@ from .qmath import (
     PureState,
     matrix_sqrt_psd,
     partial_trace,
+    write_atomic,
 )
 
 HALF_PI = math.pi / 2
@@ -293,13 +294,10 @@ def traced_truth(state) -> DensityMatrix:
 
 
 def save_counts(records, path: str) -> None:
-    import os
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for r in sorted(records, key=lambda r: r.setting_index):
-            fh.write(f"{r.setting_index},{r.label},{r.counts},{r.total_shots}\n")
-    os.replace(tmp, path)
+    write_atomic(path, "".join(
+        f"{r.setting_index},{r.label},{r.counts},{r.total_shots}\n"
+        for r in sorted(records, key=lambda r: r.setting_index)
+    ))
 
 
 def load_counts(path: str) -> list[CountRecord]:

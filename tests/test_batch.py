@@ -1,0 +1,180 @@
+"""The batched channel engine against the per-point path it replaces in sweeps.
+
+Every point of a ``channel_sweep`` must equal ``build_channel_lattice`` ->
+``evolve`` -> ``traced_system_state`` on the lattice side and ``kraus_apply``
+on the Kraus side.
+"""
+
+import numpy as np
+import pytest
+from test_acceptance import _channel_grid
+
+from krausloom import circuit
+from krausloom.channels import (
+    DephasingParams,
+    GADParams,
+    ParamStack,
+    PauliParams,
+    SGADParams,
+    channel_kraus,
+    kraus_apply,
+    kraus_stack,
+)
+from krausloom.circuit import (
+    BLOCK_SIZE,
+    ChannelLattices,
+    ProductStateParams,
+    build_channel_lattice,
+    channel_sweep,
+    circuit_unitary,
+    evolve,
+    initial_state,
+    traced_system_state,
+)
+from krausloom.errors import InvalidArgument, InvalidChannel, InvalidState
+from krausloom.gates import U3Params, controlled_on_path, embed, make_register, u3
+
+TOL = 1e-12
+
+
+def per_point(params, theta1):
+    lattice = build_channel_lattice(params, theta1=theta1)
+    rho_lattice = traced_system_state(evolve(initial_state(lattice), lattice)).matrix
+    a1, b1, _, _ = ProductStateParams(theta1, 0.0).amplitudes()
+    rho_in = np.array([[a1 * a1, a1 * b1], [a1 * b1, b1 * b1]], dtype=complex)
+    return lattice, rho_lattice, kraus_apply(rho_in, channel_kraus(params))
+
+
+def assert_sweep_matches(points, theta1=np.pi / 2):
+    seen = 0
+    for block in channel_sweep(points, theta1=theta1):
+        assert block.start == seen
+        assert len(block.params) == len(block.lattice) <= BLOCK_SIZE
+        for i, (rho_l, rho_k, dev) in enumerate(zip(block.lattice, block.kraus, block.deviation)):
+            lattice, want_l, want_k = per_point(points[seen + i], theta1)
+            assert np.max(np.abs(rho_l - want_l)) <= TOL
+            assert np.max(np.abs(rho_k - want_k)) <= TOL
+            assert dev == np.max(np.abs(rho_l - rho_k))
+            assert block.params[i] == lattice.metadata
+            assert block.labels == channel_kraus(points[seen + i]).labels
+        seen += len(block.lattice)
+    assert seen == len(points)
+
+
+@pytest.mark.parametrize("family", range(4), ids=["dephasing", "gad", "sgad", "pauli"])
+def test_acceptance_grids_match_per_point_path(family):
+    _, points = _channel_grid()[family]
+    assert_sweep_matches(points, theta1=0.9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        DephasingParams,
+        lambda p: GADParams(p, 0.35),
+        lambda p: SGADParams(p, p, 1.0 - p, 0.0, 0.4, 2.2, 0.6),
+        lambda p: PauliParams(p, 0.2, 0.3, 0.5),
+    ],
+    ids=["dephasing", "gad", "sgad", "pauli"],
+)
+def test_endpoints_match_per_point_path(make):
+    assert_sweep_matches([make(0.0), make(1.0), make(0.0)], theta1=2.3)
+
+
+def test_pauli_guard_and_clamp_points_match():
+    # p = 1 with q1 = q2 = 0 spends every amplitude in the first round, so
+    # later rounds hit the `remaining > 1e-15` guard; the q mixes here make
+    # amp / remaining round above 1 in a later round, where the clamp holds it
+    points = [
+        PauliParams(1.0, 0.0, 0.0, 1.0),
+        PauliParams(1.0, 0.0, 0.125, 0.875),
+        PauliParams(1.0, 0.0, 0.4, 0.6),
+        PauliParams(1.0, 0.025, 0.125, 0.85),
+        PauliParams(1.0, 0.025, 0.05, 0.925),
+        PauliParams(0.5, 0.2, 0.3, 0.5),
+    ]
+    assert_sweep_matches(points, theta1=1.3)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_SIZE + 1, 1001])
+def test_every_point_of_partial_blocks_matches(count):
+    points = [GADParams(p, 0.8) for p in np.linspace(0.0, 1.0, count)]
+    assert_sweep_matches(points, theta1=0.4)
+
+
+def test_lattice_unitaries_match_circuit_unitary():
+    points = [SGADParams(0.3 * t, t, 0.8 * t, 0.1 * t, 0.5, 1.1, 0.2 + 0.6 * t)
+              for t in np.linspace(0.0, 1.0, 7)]
+    stack = ChannelLattices(points, theta1=1.9)
+    u = stack.unitaries(2, 7)
+    assert u.shape == (5, 8, 8)
+    for i in range(2, 7):
+        want = circuit_unitary(build_channel_lattice(points[i], theta1=1.9))
+        assert np.max(np.abs(u[i - 2] - want)) <= TOL
+
+
+def test_param_stack_collapses_shared_fields():
+    stack = ParamStack([GADParams(0.1, 0.7), GADParams(0.4, 0.7)])
+    assert stack.alpha2_sq == 0.7
+    np.testing.assert_array_equal(stack.p, [0.1, 0.4])
+    with pytest.raises(InvalidArgument):
+        ParamStack([GADParams(0.1, 0.7), DephasingParams(0.1)])
+    with pytest.raises(InvalidArgument):
+        ParamStack([])
+
+
+def test_kraus_stack_matches_constructors():
+    points = [PauliParams(p, 0.5, 0.3, 0.2) for p in (0.0, 0.3, 1.0)]
+    ops, labels = kraus_stack(ParamStack(points))
+    assert ops.shape == (3, 4, 2, 2)
+    for op, params in zip(ops, points):
+        kset = channel_kraus(params)
+        assert labels == kset.labels
+        np.testing.assert_array_equal(op, np.stack(kset.operators))
+
+
+def test_failed_check_names_the_point(monkeypatch):
+    monkeypatch.setattr(circuit, "structural_atol", lambda: -1.0)
+    points = [DephasingParams(p) for p in (0.1, 0.2)]
+    with pytest.raises(InvalidState, match="point 0: layer composition unitarity"):
+        next(channel_sweep(points))
+
+
+def test_completeness_failure_names_the_point(monkeypatch):
+    from krausloom import channels
+
+    monkeypatch.setattr(channels, "structural_atol", lambda: -1.0)
+    with pytest.raises(InvalidChannel, match="point 0: completeness residual"):
+        channel_sweep([DephasingParams(0.3)])
+
+
+class TestStackedGates:
+    register = make_register("system-path", "environment-path", "polarization")
+    angles = np.random.default_rng(7).uniform(-7, 7, size=(3, 5))
+
+    # numpy may take a vector code path for a stack's exp and cos, which can
+    # differ from the scalar one in the last bit
+    def test_u3_stack(self):
+        stacked = u3(U3Params(*self.angles))
+        assert stacked.shape == (5, 2, 2)
+        for i, triple in enumerate(self.angles.T):
+            np.testing.assert_allclose(stacked[i], u3(U3Params(*triple)), rtol=0, atol=1e-15)
+
+    def test_u3_stack_broadcasts_shared_angles(self):
+        stacked = u3(U3Params(self.angles[0], 0.3, np.pi))
+        for i, theta in enumerate(self.angles[0]):
+            np.testing.assert_allclose(stacked[i], u3(U3Params(theta, 0.3, np.pi)),
+                                       rtol=0, atol=1e-15)
+
+    def test_embed_and_controlled_stacks(self):
+        gates = u3(U3Params(*self.angles))
+        emb = embed(gates, 1, 3)
+        ctl = controlled_on_path(gates, "1*", self.register)
+        assert emb.shape == ctl.shape == (5, 8, 8)
+        for i, g in enumerate(gates):
+            np.testing.assert_array_equal(emb[i], embed(g, 1, 3))
+            np.testing.assert_array_equal(ctl[i], controlled_on_path(g, "1*", self.register))
+
+    def test_stacked_angles_must_be_finite(self):
+        with pytest.raises(InvalidArgument):
+            U3Params(np.array([0.1, np.nan]), 0.0, 0.0)

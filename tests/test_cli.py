@@ -89,6 +89,49 @@ class TestChannel:
             payload = load_json(str(out / point["file"]))
             assert payload["max_deviation"] < 1e-9
 
+    @pytest.mark.parametrize("grid", ["0:1:1", "0.1:0.9:1001"])
+    def test_grid_index_values_are_linspace(self, tmp_path, grid):
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "pauli", "--q1", "0.2", "--q2", "0.3", "--q3", "0.5",
+                   "--grid", grid, "--out", str(out)) == 0
+        start, stop, count = grid.split(":")
+        values = np.linspace(float(start), float(stop), int(count))
+        points = load_json(str(out / "index.json"))["points"]
+        assert [e["p"] for e in points] == [float(v) for v in values]
+        assert [e["file"] for e in points] == [f"point_{i:03d}.json" for i in range(int(count))]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["index.json"] + [e["file"] for e in points])
+        last = load_json(str(out / points[-1]["file"]))
+        assert last["params"]["p"] == points[-1]["p"]
+
+    def test_grid_csv_writes_csv_points(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "gad", "--alpha2-sq", "0.75", "--grid", "0:1:3",
+                   "--out", str(out), "--format", "csv") == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["index.json", "point_000.csv", "point_001.csv", "point_002.csv"]
+        index = load_json(str(out / "index.json"))
+        assert [e["file"] for e in index["points"]] == names[1:]
+        # each point file is what `channel --format csv` prints for that point
+        capsys.readouterr()
+        assert run("channel", "--channel", "gad", "--alpha2-sq", "0.75", "--p", "0.5",
+                   "--format", "csv") == 0
+        assert (out / "point_001.csv").read_text() == capsys.readouterr().out
+
+    def test_bad_grid_value_writes_nothing(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "dephasing", "--grid=-0.5:1:5",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_grid_consistency_failure_names_point(self, tmp_path, monkeypatch, capsys):
+        from krausloom import cli
+
+        monkeypatch.setattr(cli, "CONSISTENCY_TOL", 0.0)
+        assert run("channel", "--channel", "dephasing", "--grid", "0:1:3",
+                   "--out", str(tmp_path / "sweep")) == 3
+        assert "point 0:" in capsys.readouterr().err
+
 
 class TestEvolveCommand:
     def test_circuit_file_round_trip(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from krausloom.qmath import (
     ATOL_ARITHMETIC,
     DensityMatrix,
     PureState,
+    check_densities,
     dagger,
     density_from_payload,
     density_to_payload,
@@ -19,8 +20,10 @@ from krausloom.qmath import (
     state_to_payload,
     structural_atol,
     tensor,
+    save_json,
     unitarity_residual,
     validate_density,
+    write_atomic,
 )
 
 I2 = np.eye(2)
@@ -241,3 +244,39 @@ class TestSerialization:
     def test_bad_payload_rejected(self):
         with pytest.raises(InvalidArgument):
             density_from_payload({"re": [[1]]})
+
+
+class TestAtomicWrite:
+    def test_save_json_bytes(self, tmp_path):
+        import json
+
+        path = tmp_path / "p.json"
+        payload = {"b": [0.1, 1e-17], "a": {"z": 1, "y": "s"}}
+        save_json(payload, str(path))
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(str(path), "old\n")
+        with pytest.raises(TypeError):
+            write_atomic(str(path), None)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestStackedChecks:
+    def test_unitarity_residual_per_matrix(self):
+        stack = np.stack([np.eye(2), 2 * np.eye(2)]).astype(complex)
+        np.testing.assert_allclose(unitarity_residual(stack), [0.0, 3 * np.sqrt(2)])
+        assert isinstance(unitarity_residual(np.eye(2)), float)
+
+    def test_check_densities_names_the_failing_point(self):
+        good = np.diag([0.5, 0.5]).astype(complex)
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        check_densities(np.stack([good, good]))
+        with pytest.raises(InvalidState, match="point 7: minimum eigenvalue"):
+            check_densities(np.stack([good, bad]), first_index=6)
+        check_densities(np.stack([good, bad]), eig_atol=None)
+        with pytest.raises(InvalidState, match="^trace deviates"):
+            check_densities(2 * good)
