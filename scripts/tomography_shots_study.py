@@ -11,9 +11,8 @@ import sys
 
 import numpy as np
 
-from krausloom.qmath import DensityMatrix
+from krausloom.qmath import DensityMatrix, fidelity
 from krausloom.tomography import (
-    fidelity_to_truth,
     linear_reconstruct,
     ml_reconstruct,
     project_to_psd,
@@ -46,8 +45,8 @@ def main():
                 records = simulate_counts(truth, shots=shots, noise=True, seed=args.seed * 1000 + k)
                 lin = project_to_psd(linear_reconstruct(records))
                 ml = ml_reconstruct(records)
-                lin_fids.append(fidelity_to_truth(lin, truth))
-                ml_fids.append(fidelity_to_truth(ml.rho, truth))
+                lin_fids.append(fidelity(lin, truth))
+                ml_fids.append(fidelity(ml.rho, truth))
             writer.writerow(
                 [
                     shots,

@@ -266,15 +266,9 @@ def pauli_kraus(p: float, q1: float, q2: float, q3: float) -> KrausSet:
 
 def channel_kraus(params: ChannelParams) -> KrausSet:
     """Dispatch a parameter record to its constructor."""
-    if isinstance(params, DephasingParams):
-        return dephasing_kraus(params.p)
-    if isinstance(params, GADParams):
-        return gad_kraus(params.p, params.alpha2_sq)
-    if isinstance(params, SGADParams):
-        return sgad_kraus(params)
-    if isinstance(params, PauliParams):
-        return pauli_kraus(params.p, params.q1, params.q2, params.q3)
-    raise InvalidArgument(f"unknown channel parameter type {type(params).__name__}")
+    if type(params) not in _FAMILY_OPS:
+        raise InvalidArgument(f"unknown channel parameter type {type(params).__name__}")
+    return _kraus_set(params)
 
 
 def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -345,19 +339,19 @@ def bloch_vector(rho) -> tuple[float, float, float]:
     )
 
 
+def _choi(k: KrausSet) -> np.ndarray:
+    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|), shape (d*d, d*d)."""
+    ops = np.asarray(k.operators)
+    d = k.dim
+    return np.einsum("mai,mbj->iajb", ops, ops.conj()).reshape(d * d, d * d)
+
+
 def channel_action_distance(k1: KrausSet, k2: KrausSet) -> float:
-    """Max entrywise deviation of the two channel actions over the basis |i><j|."""
+    """Largest entrywise gap between the two channels' Choi matrices, which is
+    the largest gap between their actions on the basis |i><j|."""
     if k1.dim != k2.dim:
         raise InvalidArgument("channels act on different dimensions")
-    d = k1.dim
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            diff = kraus_apply(e, k1) - kraus_apply(e, k2)
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    return float(np.max(np.abs(_choi(k1) - _choi(k2))))
 
 
 def kraus_set_to_payload(k: KrausSet) -> dict:

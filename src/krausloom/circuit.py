@@ -143,6 +143,7 @@ class CircuitSpec:
     layers: tuple[tuple[GatePlacement, ...], ...]
     stages: tuple[str, ...]
     metadata: dict = field(default_factory=dict, compare=False)
+    unitary: np.ndarray = field(default=None, compare=False, repr=False)  # all layers, read-only
 
     def __init__(self, register, layers, stages, metadata=None):
         register = tuple(register)
@@ -157,9 +158,12 @@ class CircuitSpec:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "metadata", dict(metadata or {}))
-        res = unitarity_residual(circuit_unitary(self))
+        unitary = _compose(register, layers)
+        res = unitarity_residual(unitary)
         if res > structural_atol():
             raise InvalidState(f"layer composition unitarity residual {res:.3e}")
+        unitary.flags.writeable = False
+        object.__setattr__(self, "unitary", unitary)
 
     @property
     def n_wires(self) -> int:
@@ -196,7 +200,11 @@ def circuit_unitary(circuit: CircuitSpec, through_stage: str | None = None) -> n
     if through_stage is not None and through_stage not in STAGES:
         raise InvalidArgument(f"unknown stage {through_stage!r}")
     cutoff = len(STAGES) if through_stage is None else STAGES.index(through_stage) + 1
-    return _compose(circuit.register, _stage_layers(circuit, STAGES[:cutoff]))
+    wanted = STAGES[:cutoff]
+    # stages need not come in order, so a cutoff that drops any layer composes anew
+    if all(stage in wanted for stage in circuit.stages):
+        return circuit.unitary
+    return _compose(circuit.register, _stage_layers(circuit, wanted))
 
 
 def stage_unitary(circuit: CircuitSpec, stage: str) -> np.ndarray:
@@ -857,29 +865,18 @@ def gad_experiment(theta1: float, theta2: float, theta3: float) -> DensityMatrix
     """Joint system-environment state after the two-layer tabletop interferometer.
 
     Angles are half-wave-plate mount angles; each plate rotates polarization
-    by twice its mount angle, so the amplitudes are cos/sin of 2 theta_i.
-    The transition probability is p = sin^2(2 theta3); theta3 = pi/2 leaves
-    the product state untouched. Polarization is traced out of the result.
+    by twice its mount angle. This is the GAD lattice in the experimental
+    convention with amplitudes cos/sin of 2 theta1, bath ground weight
+    sin^2(2 theta2) and p = sin^2(2 theta3); theta3 = pi/2 leaves the
+    product state untouched. Polarization is traced out of the result.
     """
     for name, v in (("theta1", theta1), ("theta2", theta2), ("theta3", theta3)):
-        if not math.isfinite(v):
-            raise InvalidArgument(f"{name} must be finite")
-    a1, b1 = math.cos(2 * theta1), math.sin(2 * theta1)
-    a2, b2 = math.sin(2 * theta2), math.cos(2 * theta2)
-    p = math.sin(2 * theta3) ** 2
-    stay, move = math.sqrt(1.0 - p), math.sqrt(p)
-    # H sector carries the environment-ground modes, V the excited ones;
-    # each sector evolves within itself (basis |se>: 00, 01, 10, 11).
-    h = np.zeros(4, dtype=complex)
-    v = np.zeros(4, dtype=complex)
-    h[0b00] = a1 * a2
-    h[0b10] = b1 * a2 * stay
-    h[0b01] = b1 * a2 * move
-    v[0b01] = a1 * b2 * stay
-    v[0b10] = a1 * b2 * move
-    v[0b11] = b1 * b2
-    joint = np.outer(h, h.conj()) + np.outer(v, v.conj())
-    return DensityMatrix(joint, (2, 2))
+        if not math.isfinite(2 * v):  # math.sin of an infinite angle raises ValueError
+            raise InvalidArgument(f"{name} must be finite when doubled, got {v}")
+    params = GADParams(math.sin(2 * theta3) ** 2, math.sin(2 * theta2) ** 2)
+    lattice = build_channel_lattice(params, theta1=2 * theta1, convention="experimental")
+    joint = traced_joint_state(evolve(initial_state(lattice), lattice))
+    return DensityMatrix(joint.matrix, joint.dims)
 
 
 # -- circuit-spec files ----------------------------------------------------------

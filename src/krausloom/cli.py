@@ -19,6 +19,7 @@ File formats
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -92,6 +93,7 @@ def _payload_to_csv(payload: dict) -> list[str]:
 
 def _channel_params_from_args(args) -> channels_mod.ChannelParams:
     kind = args.channel
+    _require(kind is not None, "--channel is required")
     if kind == "dephasing":
         _require(args.p is not None, "--p is required for the dephasing channel")
         return channels_mod.DephasingParams(args.p)
@@ -208,6 +210,7 @@ def _run_channel_grid(args):
 
 
 def cmd_evolve(args) -> dict:
+    _require(args.circuit is not None, "--circuit is required")
     circ = circuit_mod.circuit_from_payload(load_json(args.circuit))
     if args.state:
         psi = state_from_payload(load_json(args.state))
@@ -255,8 +258,9 @@ def cmd_tomography(args) -> dict:
         "ml": density_to_payload(ml.rho),
         "ml_converged": ml.converged,
         "ml_iterations": ml.iterations,
-        "fidelity_linear": tomo_mod.fidelity_to_truth(linear, truth),
-        "fidelity_ml": tomo_mod.fidelity_to_truth(ml.rho, truth),
+        # linear inversion is not PSD by design; its fidelity clips, never rejects
+        "fidelity_linear": fidelity(linear, truth, psd_tol=math.inf),
+        "fidelity_ml": fidelity(ml.rho, truth),
     }
     if args.counts_out:
         tomo_mod.save_counts(records, args.counts_out)
@@ -319,8 +323,18 @@ def _add_common_flags(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+class _UsageError(Exception):
+    """A parse error and its parser, for main to say where the flag came from."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's parser. A parse error raises _UsageError; main prints it."""
+    parser = _Parser(
         prog="krausloom",
         description="Simulate path-encoded interferometer lattices, qubit channels and tomography.",
     )
@@ -343,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_channel)
 
     e = subs.add_parser("evolve", help="apply a circuit-spec file to a state file")
-    e.add_argument("--circuit", required=True)
+    e.add_argument("--circuit", help="circuit-spec file (required)")
     e.add_argument("--state", help="input state file (default: photon in first mode)")
     e.add_argument("--through-stage", dest="through_stage",
                    choices=circuit_mod.STAGES, default=None)
@@ -378,29 +392,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
-    """Fill defaults from --config; explicit flags win."""
-    if not args.config:
-        return
-    defaults = load_json(args.config)
+@functools.lru_cache(maxsize=1)
+def _parser_from(build) -> argparse.ArgumentParser:
+    """The process's one parser from ``build``; parse_args does not change it."""
+    return build()
+
+
+def _config_tokens(path: str) -> list[str]:
+    """The --config file's flags as command-line tokens: "key": value gives
+    --key=value, true gives --key and false nothing. argparse then converts
+    and checks them as it does flags typed on the command line."""
+    try:
+        defaults = load_json(path)
+    except ValueError as exc:
+        raise KrausloomError(f"--config {path} is not valid json: {exc}") from exc
     if not isinstance(defaults, dict):
         raise KrausloomError("--config must hold a json object of flag defaults")
-    argv_flags = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    tokens = []
     for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in argv_flags:
-            setattr(args, attr, value)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float)):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise KrausloomError(f"--config {path}: {key}: {value!r} is not a flag value")
+    return tokens
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's flags put right
+    after the command, so a flag typed on the command line comes later and
+    wins. Only the file can fail the second parse."""
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        argparse.ArgumentParser.error(*exc.args)  # usage and message, exit 2
+    if not args.config:
+        return args
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+    except _UsageError as exc:
+        raise KrausloomError(f"--config {args.config}: {exc.args[1]}") from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    parser = _parser_from(build_parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv)
-        if getattr(args, "channel", None) is None and args.command in ("channel", "channel-dump"):
-            raise KrausloomError("--channel is required")
+        args = _parse(parser, argv)
         payload = args.func(args)
         if payload is not None:
             _emit(payload, args.format, args.out)

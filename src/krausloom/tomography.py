@@ -2,8 +2,12 @@
 
 Settings are pairs of single-qubit rotations applied before projecting on
 |00>; the label states are H, V, D = (H+V)/sqrt2 and R = (H+iV)/sqrt2.
-Reconstruction offers plain linear inversion and a diluted iterative
-maximum-likelihood pass that always returns a physical matrix.
+The settings are fixed, so their (16, 4, 4) projector stack, the
+linear-inversion design matrix and the maximum-likelihood whitening
+G^{-1/2} are built once, read-only, when the module loads; counts and both
+reconstructions read that one stack. Reconstruction offers plain linear
+inversion and a diluted iterative maximum-likelihood pass that always
+returns a physical matrix.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidState
 from .gates import U3Params, u3
-from .qmath import (
-    DensityMatrix,
-    PureState,
-    matrix_sqrt_psd,
-    partial_trace,
-    write_atomic,
-)
+from .qmath import DensityMatrix, PureState, partial_trace, write_atomic
 
 HALF_PI = math.pi / 2
 
@@ -54,12 +52,15 @@ class TomographySetting:
     u2: U3Params
 
 
+_SETTINGS = tuple(
+    TomographySetting(i + 1, (l1, l2), U3Params(*p1), U3Params(*p2))
+    for i, (l1, l2, p1, p2) in enumerate(_SETTING_ROWS)
+)
+
+
 def settings_table() -> tuple[TomographySetting, ...]:
     """All 16 settings, in protocol order (rows 1..4 are the H/V block)."""
-    return tuple(
-        TomographySetting(i + 1, (l1, l2), U3Params(*p1), U3Params(*p2))
-        for i, (l1, l2, p1, p2) in enumerate(_SETTING_ROWS)
-    )
+    return _SETTINGS
 
 
 def projector(setting: TomographySetting) -> PureState:
@@ -73,23 +74,32 @@ def projector_matrix(setting: TomographySetting) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _projector_stack() -> list[np.ndarray]:
-    return [projector_matrix(s) for s in settings_table()]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-_COMPLETENESS_CHECKED = False
+_PROJECTORS = _read_only(np.array([projector_matrix(s) for s in _SETTINGS]))  # (16, 4, 4)
+# Tr(rho P_s) = vec(P_s^T) . vec(rho), one row per setting
+_DESIGN = _read_only(_PROJECTORS.transpose(0, 2, 1).reshape(16, 16))
+
+
+def _inverse_sqrt(g: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(g)
+    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+
+
+_G_ISQRT = _read_only(_inverse_sqrt(_PROJECTORS.sum(axis=0)))
 
 
 def assert_informationally_complete() -> None:
     """The 16 vectorized projectors must span the full 16-dim operator space."""
-    global _COMPLETENESS_CHECKED
-    if _COMPLETENESS_CHECKED:
-        return
-    stack = np.array([p.reshape(-1) for p in _projector_stack()])
-    rank = np.linalg.matrix_rank(stack, tol=1e-10)
+    rank = np.linalg.matrix_rank(_DESIGN, tol=1e-10)
     if rank != 16:
         raise InvalidState(f"projector set spans rank {rank} < 16; reconstruction impossible")
-    _COMPLETENESS_CHECKED = True
+
+
+assert_informationally_complete()
 
 
 @dataclass(frozen=True)
@@ -103,24 +113,20 @@ class CountRecord:
     total_shots: int
 
 
-def _setting_probability(rho: DensityMatrix, setting: TomographySetting) -> tuple[float, float]:
-    """(H branch, V branch) probabilities; the V branch is zero for 4x4 input.
+def _branch_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """Setting probabilities per branch, shape (16, branches).
 
-    An 8-dim input (two path qubits plus trailing polarization) is measured
-    per polarization selection and the branches summed downstream, the way
-    the projection stage separates H and V before counting.
+    A 4x4 input has one branch, clipped to [0, 1]. An 8-dim input (two path
+    qubits plus trailing polarization) is measured per polarization
+    selection, H then V, each branch clipped at 0 and the branches summed
+    downstream, the way the projection stage separates H and V before
+    counting.
     """
-    proj = projector_matrix(setting)
     if rho.dims == (2, 2):
-        p = float(np.real(np.trace(rho.matrix @ proj)))
-        return (min(max(p, 0.0), 1.0), 0.0)
+        return np.clip((_DESIGN @ rho.matrix.reshape(16)).real, 0.0, 1.0)[:, None]
     if rho.dims == (2, 2, 2):
-        arr = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
-        branches = []
-        for pol in (0, 1):
-            block = arr[:, :, pol, :, :, pol].reshape(4, 4)
-            branches.append(float(np.real(np.trace(block @ proj))))
-        return (max(branches[0], 0.0), max(branches[1], 0.0))
+        blocks = np.einsum("iaja->aij", rho.matrix.reshape(4, 2, 4, 2)).reshape(2, 16)
+        return np.maximum((blocks @ _DESIGN.T).real.T, 0.0)
     raise InvalidArgument(f"tomography expects dims (2,2) or (2,2,2), got {rho.dims}")
 
 
@@ -130,23 +136,21 @@ def simulate_counts(
     """Synthetic counts for all 16 settings.
 
     noise off: counts = round(probability * shots), deterministic.
-    noise on: one Poisson draw per polarization branch with the given seed.
+    noise on: one Poisson draw per polarization branch with the given seed,
+    setting by setting, H before V.
     """
     if shots <= 0:
         raise InvalidArgument(f"shots must be positive, got {shots}")
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings_table():
-        ph, pv = _setting_probability(rho, setting)
-        prob = min(ph + pv, 1.0)
-        if noise:
-            counts = int(rng.poisson(ph * shots)) + int(rng.poisson(pv * shots))
-        else:
-            counts = int(round(prob * shots))
-        records.append(
-            CountRecord(setting.index, "".join(setting.label), prob, counts, int(shots))
-        )
-    return records
+    branches = _branch_probabilities(rho)
+    probs = np.minimum(branches.sum(axis=1), 1.0)
+    if noise:
+        counts = np.random.default_rng(seed).poisson(branches * shots).sum(axis=1)
+    else:
+        counts = [round(float(p) * shots) for p in probs]
+    return [
+        CountRecord(s.index, "".join(s.label), float(p), int(c), int(shots))
+        for s, p, c in zip(_SETTINGS, probs, counts)
+    ]
 
 
 def _probabilities_from_records(records) -> np.ndarray:
@@ -166,13 +170,8 @@ def _probabilities_from_records(records) -> np.ndarray:
 
 def linear_reconstruct(records) -> DensityMatrix:
     """Invert Tr(rho P_s) = prob_s; Hermitized and trace-normalized, PSD not enforced."""
-    assert_informationally_complete()
     probs = _probabilities_from_records(records)
-    projs = _projector_stack()
-    # Tr(rho P) = vec(P^T) . vec(rho)
-    a = np.array([p.T.reshape(-1) for p in projs])
-    x = np.linalg.solve(a, probs.astype(complex))
-    rho = x.reshape(4, 4)
+    rho = np.linalg.solve(_DESIGN, probs.astype(complex)).reshape(4, 4)
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real
     return DensityMatrix(rho, (2, 2), eig_atol=None)
@@ -213,40 +212,30 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-12) -> MLRecons
     dropped below ``tol`` or the state stopped moving; output is strictly
     physical either way.
     """
-    assert_informationally_complete()
     recs = sorted(records, key=lambda r: r.setting_index)
     freqs = _probabilities_from_records(recs)
     shots = np.array([r.total_shots for r in recs], dtype=float)
     counts = np.array([r.counts for r in recs], dtype=float)
-    projs = _projector_stack()
-
-    g = np.sum(projs, axis=0)
-    w, v = np.linalg.eigh(g)
-    g_isqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    live_freqs, live_counts = freqs > 0, counts > 0
 
     start = project_to_psd(linear_reconstruct(recs))
     # a whiff of identity keeps every setting probability strictly positive
     rho = (1.0 - 1e-9) * start.matrix + 1e-9 * np.eye(4) / 4.0
 
     def probabilities(mat):
-        return np.maximum(
-            np.array([float(np.real(np.trace(mat @ p))) for p in projs]), 1e-300
-        )
+        return np.maximum((_DESIGN @ mat.reshape(16)).real, 1e-300)
 
     def log_likelihood(probs):
-        live = counts > 0
-        return float(np.sum(counts[live] * np.log(probs[live])) - np.sum(shots * probs))
+        return float(np.sum(counts[live_counts] * np.log(probs[live_counts]))
+                     - np.sum(shots * probs))
 
     probs = probabilities(rho)
     ll = log_likelihood(probs)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        r_op = np.zeros((4, 4), dtype=complex)
-        for f, p, proj in zip(freqs, probs, projs):
-            if f > 0:
-                r_op += (f / p) * proj
-        b_full = g_isqrt @ r_op @ g_isqrt
+        r_op = np.tensordot(np.where(live_freqs, freqs / probs, 0.0), _PROJECTORS, axes=1)
+        b_full = _G_ISQRT @ r_op @ _G_ISQRT
         epsilon = 1.0
         accepted = False
         for _ in range(40):
@@ -270,18 +259,6 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-12) -> MLRecons
 
     final = project_to_psd((rho + rho.conj().T) / 2)
     return MLReconstruction(final, converged, it, ll)
-
-
-def fidelity_to_truth(reconstructed: DensityMatrix, truth: DensityMatrix) -> float:
-    """Convenience Uhlmann fidelity, tolerant of linear-inversion output."""
-    a = matrix_sqrt_psd(_hermitize(reconstructed.matrix))
-    inner = a @ _hermitize(truth.matrix) @ a
-    w = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    return min(float(np.sum(np.sqrt(w)) ** 2), 1.0)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
 
 
 def traced_truth(state) -> DensityMatrix:

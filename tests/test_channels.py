@@ -243,6 +243,45 @@ class TestKrausFromUnitary:
             kraus_from_unitary(np.eye(4), (0.9, 0.2))
 
 
+def _random_kraus(rng, d, k):
+    """k operators on dimension d cut from a random isometry, so complete."""
+    a = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
+    q, _ = np.linalg.qr(a)
+    return KrausSet(q.reshape(k, d, d))
+
+
+def _basis_loop_distance(k1, k2):
+    """Reference: the largest entrywise gap of the two actions over |i><j|."""
+    d = k1.dim
+    worst = 0.0
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            worst = max(worst, float(np.max(np.abs(kraus_apply(e, k1) - kraus_apply(e, k2)))))
+    return worst
+
+
+class TestChannelActionDistance:
+    def test_matches_basis_loop_on_random_pairs(self, rng):
+        for d in (2, 3):
+            for k1, k2 in ((1, 1), (2, 4), (4, 3)):
+                a, b = _random_kraus(rng, d, k1), _random_kraus(rng, d, k2)
+                want = _basis_loop_distance(a, b)
+                assert want > 1e-3
+                assert channel_action_distance(a, b) == pytest.approx(want, abs=1e-14)
+
+    def test_same_channel_in_another_basis_is_distance_zero(self):
+        k = gad_kraus(0.3, 0.7)
+        h = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]]) / np.sqrt(2)
+        mixed = KrausSet(np.einsum("nm,mab->nab", h, np.asarray(k.operators)))
+        assert channel_action_distance(k, mixed) < 1e-15
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(InvalidArgument):
+            channel_action_distance(_random_kraus(rng, 2, 2), _random_kraus(rng, 3, 2))
+
+
 class TestBlochVector:
     def test_maximally_mixed(self):
         assert bloch_vector(np.eye(2) / 2) == (0.0, 0.0, 0.0)

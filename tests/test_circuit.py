@@ -450,7 +450,51 @@ class TestPauliLattice:
             build_pauli_lattice(0.5, 0.6, 0.3, 0.3)
 
 
+def gad_closed_form(theta1, theta2, theta3):
+    """The two-layer run written out by hand: the H sector carries the
+    environment-ground modes, the V sector the excited ones (basis |se>)."""
+    a1, b1 = np.cos(2 * theta1), np.sin(2 * theta1)
+    a2, b2 = np.sin(2 * theta2), np.cos(2 * theta2)
+    p = np.sin(2 * theta3) ** 2
+    stay, move = np.sqrt(1.0 - p), np.sqrt(p)
+    h = np.zeros(4, dtype=complex)
+    v = np.zeros(4, dtype=complex)
+    h[0b00] = a1 * a2
+    h[0b10] = b1 * a2 * stay
+    h[0b01] = b1 * a2 * move
+    v[0b01] = a1 * b2 * stay
+    v[0b10] = a1 * b2 * move
+    v[0b11] = b1 * b2
+    return np.outer(h, h.conj()) + np.outer(v, v.conj())
+
+
 class TestGadExperiment:
+    def test_lattice_matches_closed_form(self):
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for angles in rng.uniform(-np.pi, np.pi, size=(500, 3)):
+            rho = gad_experiment(*angles)
+            worst = max(worst, float(np.max(np.abs(rho.matrix - gad_closed_form(*angles)))))
+        assert worst <= 1e-12
+
+    def test_reference_fidelity_matches_closed_form(self):
+        rng = np.random.default_rng(9)
+        triples = [REFERENCE_GAD_ANGLES] + list(rng.uniform(-np.pi, np.pi, size=(50, 3)))
+        for angles in triples:
+            f = fidelity(gad_experiment(*angles), REFERENCE_GAD_MATRIX)
+            want = fidelity(gad_closed_form(*angles), REFERENCE_GAD_MATRIX)
+            # both states have rank 2; the square roots of their rounding-level
+            # eigenvalues limit the fidelity's accuracy to ~1e-8
+            assert abs(f - want) <= 1e-7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_angle_rejected(self, bad, slot):
+        angles = [0.3, 0.5, 0.7]
+        angles[slot] = bad
+        with pytest.raises(InvalidArgument):
+            gad_experiment(*angles)
+
     def test_no_transition_angle_leaves_product_state(self):
         rho = gad_experiment(np.pi / 8, np.pi / 8, np.pi / 2)
         a1, b1 = np.cos(np.pi / 4), np.sin(np.pi / 4)
@@ -486,6 +530,41 @@ class TestReferenceMatrix:
         assert rep.trace_deviation < 5e-6
         assert rep.min_eigenvalue > -1e-6
         assert rep.ok(trace_atol=5e-6, eig_atol=1e-6)
+
+
+class TestComposedUnitary:
+    def test_whole_circuit_reuses_the_checked_unitary(self):
+        lattice = build_channel_lattice(GADParams(0.3, 0.6), theta1=0.8)
+        assert circuit_unitary(lattice) is lattice.unitary
+        assert circuit_unitary(lattice, "project") is lattice.unitary
+        assert not lattice.unitary.flags.writeable
+
+    def test_cutoff_composes_only_the_stages_it_keeps(self):
+        lattice = build_channel_lattice(GADParams(0.3, 0.6), theta1=0.8)
+        prep = circuit_unitary(lattice, "prepare")
+        assert prep is not lattice.unitary
+        np.testing.assert_allclose(stage_unitary(lattice, "evolve") @ prep, lattice.unitary,
+                                   atol=1e-12)
+
+    def test_out_of_order_stages(self):
+        lattice = build_channel_lattice(DephasingParams(0.4), theta1=1.2)
+        # evolve layers first, then the preparation: a cutoff at prepare must
+        # leave out the evolve layers that come before it
+        n_prep = lattice.stages.count("prepare")
+        layers = lattice.layers[n_prep:] + lattice.layers[:n_prep]
+        stages = lattice.stages[n_prep:] + lattice.stages[:n_prep]
+        swapped = CircuitSpec(lattice.register, layers, stages)
+        np.testing.assert_allclose(circuit_unitary(swapped, "prepare"),
+                                   circuit_unitary(lattice, "prepare"), atol=1e-12)
+        np.testing.assert_allclose(
+            circuit_unitary(swapped),
+            circuit_unitary(lattice, "prepare") @ stage_unitary(lattice, "evolve"), atol=1e-12)
+
+    def test_equality_ignores_the_cached_unitary(self):
+        a = build_channel_lattice(DephasingParams(0.4), theta1=1.2)
+        b = build_channel_lattice(DephasingParams(0.4), theta1=1.2)
+        assert a == b and hash(a) == hash(b)
+        assert "unitary" not in repr(a)
 
 
 class TestCircuitSerialization:

@@ -197,6 +197,11 @@ class TestReproduceGad:
         assert payload["passed"] is None
         assert 0.0 <= payload["fidelity"] <= 1.0
 
+    @pytest.mark.parametrize("flag", ["--theta1", "--theta2", "--theta3"])
+    def test_angle_that_overflows_when_doubled_exits_2(self, flag, capsys):
+        assert run("reproduce-gad", flag, "1e308") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_emit_theory(self, tmp_path, capsys):
         path = tmp_path / "theory.json"
         assert run("reproduce-gad", "--emit-theory", str(path)) == 0
@@ -233,3 +238,96 @@ class TestConfigFile:
         assert run("--config", str(cfg), "channel-dump", "--channel", "dephasing") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["channel"] == "dephasing"
+
+    def test_config_values_go_through_flag_types(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shots": "10", "noise": True}))
+        assert run("--config", str(cfg), "tomography") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["shots"] == 10 and payload["noise"] is True
+        assert all(rec["total_shots"] == 10 for rec in payload["counts"])
+
+    @pytest.mark.parametrize("config", [
+        {"shots": "ten"},
+        {"shots": 10.5},
+        {"noise": "yes"},
+        {"convention": "sideways"},
+        {"seed": None},
+        {"bogus": 1},
+        {"func": "cmd_prepare"},
+        {"command": "prepare"},
+    ])
+    def test_bad_config_exits_2_in_one_line(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("--config", str(cfg), "tomography") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_config_key_of_another_command_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta3": 0.4}))
+        assert run("--config", str(cfg), "prepare") == 2
+        assert "unrecognized arguments: --theta3=0.4" in capsys.readouterr().err
+
+    def test_abbreviated_flag_wins_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"channel": "gad", "p": 0.5, "alpha2_sq": 0.8}))
+        assert run("--config", str(cfg), "channel-dump", "--alpha2", "0.3") == 0
+        m00 = np.asarray(json.loads(capsys.readouterr().out)["kraus"]["operators"][0]["re"])
+        assert m00[0, 0] == pytest.approx(np.sqrt(0.3))
+
+    def test_config_supplies_a_required_flag(self, tmp_path, capsys):
+        from krausloom.channels import DephasingParams
+        from krausloom.circuit import build_channel_lattice, circuit_to_payload
+        from krausloom.qmath import save_json
+
+        circ_file = tmp_path / "circ.json"
+        save_json(circuit_to_payload(build_channel_lattice(DephasingParams(0.3))), str(circ_file))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"circuit": str(circ_file)}))
+        assert run("--config", str(cfg), "evolve") == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "evolve"
+        assert run("evolve") == 2
+        assert capsys.readouterr().err == "error: --circuit is required\n"
+
+    def test_bad_command_line_flag_keeps_argparse_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shots": 10}))
+        with pytest.raises(SystemExit) as exc:
+            run("--config", str(cfg), "tomography", "--shots", "ten")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: krausloom tomography")
+        assert "argument --shots: invalid int value: 'ten'" in err
+
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert run("--config", str(cfg), "prepare") == 2
+        assert capsys.readouterr().err.startswith("error: --config")
+
+
+class TestParser:
+    def test_main_reuses_one_parser(self, monkeypatch, capsys):
+        from krausloom import cli
+
+        calls = []
+
+        def counting_build():
+            calls.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert run("reproduce-gad") == 0
+        assert run("reproduce-gad", "--theta3", "0.3") == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_build_parser_still_builds_a_parser(self):
+        from krausloom.cli import build_parser
+
+        args = build_parser().parse_args(["prepare", "--theta1", "0.5"])
+        assert args.theta1 == 0.5

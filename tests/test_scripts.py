@@ -1,0 +1,48 @@
+"""The studies under scripts/, run in process at tiny sizes."""
+
+import csv
+import os
+import runpy
+import sys
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(os.path.join(SCRIPTS, name), run_name="__main__")
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_channel_decay_sweep(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "decay.csv"
+    run_script(monkeypatch, "channel_decay_sweep.py", "--points", "3", "--out", str(out))
+    rows = read_rows(out)
+    assert [r["channel"] for r in rows] == [c for c in ("dephasing", "gad", "sgad", "pauli")
+                                            for _ in range(3)]
+    assert [r["p"] for r in rows[:3]] == ["0.000000", "0.500000", "1.000000"]
+    for r in rows:
+        assert float(r["cross_check"]) < 1e-9
+        assert 0.0 <= float(r["ground_population"]) <= 1.0 + 1e-12
+    # full dephasing kills the coherence, no dephasing leaves |+><+| at 1/2
+    assert float(rows[0]["coherence"]) == pytest.approx(0.5, abs=1e-12)
+    assert float(rows[2]["coherence"]) == pytest.approx(0.0, abs=1e-12)
+    assert "wrote" in capsys.readouterr().err
+
+
+def test_tomography_shots_study(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "shots.csv"
+    run_script(monkeypatch, "tomography_shots_study.py",
+               "--shots", "100", "--ensemble", "2", "--out", str(out))
+    rows = read_rows(out)
+    assert len(rows) == 1 and rows[0]["shots"] == "100"
+    for key in ("mean_fid_linear", "mean_fid_ml", "min_fid_ml"):
+        assert 0.0 <= float(rows[0][key]) <= 1.0
+    assert float(rows[0]["min_fid_ml"]) <= float(rows[0]["mean_fid_ml"])
+    assert "wrote" in capsys.readouterr().err

@@ -5,11 +5,11 @@ from scipy import stats
 
 from krausloom.circuit import ProductStateParams, prepare_product_state
 from krausloom.errors import InvalidArgument, InvalidState
-from krausloom.qmath import DensityMatrix, validate_density
+from krausloom.gates import u3
+from krausloom.qmath import DensityMatrix, fidelity, validate_density
 from krausloom.tomography import (
     CountRecord,
     assert_informationally_complete,
-    fidelity_to_truth,
     linear_reconstruct,
     load_counts,
     ml_reconstruct,
@@ -72,6 +72,57 @@ class TestProjectors:
         assert_informationally_complete()
         stack = np.array([projector_matrix(s).reshape(-1) for s in settings_table()])
         assert np.linalg.matrix_rank(stack, tol=1e-10) == 16
+
+
+def test_noisy_cli_run_builds_no_projectors(monkeypatch, capsys):
+    from krausloom import cli, tomography
+
+    calls = []
+
+    def counting_u3(params):
+        calls.append(params)
+        return u3(params)
+
+    monkeypatch.setattr(tomography, "u3", counting_u3)
+    assert cli.main(["tomography", "--theta1", "0.9", "--noise", "--shots", "5000"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def loop_branches(rho):
+    """Reference: each setting's (H, V) branch probabilities, one trace at a time."""
+    out = []
+    for setting in settings_table():
+        proj = projector_matrix(setting)
+        if rho.dims == (2, 2):
+            p = float(np.real(np.trace(rho.matrix @ proj)))
+            out.append((min(max(p, 0.0), 1.0), 0.0))
+        else:
+            arr = rho.matrix.reshape(2, 2, 2, 2, 2, 2)
+            h, v = (float(np.real(np.trace(arr[:, :, pol, :, :, pol].reshape(4, 4) @ proj)))
+                    for pol in (0, 1))
+            out.append((max(h, 0.0), max(v, 0.0)))
+    return out
+
+
+class TestSimulateCountsAgainstLoop:
+    def inputs(self, rng):
+        lattice_state = prepare_product_state(ProductStateParams(1.2, 0.8)).density()
+        return [random_density(rng), random_pure(rng).density(), lattice_state]
+
+    def test_probabilities(self, rng):
+        for rho in self.inputs(rng):
+            records = simulate_counts(rho, shots=1000)
+            for rec, (h, v) in zip(records, loop_branches(rho)):
+                assert rec.expected_probability == pytest.approx(min(h + v, 1.0), abs=1e-15)
+
+    def test_poisson_draws_h_then_v_setting_by_setting(self, rng):
+        for rho in self.inputs(rng):
+            draws = np.random.default_rng(5)
+            want = [int(draws.poisson(h * 3000)) + int(draws.poisson(v * 3000))
+                    for h, v in loop_branches(rho)]
+            got = [r.counts for r in simulate_counts(rho, shots=3000, noise=True, seed=5)]
+            assert got == want
 
 
 class TestSimulateCounts:
@@ -195,7 +246,7 @@ class TestMLReconstruct:
             truth = random_pure(rng).density()
             records = simulate_counts(truth, shots=10**4, noise=True, seed=seed)
             ml = ml_reconstruct(records)
-            fids.append(fidelity_to_truth(ml.rho, truth))
+            fids.append(fidelity(ml.rho, truth))
         assert np.mean(fids) >= 0.98
 
     def test_fidelity_improves_with_shots(self, rng):
@@ -206,7 +257,7 @@ class TestMLReconstruct:
             for seed in range(12):
                 truth = random_pure(rng).density()
                 records = simulate_counts(truth, shots=shots, noise=True, seed=seed)
-                fids.append(fidelity_to_truth(ml_reconstruct(records).rho, truth))
+                fids.append(fidelity(ml_reconstruct(records).rho, truth))
             means.append(np.mean(fids))
         corr, _ = stats.spearmanr(np.log10(shot_grid), means)
         assert corr > 0.9
