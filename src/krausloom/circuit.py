@@ -43,7 +43,7 @@ from .channels import (
     apply_operators,
     kraus_stack,
 )
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, KrausloomError
 from .gates import (
     Register,
     Role,
@@ -918,7 +918,9 @@ def circuit_from_payload(payload: dict) -> CircuitSpec:
             layers.append(tuple(placements))
         stages = payload.get("stages", ["evolve"] * len(layers))
         return CircuitSpec(register, layers, stages, payload.get("meta", {}))
-    except (KeyError, TypeError) as exc:
+    except KrausloomError:  # package errors are ValueErrors too; they keep their type
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: e.g. an unknown role name
         raise InvalidArgument(f"bad circuit payload: {exc}") from exc
 
 

@@ -3,7 +3,8 @@
 Subcommands: prepare, channel, evolve, tomography, reproduce-gad,
 channel-dump. Every command is deterministic given its full flag set
 (including --seed). Exit codes: 0 success, 2 validation failure, 3 internal
-consistency failure, 4 I/O failure.
+consistency failure or any other unexpected error (one ``internal error:``
+line), 4 I/O failure.
 
 File formats
 ------------
@@ -258,6 +259,7 @@ def cmd_tomography(args) -> dict:
         "ml": density_to_payload(ml.rho),
         "ml_converged": ml.converged,
         "ml_iterations": ml.iterations,
+        "ml_optimality_gap": ml.optimality_gap,
         # linear inversion is not PSD by design; its fidelity clips, never rejects
         "fidelity_linear": fidelity(linear, truth, psd_tol=math.inf),
         "fidelity_ml": fidelity(ml.rho, truth),
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 4
+    except Exception as exc:  # the exit-code contract holds for every input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     return 0
 
 

@@ -235,32 +235,29 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(out, dims, eig_atol=None)
 
 
-def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian matrix, negative eigenvalues clipped at 0."""
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def fidelity(rho, sigma, *, psd_tol: float = PSD_TOL_MEASURED) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
 
     Accepts DensityMatrix or bare Hermitian arrays. Eigenvalues slightly
     below zero (down to ``-psd_tol``) are clipped; anything lower raises.
+    The trace runs over the support of rho: with rho = W W^dagger, W built
+    from the eigenvalues of rho above rounding level (d * eps * ||rho||),
+    F = (Tr sqrt(W^dagger sigma W))^2. A rounding-level eigenvalue (~1e-17)
+    would otherwise add its square root (~3e-9) to the trace.
     """
     a = _as_matrix(rho)
     b = _as_matrix(sigma)
     if a.shape != b.shape:
         raise InvalidArgument(f"dimension mismatch: {a.shape} vs {b.shape}")
-    for name, m in (("rho", a), ("sigma", b)):
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    for name, lo in (("rho", w[0]), ("sigma", np.linalg.eigvalsh((b + b.conj().T) / 2)[0])):
         if lo < -psd_tol:
             raise InvalidState(f"{name} has eigenvalue {lo:.3e} below -{psd_tol:.1e}")
-    sq = matrix_sqrt_psd(a)
-    inner = sq @ b @ sq
-    w = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    f = float(np.sum(np.sqrt(w)) ** 2)
-    return min(f, 1.0)
+    support = w > a.shape[0] * np.finfo(float).eps * np.abs(w).max()
+    root = v[:, support] * np.sqrt(w[support])
+    inner = root.conj().T @ b @ root
+    lam = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
+    return min(float(np.sum(np.sqrt(lam)) ** 2), 1.0)
 
 
 def unitarity_residual(u: np.ndarray):

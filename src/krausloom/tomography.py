@@ -3,11 +3,13 @@
 Settings are pairs of single-qubit rotations applied before projecting on
 |00>; the label states are H, V, D = (H+V)/sqrt2 and R = (H+iV)/sqrt2.
 The settings are fixed, so their (16, 4, 4) projector stack, the
-linear-inversion design matrix and the maximum-likelihood whitening
-G^{-1/2} are built once, read-only, when the module loads; counts and both
+linear-inversion design matrix and the projectors' real (8, 8) forms are
+built once, read-only, when the module loads; counts and both
 reconstructions read that one stack. Reconstruction offers plain linear
-inversion and a diluted iterative maximum-likelihood pass that always
-returns a physical matrix.
+inversion and maximum likelihood: a BFGS ascent of the Poisson likelihood
+over rho = T T^dagger / Tr(T T^dagger), which is physical at every step,
+stopped once the Frank-Wolfe gap certifies that the likelihood lies within
+``tol`` per shot of its maximum.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ _PROJECTORS = _read_only(np.array([projector_matrix(s) for s in _SETTINGS]))  # 
 _DESIGN = _read_only(_PROJECTORS.transpose(0, 2, 1).reshape(16, 16))
 
 
-def _inverse_sqrt(g: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(g)
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
-
-
-_G_ISQRT = _read_only(_inverse_sqrt(_PROJECTORS.sum(axis=0)))
+# Real forms of the projectors: with z = [Re T; Im T] (shape (8, 4), one column
+# per column of T), Tr(P_s T T^dagger) = sum over columns of z^T R_s z, where
+# R_s = [[Re P_s, -Im P_s], [Im P_s, Re P_s]]; stacked as (16 * 8, 8).
+_REAL_FORMS = _read_only(
+    np.block([[_PROJECTORS.real, -_PROJECTORS.imag], [_PROJECTORS.imag, _PROJECTORS.real]])
+    .reshape(128, 8)
+)
 
 
 def assert_informationally_complete() -> None:
@@ -100,6 +103,10 @@ def assert_informationally_complete() -> None:
 
 
 assert_informationally_complete()
+
+
+# numpy's Poisson sampler rejects means above int64 max - 10 sqrt(int64 max)
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,13 @@ def simulate_counts(
     branches = _branch_probabilities(rho)
     probs = np.minimum(branches.sum(axis=1), 1.0)
     if noise:
-        counts = np.random.default_rng(seed).poisson(branches * shots).sum(axis=1)
+        means = branches * shots
+        if means.max() > _POISSON_MEAN_MAX:
+            raise InvalidArgument(
+                f"shots {shots} is too large for a Poisson draw (largest mean "
+                f"{means.max():.3e}, limit {_POISSON_MEAN_MAX:.3e})"
+            )
+        counts = np.random.default_rng(seed).poisson(means).sum(axis=1)
     else:
         counts = [round(float(p) * shots) for p in probs]
     return [
@@ -200,65 +213,135 @@ class MLReconstruction:
     converged: bool
     iterations: int
     log_likelihood: float
+    optimality_gap: float  # Frank-Wolfe bound on (maximum - log_likelihood), in nats
 
 
-def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-12) -> MLReconstruction:
-    """Iterative maximum-likelihood reconstruction (diluted R rho R).
+def _likelihood(z: np.ndarray, counts: np.ndarray, shots: np.ndarray):
+    """Log-likelihood of rho = T T^dagger / Tr(T T^dagger), z = [Re T; Im T]
+    flattened, with its gradient in z, the probabilities p_s and the weights
+    g_s = c_s / p_s - N_s of the likelihood's gradient G = sum_s g_s P_s in rho."""
+    rz = (_REAL_FORMS @ z.reshape(8, 4)).reshape(16, 32)
+    norm = z @ z
+    probs = np.maximum(rz @ z / norm, 1e-300)
+    weights = counts / probs - shots
+    ll = counts @ np.log(probs) - shots @ probs
+    grad = (2.0 / norm) * (weights @ rz - (weights @ probs) * z)
+    return ll, grad, probs, weights
 
-    The update operator is whitened by G^{-1/2}, G = sum_s P_s, so exact data
-    is an exact fixed point even though the settings are not a POVM. When a
-    step would lower the Poisson log-likelihood the step is diluted toward
-    the identity (factor 0.5 each retry). Converged means the likelihood gain
-    dropped below ``tol`` or the state stopped moving; output is strictly
-    physical either way.
+
+def _factor(rho: np.ndarray) -> np.ndarray:
+    """z = [Re T; Im T] flattened, for T = V sqrt(W) with rho = V W V^dagger."""
+    w, v = np.linalg.eigh(rho)
+    t = v * np.sqrt(np.clip(w, 0.0, None))
+    return np.concatenate([t.real, t.imag]).reshape(32)
+
+
+def _density(z: np.ndarray) -> np.ndarray:
+    t = z[:16].reshape(4, 4) + 1j * z[16:].reshape(4, 4)
+    rho = t @ t.conj().T
+    return rho / np.trace(rho).real
+
+
+def _frank_wolfe_gap(probs: np.ndarray, weights: np.ndarray):
+    """Delta = lambda_max(G) - Tr(rho G) and the top eigenvector of G.
+
+    The likelihood is concave in rho and G is its gradient, so Delta bounds
+    how far the likelihood lies below its maximum over density matrices.
+    """
+    w, v = np.linalg.eigh((weights @ _PROJECTORS.reshape(16, 16)).reshape(4, 4))
+    return float(w[-1] - weights @ probs), v[:, -1]
+
+
+def _segment_step(probs: np.ndarray, target: np.ndarray, counts: np.ndarray,
+                  shots: np.ndarray) -> float:
+    """The gamma in [0, 1) that maximises the likelihood at probabilities
+    (1 - gamma) probs + gamma target, by bisection on its derivative, which
+    decreases in gamma because the likelihood is concave."""
+    diff = target - probs
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if counts @ (diff / (probs + mid * diff)) > shots @ diff:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconstruction:
+    """Maximum-likelihood reconstruction by quasi-Newton ascent, stopped on a
+    certified optimality gap.
+
+    The objective is the Poisson log-likelihood
+    l(rho) = sum_{c_s > 0} c_s log p_s - sum_s N_s p_s, p_s = Tr(rho P_s),
+    over rho = T T^dagger / Tr(T T^dagger) with T a free complex 4x4 matrix
+    (James, Kwiat, Munro & White, PRA 64, 052312 (2001)): every iterate is a
+    density matrix and the ascent over the 32 real entries of T is
+    unconstrained. BFGS with Armijo backtracking climbs from the clipped
+    linear estimate mixed with 1e-9 of the identity, which is full rank.
+
+    Once |grad_z l| |z| <= tol * N, N the mean of the records' total_shots,
+    the Frank-Wolfe gap Delta = lambda_max(G) - Tr(rho G), with
+    G = sum_s (c_s / p_s - N_s) P_s, bounds the distance to the maximum. The
+    run has converged when Delta <= tol * N; otherwise one line-searched step
+    rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of G
+    leaves the face the ascent stalled on, and BFGS resumes. ``tol`` is a gap
+    per shot. ``iterations`` counts both kinds of step; a run that reaches
+    ``max_iter`` stops with converged=False. The output is strictly physical
+    either way.
     """
     recs = sorted(records, key=lambda r: r.setting_index)
-    freqs = _probabilities_from_records(recs)
-    shots = np.array([r.total_shots for r in recs], dtype=float)
-    counts = np.array([r.counts for r in recs], dtype=float)
-    live_freqs, live_counts = freqs > 0, counts > 0
-
     start = project_to_psd(linear_reconstruct(recs))
-    # a whiff of identity keeps every setting probability strictly positive
-    rho = (1.0 - 1e-9) * start.matrix + 1e-9 * np.eye(4) / 4.0
+    shots = np.array([r.total_shots for r in recs], dtype=float)
+    scale = float(np.mean(shots))
+    # per shot, so that tol and the line search do not depend on the budget
+    counts = np.array([r.counts for r in recs], dtype=float) / scale
+    shots = shots / scale
 
-    def probabilities(mat):
-        return np.maximum((_DESIGN @ mat.reshape(16)).real, 1e-300)
-
-    def log_likelihood(probs):
-        return float(np.sum(counts[live_counts] * np.log(probs[live_counts]))
-                     - np.sum(shots * probs))
-
-    probs = probabilities(rho)
-    ll = log_likelihood(probs)
-    converged = False
+    z = _factor((1.0 - 1e-9) * start.matrix + 1e-9 * np.eye(4) / 4.0)
+    ll, grad, probs, weights = _likelihood(z, counts, shots)
+    # Per shot, the likelihood's curvature in z (with |z| = 1) is of order
+    # one, so the inverse-Hessian estimate starts as the identity.
+    inv_hess = np.eye(32)
+    stalled = False
     it = 0
-    for it in range(1, max_iter + 1):
-        r_op = np.tensordot(np.where(live_freqs, freqs / probs, 0.0), _PROJECTORS, axes=1)
-        b_full = _G_ISQRT @ r_op @ _G_ISQRT
-        epsilon = 1.0
-        accepted = False
-        for _ in range(40):
-            b = (np.eye(4) + epsilon * b_full) / (1.0 + epsilon)
-            cand = b @ rho @ b.conj().T
-            cand = cand / np.trace(cand).real
-            cand_probs = probabilities(cand)
-            cand_ll = log_likelihood(cand_probs)
-            if cand_ll >= ll - 1e-15:
-                accepted = True
+    while it < max_iter:
+        if stalled or math.sqrt((grad @ grad) * (z @ z)) <= tol:
+            gap, top = _frank_wolfe_gap(probs, weights)
+            if gap <= tol:
                 break
-            epsilon *= 0.5
-        if not accepted:
-            break
-        gain = cand_ll - ll
-        step = float(np.max(np.abs(cand - rho)))
-        rho, probs, ll = cand, cand_probs, cand_ll
-        if gain < tol or step < 1e-13:
-            converged = True
-            break
+            vertex = np.outer(top, top.conj())
+            gamma = _segment_step(probs, (_DESIGN @ vertex.reshape(16)).real, counts, shots)
+            if gamma == 0.0:
+                break
+            z = _factor((1.0 - gamma) * _density(z) + gamma * vertex)
+            ll, grad, probs, weights = _likelihood(z, counts, shots)
+            inv_hess, stalled = np.eye(32), False
+            it += 1
+            continue
+        step = inv_hess @ grad
+        slope, t = grad @ step, 1.0
+        for _ in range(60):
+            cand = _likelihood(z + t * step, counts, shots)
+            if cand[0] >= ll + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            stalled = True
+            continue
+        s, y = t * step, grad - cand[1]
+        sy = s @ y
+        if sy > 0:  # BFGS update of the inverse Hessian
+            hy = inv_hess @ y / sy
+            u = ((1.0 + y @ hy) / sy) * s - hy
+            inv_hess += u[:, None] * s - s[:, None] * hy
+        z = z + s
+        ll, grad, probs, weights = cand
+        it += 1
 
-    final = project_to_psd((rho + rho.conj().T) / 2)
-    return MLReconstruction(final, converged, it, ll)
+    gap, _ = _frank_wolfe_gap(probs, weights)
+    final = project_to_psd(_density(z))
+    return MLReconstruction(final, gap <= tol, it, float(ll * scale), gap * scale)
 
 
 def traced_truth(state) -> DensityMatrix:

@@ -191,6 +191,12 @@ class TestReproduceGad:
         assert payload["passed"] is True
         assert 0.92 <= payload["fidelity"] <= 0.98
 
+    def test_reference_fidelity_is_the_support_closed_form(self, capsys):
+        assert run("reproduce-gad") == 0
+        payload = json.loads(capsys.readouterr().out)
+        # (Tr sqrt(W^dagger sigma W))^2 for the rank-2 theory state W W^dagger
+        assert payload["fidelity"] == pytest.approx(0.9492717934322362, abs=1e-12)
+
     def test_off_reference_angle_is_informational(self, capsys):
         assert run("reproduce-gad", "--theta3", "1.5707963267948966") == 0
         payload = json.loads(capsys.readouterr().out)
@@ -208,6 +214,31 @@ class TestReproduceGad:
         capsys.readouterr()
         matrix = density_from_payload(load_json(str(path))["matrix"])
         assert matrix.dims == (2, 2)
+
+
+class TestExitCodeContract:
+    """Inputs that once escaped as tracebacks; each now exits in one line."""
+
+    def test_poisson_budget_beyond_the_sampler_exits_2(self, capsys):
+        assert run("tomography", "--noise", "--shots", "100000000000000000000") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_register_role_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"register": "x", "layers": 5}')
+        assert run("evolve", "--circuit", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: bad circuit payload")
+
+    def test_unexpected_error_exits_3_in_one_line(self, tmp_path, capsys):
+        # 1e14 float64 grid values need 800 TB, beyond any address space, so
+        # numpy's allocation fails whatever the host's overcommit policy
+        out = tmp_path / "d"
+        assert run("channel", "--grid", "0:1:100000000000000", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("internal error: ")
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestChannelDump:

@@ -135,6 +135,33 @@ class TestFidelity:
         with pytest.raises(InvalidState):
             fidelity(bad, I2 / 2)
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_rho_matches_support_closed_form(self, rng, rank):
+        # rho = W W^dagger with W of full column rank: F = (Tr sqrt(W^dagger sigma W))^2
+        for _ in range(20):
+            w = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            w /= np.linalg.norm(w)
+            sigma = random_density(rng).matrix
+            want = np.sum(np.sqrt(np.linalg.eigvalsh(w.conj().T @ sigma @ w))) ** 2
+            assert abs(fidelity(w @ w.conj().T, sigma) - want) <= 1e-13
+
+    def test_full_rank_matches_square_root_of_every_eigenvalue(self, rng):
+        def sqrt_everywhere(a, b):
+            """Reference: sqrt(rho) from every eigenvalue of rho, clipped at 0."""
+            w, v = np.linalg.eigh(a)
+            sq = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            inner = sq @ b @ sq
+            lam = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
+            return min(float(np.sum(np.sqrt(lam)) ** 2), 1.0)
+
+        for dims in ((2,), (2, 2), (2, 2, 2)):
+            for _ in range(30):
+                a, b = random_density(rng, dims).matrix, random_density(rng, dims).matrix
+                assert abs(fidelity(a, b) - sqrt_everywhere(a, b)) <= 1e-12
+
+    def test_zero_support_gives_zero(self):
+        assert fidelity(np.zeros((2, 2)), I2 / 2) == 0.0
+
 
 class TestDagger:
     def test_identity(self):

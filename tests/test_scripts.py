@@ -45,4 +45,8 @@ def test_tomography_shots_study(monkeypatch, tmp_path, capsys):
     for key in ("mean_fid_linear", "mean_fid_ml", "min_fid_ml"):
         assert 0.0 <= float(rows[0][key]) <= 1.0
     assert float(rows[0]["min_fid_ml"]) <= float(rows[0]["mean_fid_ml"])
+    assert float(rows[0]["ml_converged_share"]) == 1.0
+    assert float(rows[0]["median_ml_iterations"]) >= 1
+    assert 0.0 <= float(rows[0]["max_ml_gap_per_shot"]) <= 1e-7
+    assert not (tmp_path / "shots.csv.tmp").exists()
     assert "wrote" in capsys.readouterr().err

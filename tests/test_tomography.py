@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import random_density, random_pure
@@ -261,6 +263,113 @@ class TestMLReconstruct:
             means.append(np.mean(fids))
         corr, _ = stats.spearmanr(np.log10(shot_grid), means)
         assert corr > 0.9
+
+
+ML_TOL = 1e-7  # the optimality gap per shot that ml_reconstruct certifies
+
+
+def poisson_log_likelihood(rho, records):
+    """sum_{c_s > 0} c_s log p_s - sum_s N_s p_s, p_s = Tr(rho P_s), one setting at a time."""
+    total = 0.0
+    for rec in records:
+        p = float(np.real(np.trace(rho @ projector_matrix(settings_table()[rec.setting_index - 1]))))
+        total += (rec.counts * np.log(p) if rec.counts > 0 else 0.0) - rec.total_shots * p
+    return total
+
+
+def frank_wolfe_gap(rho, records):
+    """lambda_max(G) - Tr(rho G), G = sum_s (c_s / p_s - N_s) P_s: an upper bound on
+    how far the likelihood of rho lies below its maximum."""
+    g = np.zeros((4, 4), dtype=complex)
+    for rec in records:
+        proj = projector_matrix(settings_table()[rec.setting_index - 1])
+        p = float(np.real(np.trace(rho @ proj)))
+        g += (rec.counts / p - rec.total_shots) * proj
+    return float(np.linalg.eigvalsh(g)[-1] - np.real(np.trace(rho @ g)))
+
+
+def diluted_rrr(records, max_iter=600):
+    """Reference: the diluted R rho R iteration (Rehacek, Hradil, Knill & Lvovsky,
+    PRA 75, 042108 (2007)) whitened by G^{-1/2}, G = sum_s P_s, as ml_reconstruct
+    ran it before, with its steps judged by the Poisson likelihood. Uniform totals."""
+    projectors = np.array([projector_matrix(s) for s in settings_table()])
+    design = projectors.transpose(0, 2, 1).reshape(16, 16)
+    w, v = np.linalg.eigh(projectors.sum(axis=0))
+    g_isqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    counts = np.array([r.counts for r in records], dtype=float)
+    shots = np.array([r.total_shots for r in records], dtype=float)
+    freqs = counts / counts[:4].sum()
+    rho = project_to_psd(linear_reconstruct(records)).matrix
+    rho = (1.0 - 1e-9) * rho + 1e-9 * np.eye(4) / 4.0
+
+    def probabilities(mat):
+        return np.maximum((design @ mat.reshape(16)).real, 1e-300)
+
+    def log_likelihood(probs):
+        return float(np.sum(counts[counts > 0] * np.log(probs[counts > 0])) - np.sum(shots * probs))
+
+    probs = probabilities(rho)
+    ll = log_likelihood(probs)
+    for _ in range(max_iter):
+        r_op = np.tensordot(np.where(freqs > 0, freqs / probs, 0.0), projectors, axes=1)
+        b_full = g_isqrt @ r_op @ g_isqrt
+        epsilon = 1.0
+        for _ in range(40):
+            b = (np.eye(4) + epsilon * b_full) / (1.0 + epsilon)
+            cand = b @ rho @ b.conj().T
+            cand = cand / np.trace(cand).real
+            cand_probs = probabilities(cand)
+            cand_ll = log_likelihood(cand_probs)
+            if cand_ll >= ll - 1e-15:
+                break
+            epsilon *= 0.5
+        else:
+            break
+        gain, step = cand_ll - ll, float(np.max(np.abs(cand - rho)))
+        rho, probs, ll = cand, cand_probs, cand_ll
+        if gain < 1e-12 or step < 1e-13:
+            break
+    return project_to_psd((rho + rho.conj().T) / 2).matrix
+
+
+@pytest.fixture(scope="module")
+def ml_ensemble():
+    """(shots, records, ml result) for 20 pure and 20 mixed random states per budget."""
+    rng = np.random.default_rng(4242)
+    runs = []
+    for shots in (10**2, 10**3, 10**4, 10**5):
+        truths = [random_pure(rng).density() for _ in range(20)]
+        truths += [random_density(rng) for _ in range(20)]
+        for k, truth in enumerate(truths):
+            records = simulate_counts(truth, shots=shots, noise=True, seed=k)
+            runs.append((shots, records, ml_reconstruct(records, tol=ML_TOL)))
+    return runs
+
+
+class TestMLOptimality:
+    def test_every_run_converges_with_a_certified_gap(self, ml_ensemble):
+        for shots, records, ml in ml_ensemble:
+            assert ml.converged and ml.iterations < 600
+            gap = frank_wolfe_gap(ml.rho.matrix, records)
+            assert gap <= ML_TOL * shots
+            assert ml.optimality_gap == pytest.approx(gap, abs=1e-3 * ML_TOL * shots)
+            assert ml.log_likelihood == pytest.approx(
+                poisson_log_likelihood(ml.rho.matrix, records), abs=1e-9 * shots)
+
+    def test_likelihood_not_below_the_diluted_iteration(self, ml_ensemble):
+        for shots, records, ml in ml_ensemble:
+            reference = poisson_log_likelihood(diluted_rrr(records), records)
+            assert poisson_log_likelihood(ml.rho.matrix, records) >= reference - 1e-9 * shots
+
+    def test_input_that_stalled_the_diluted_iteration_converges(self, capsys):
+        from krausloom import cli
+
+        assert cli.main(["tomography", "--theta1", "1.0", "--theta2", "0", "--noise",
+                         "--shots", "10000", "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ml_converged"] is True
+        assert payload["ml_optimality_gap"] <= ML_TOL * 10000
+        assert payload["fidelity_ml"] >= 0.999
 
 
 class TestCountFiles:
