@@ -88,6 +88,7 @@ from .tomography import (
     CountRecord,
     MLReconstruction,
     TomographySetting,
+    hv_block_empty,
     linear_reconstruct,
     ml_reconstruct,
     project_to_psd,

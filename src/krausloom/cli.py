@@ -31,7 +31,7 @@ import numpy as np
 from . import circuit as circuit_mod
 from . import channels as channels_mod
 from . import tomography as tomo_mod
-from .errors import InternalConsistencyError, KrausloomError
+from .errors import InternalConsistencyError, InvalidArgument, KrausloomError
 from .qmath import (
     density_to_payload,
     fidelity,
@@ -44,6 +44,9 @@ from .qmath import (
 )
 
 CONSISTENCY_TOL = 1e-9
+# One file per point, and about 1 KB of stacked lattice and Kraus data per
+# point while the sweep runs: a million points is about 1 GB.
+GRID_MAX_POINTS = 1_000_000
 
 
 def _sig12(x: float) -> float:
@@ -190,6 +193,8 @@ def _run_channel_grid(args):
         _require(count >= 1, "grid count must be >= 1")
     except ValueError as exc:
         raise KrausloomError(f"bad --grid spec {args.grid!r}; expected start:stop:count") from exc
+    if count > GRID_MAX_POINTS:
+        raise InvalidArgument(f"grid count {count} exceeds the limit of {GRID_MAX_POINTS} points")
     values = np.linspace(start, stop, count)
     local = argparse.Namespace(**vars(args))
     points = []
@@ -210,11 +215,19 @@ def _run_channel_grid(args):
     return None
 
 
+def _read_json(flag: str, path: str):
+    """The json in the file ``flag`` names; text that is not json is a bad argument."""
+    try:
+        return load_json(path)
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise KrausloomError(f"{flag} {path} is not valid json: {exc}") from exc
+
+
 def cmd_evolve(args) -> dict:
     _require(args.circuit is not None, "--circuit is required")
-    circ = circuit_mod.circuit_from_payload(load_json(args.circuit))
+    circ = circuit_mod.circuit_from_payload(_read_json("--circuit", args.circuit))
     if args.state:
-        psi = state_from_payload(load_json(args.state))
+        psi = state_from_payload(_read_json("--state", args.state))
     else:
         psi = circuit_mod.initial_state(circ)
     out = circuit_mod.evolve(psi, circ, args.through_stage)
@@ -242,7 +255,8 @@ def cmd_tomography(args) -> dict:
         )
     truth = tomo_mod.traced_truth(psi)
     records = tomo_mod.simulate_counts(psi.density(), shots, noise=args.noise, seed=args.seed)
-    linear = tomo_mod.linear_reconstruct(records)
+    # at a tiny budget the H/V block can be empty, and linear inversion with it
+    linear = None if tomo_mod.hv_block_empty(records) else tomo_mod.linear_reconstruct(records)
     ml = tomo_mod.ml_reconstruct(records)
     payload = {
         "command": "tomography",
@@ -255,13 +269,13 @@ def cmd_tomography(args) -> dict:
             for r in records
         ],
         "truth": density_to_payload(truth),
-        "linear": density_to_payload(linear),
+        "linear": None if linear is None else density_to_payload(linear),
         "ml": density_to_payload(ml.rho),
         "ml_converged": ml.converged,
         "ml_iterations": ml.iterations,
         "ml_optimality_gap": ml.optimality_gap,
         # linear inversion is not PSD by design; its fidelity clips, never rejects
-        "fidelity_linear": fidelity(linear, truth, psd_tol=math.inf),
+        "fidelity_linear": None if linear is None else fidelity(linear, truth, psd_tol=math.inf),
         "fidelity_ml": fidelity(ml.rho, truth),
     }
     if args.counts_out:
@@ -404,10 +418,7 @@ def _config_tokens(path: str) -> list[str]:
     """The --config file's flags as command-line tokens: "key": value gives
     --key=value, true gives --key and false nothing. argparse then converts
     and checks them as it does flags typed on the command line."""
-    try:
-        defaults = load_json(path)
-    except ValueError as exc:
-        raise KrausloomError(f"--config {path} is not valid json: {exc}") from exc
+    defaults = _read_json("--config", path)
     if not isinstance(defaults, dict):
         raise KrausloomError("--config must hold a json object of flag defaults")
     tokens = []

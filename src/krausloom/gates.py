@@ -5,6 +5,14 @@ A register is an ordered tuple of wires. Wire 0 is the leftmost tensor factor
 (slowest-varying index). Exactly one wire carries the polarization role; the
 others are path qubits. Registers here never exceed 4 qubits, so everything
 is built dense.
+
+Every placement matrix, whether an embedding, a path-conditioned gate or a
+polarization-controlled NOT, is one scatter into a zeroed flat (..., d*d)
+buffer: the gate's four entries go to the (h,h), (h,v), (v,h) and (v,v)
+positions of its slot pairs and 1.0 to the other diagonal slots. What
+depends on the wiring alone (those flat positions, the CNOT permutation
+matrices and each register's polarization and path wires) is built once
+per process and shared read-only. Nothing is cached by angle.
 """
 
 from __future__ import annotations
@@ -54,12 +62,19 @@ def make_register(*roles: Role | str) -> Register:
     return wires
 
 
+@functools.lru_cache(maxsize=64)
+def _register_wires(register: Register) -> tuple[WireIndex, tuple[WireIndex, ...]]:
+    # registers are immutable tuples, and a program uses a handful of layouts
+    pol = next(w for w in register if w.role is Role.POLARIZATION)
+    return pol, tuple(w for w in register if w.role.is_path)
+
+
 def polarization_wire(register: Register) -> WireIndex:
-    return next(w for w in register if w.role is Role.POLARIZATION)
+    return _register_wires(register)[0]
 
 
 def path_wires(register: Register) -> tuple[WireIndex, ...]:
-    return tuple(w for w in register if w.role.is_path)
+    return _register_wires(register)[1]
 
 
 def finite_values(name: str, value):
@@ -129,6 +144,50 @@ def _flip(index, wire: int, n: int):
     return index ^ (1 << (n - 1 - wire))
 
 
+@functools.lru_cache(maxsize=256)
+def _scatter_slots(n: int, wire: int, fixed: tuple[tuple[int, int], ...]):
+    """Flat positions, in a (2**n)**2 buffer, of a 2x2 gate on ``wire`` acting
+    where every (other wire, bit) pair of ``fixed`` holds.
+
+    Returns (block, ones): block has shape (4, m), its rows the (h,h), (h,v),
+    (v,h) and (v,v) positions of the m slot pairs, h with the wire's bit 0
+    and v its flip; ones are the remaining diagonal positions. Both depend on
+    the wiring only, so they are built once and shared read-only.
+    """
+    d = 2**n
+    basis = np.arange(d)
+    match = _bit(basis, wire, n) == 0
+    for w, b in fixed:
+        match &= _bit(basis, w, n) == b
+    h = basis[match]
+    v = _flip(h, wire, n)
+    block = np.stack([h * d + h, h * d + v, v * d + h, v * d + v])
+    untouched = np.ones(d, dtype=bool)
+    untouched[h] = untouched[v] = False
+    ones = basis[untouched] * (d + 1)
+    block.flags.writeable = ones.flags.writeable = False
+    return block, ones
+
+
+def _scatter(gate: np.ndarray, n: int, wire: int, fixed=()) -> np.ndarray:
+    """The placement matrix of ``gate`` (2x2, or a stack (B, 2, 2)) on ``wire``
+    where ``fixed`` holds, identity elsewhere: one scatter into a flat buffer."""
+    block, ones = _scatter_slots(n, wire, fixed)
+    d = 2**n
+    stack = gate.shape[:-2]
+    flat = np.zeros(stack + (d * d,), dtype=complex)
+    flat[..., ones] = 1.0
+    flat[..., block] = gate.reshape(stack + (4, 1))
+    return flat.reshape(stack + (d, d))
+
+
+def _check_gate(gate) -> np.ndarray:
+    gate = np.asarray(gate, dtype=complex)
+    if gate.ndim not in (2, 3) or gate.shape[-2:] != (2, 2):
+        raise InvalidArgument(f"expected a 2x2 gate or a stack of them, got {gate.shape}")
+    return gate
+
+
 def embed(gate: np.ndarray, wire: int | WireIndex, n: int) -> np.ndarray:
     """Act with a 2x2 gate on one wire of an n-qubit register, identity elsewhere.
 
@@ -137,15 +196,7 @@ def embed(gate: np.ndarray, wire: int | WireIndex, n: int) -> np.ndarray:
     w = wire.index if isinstance(wire, WireIndex) else int(wire)
     if not (0 <= w < n):
         raise InvalidArgument(f"wire {w} out of range for register size {n}")
-    gate = np.asarray(gate, dtype=complex)
-    if gate.ndim not in (2, 3) or gate.shape[-2:] != (2, 2):
-        raise InvalidArgument(f"embed expects a 2x2 gate or a stack of them, got {gate.shape}")
-    # np.kron pairs a stack's leading axis with the length-1 axis it gives
-    # the identity, so each gate of a stack is embedded on its own
-    out = np.eye(1, dtype=complex)
-    for i in range(n):
-        out = np.kron(out, gate if i == w else np.eye(2, dtype=complex))
-    return out
+    return _scatter(_check_gate(gate), n, w)
 
 
 def cnot_pol_path(control: WireIndex, target: WireIndex, n: int) -> np.ndarray:
@@ -153,6 +204,7 @@ def cnot_pol_path(control: WireIndex, target: WireIndex, n: int) -> np.ndarray:
 
     This is the action of a polarizing beam splitter / beam displacer: a
     vertically polarized photon changes path, a horizontal one does not.
+    The matrix is shared and read-only.
     """
     if control.role is not Role.POLARIZATION:
         raise InvalidWiring("cnot control must be the polarization wire")
@@ -162,28 +214,29 @@ def cnot_pol_path(control: WireIndex, target: WireIndex, n: int) -> np.ndarray:
         raise InvalidWiring("control and target must differ")
     if control.index >= n or target.index >= n:
         raise InvalidArgument(f"wires ({control.index},{target.index}) exceed register size {n}")
-    basis = np.arange(2**n)
-    dest = basis ^ (_bit(basis, control.index, n) << (n - 1 - target.index))
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    mat[dest, basis] = 1.0
+    return _cnot(control.index, target.index, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _cnot(control: int, target: int, n: int) -> np.ndarray:
+    mat = _scatter(PAULI_X, n, target, ((control, 1),))
+    mat.flags.writeable = False
     return mat
 
 
 @functools.lru_cache(maxsize=256)
-def _slot_pairs(condition: str, register: Register) -> tuple[np.ndarray, np.ndarray]:
-    """(H slots, V slots) of the path modes matching ``condition``, paired by
-    index. Cached: lattices place the same few conditions over and over."""
-    n = len(register)
-    pol = polarization_wire(register).index
-    basis = np.arange(2**n)
-    match = _bit(basis, pol, n) == 0
-    for ch, wire in zip(condition, path_wires(register)):
-        if ch != "*":
-            match &= _bit(basis, wire.index, n) == int(ch)
-    h = basis[match]
-    v = _flip(h, pol, n)
-    h.flags.writeable = v.flags.writeable = False  # shared by every caller
-    return h, v
+def _condition_slots(condition: str, register: Register):
+    """(n, polarization index, fixed path bits) of a path condition, checked.
+    Lattices place the same few conditions over and over."""
+    paths = path_wires(register)
+    if len(condition) != len(paths):
+        raise InvalidWiring(
+            f"condition {condition!r} must address the {len(paths)} path wires only"
+        )
+    if any(ch not in "01*" for ch in condition):
+        raise InvalidArgument(f"condition characters must be 0, 1 or *, got {condition!r}")
+    fixed = tuple((w.index, int(ch)) for ch, w in zip(condition, paths) if ch != "*")
+    return len(register), polarization_wire(register).index, fixed
 
 
 def controlled_on_path(gate: np.ndarray, condition: str, register: Register) -> np.ndarray:
@@ -193,22 +246,4 @@ def controlled_on_path(gate: np.ndarray, condition: str, register: Register) -> 
     {'0','1','*'}. Amplitudes whose path bits do not match are untouched.
     A stack of gates, shape (B, 2, 2), gives a stack of matrices.
     """
-    paths = path_wires(register)
-    if len(condition) != len(paths):
-        raise InvalidWiring(
-            f"condition {condition!r} must address the {len(paths)} path wires only"
-        )
-    if any(ch not in "01*" for ch in condition):
-        raise InvalidArgument(f"condition characters must be 0, 1 or *, got {condition!r}")
-    gate = np.asarray(gate, dtype=complex)
-    if gate.ndim not in (2, 3) or gate.shape[-2:] != (2, 2):
-        raise InvalidArgument(f"expected a 2x2 gate or a stack of them, got {gate.shape}")
-
-    h, v = _slot_pairs(condition, register)
-    dim = 2 ** len(register)
-    mat = np.zeros(gate.shape[:-2] + (dim, dim), dtype=complex)
-    mat[..., range(dim), range(dim)] = 1.0
-    for rows, cols, entry in ((h, h, gate[..., 0, 0]), (h, v, gate[..., 0, 1]),
-                              (v, h, gate[..., 1, 0]), (v, v, gate[..., 1, 1])):
-        mat[..., rows, cols] = entry[..., None]
-    return mat
+    return _scatter(_check_gate(gate), *_condition_slots(condition, register))

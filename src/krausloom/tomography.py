@@ -166,7 +166,9 @@ def simulate_counts(
     ]
 
 
-def _probabilities_from_records(records) -> np.ndarray:
+def _probabilities_from_records(records) -> np.ndarray | None:
+    """Each setting's frequency, in setting order; None when linear inversion
+    has nothing to normalize by."""
     recs = sorted(records, key=lambda r: r.setting_index)
     if [r.setting_index for r in recs] != list(range(1, 17)):
         raise InvalidArgument("all 16 settings must be present exactly once")
@@ -175,15 +177,22 @@ def _probabilities_from_records(records) -> np.ndarray:
         # rows 1..4 project onto an orthonormal basis, so their counts sum to
         # the total intensity; normalize everything against that block
         block = sum(r.counts for r in recs[:4])
-        if block <= 0:
-            raise InvalidArgument("H/V block counts sum to zero; cannot normalize")
-        return np.array([r.counts / block for r in recs])
+        return np.array([r.counts / block for r in recs]) if block > 0 else None
     return np.array([r.counts / r.total_shots for r in recs])
+
+
+def hv_block_empty(records) -> bool:
+    """True when every setting has the same total and the H/V block (settings
+    1..4) counted nothing, which leaves linear inversion undefined. Tiny shot
+    budgets do this; maximum likelihood still runs, from I/4."""
+    return _probabilities_from_records(records) is None
 
 
 def linear_reconstruct(records) -> DensityMatrix:
     """Invert Tr(rho P_s) = prob_s; Hermitized and trace-normalized, PSD not enforced."""
     probs = _probabilities_from_records(records)
+    if probs is None:
+        raise InvalidArgument("H/V block counts sum to zero; cannot normalize")
     rho = np.linalg.solve(_DESIGN, probs.astype(complex)).reshape(4, 4)
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real
@@ -278,7 +287,8 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     (James, Kwiat, Munro & White, PRA 64, 052312 (2001)): every iterate is a
     density matrix and the ascent over the 32 real entries of T is
     unconstrained. BFGS with Armijo backtracking climbs from the clipped
-    linear estimate mixed with 1e-9 of the identity, which is full rank.
+    linear estimate mixed with 1e-9 of the identity, which is full rank, or
+    from I/4 when the H/V block is empty and there is no linear estimate.
 
     Once |grad_z l| |z| <= tol * N, N the mean of the records' total_shots,
     the Frank-Wolfe gap Delta = lambda_max(G) - Tr(rho G), with
@@ -291,14 +301,17 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     either way.
     """
     recs = sorted(records, key=lambda r: r.setting_index)
-    start = project_to_psd(linear_reconstruct(recs))
+    if hv_block_empty(recs):
+        start = np.eye(4) / 4.0
+    else:
+        start = project_to_psd(linear_reconstruct(recs)).matrix
     shots = np.array([r.total_shots for r in recs], dtype=float)
     scale = float(np.mean(shots))
     # per shot, so that tol and the line search do not depend on the budget
     counts = np.array([r.counts for r in recs], dtype=float) / scale
     shots = shots / scale
 
-    z = _factor((1.0 - 1e-9) * start.matrix + 1e-9 * np.eye(4) / 4.0)
+    z = _factor((1.0 - 1e-9) * start + 1e-9 * np.eye(4) / 4.0)
     ll, grad, probs, weights = _likelihood(z, counts, shots)
     # Per shot, the likelihood's curvature in z (with |z| = 1) is of order
     # one, so the inverse-Hessian estimate starts as the identity.

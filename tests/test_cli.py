@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from krausloom import circuit as circuit_mod
 from krausloom.cli import main
 from krausloom.qmath import density_from_payload, load_json
 
@@ -149,6 +150,20 @@ class TestEvolveCommand:
     def test_missing_circuit_file_is_io_error(self, tmp_path):
         assert run("evolve", "--circuit", str(tmp_path / "nope.json")) == 4
 
+    @pytest.mark.parametrize("flag", ["--circuit", "--state"])
+    def test_input_file_that_is_not_json_exits_2(self, tmp_path, capsys, flag):
+        from krausloom.channels import DephasingParams
+        from krausloom.circuit import build_channel_lattice, circuit_to_payload
+        from krausloom.qmath import save_json
+
+        circ, bad = tmp_path / "circ.json", tmp_path / "bad.json"
+        save_json(circuit_to_payload(build_channel_lattice(DephasingParams(0.3))), str(circ))
+        bad.write_text("")
+        files = {"--circuit": str(circ), "--state": str(circ), flag: str(bad)}
+        assert run("evolve", *(a for kv in files.items() for a in kv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {bad} is not valid json") and err.count("\n") == 1
+
 
 class TestTomographyCommand:
     def test_noiseless_run_recovers_truth(self, tmp_path):
@@ -174,6 +189,17 @@ class TestTomographyCommand:
 
     def test_noise_requires_shots(self):
         assert run("tomography", "--noise") == 2
+
+    def test_one_shot_run_with_an_empty_hv_block(self, capsys):
+        # seed 1 at one shot leaves settings 1..4 without counts, so linear
+        # inversion has nothing to normalize by; ML still runs, from I/4
+        assert run("tomography", "--noise", "--shots", "1", "--seed", "1") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sum(rec["counts"] for rec in payload["counts"][:4]) == 0
+        assert payload["linear"] is None and payload["fidelity_linear"] is None
+        assert payload["ml_converged"] is True
+        assert payload["ml_optimality_gap"] <= 1e-7
+        assert 0.0 <= payload["fidelity_ml"] <= 1.0
 
     def test_counts_file_emitted(self, tmp_path):
         counts = tmp_path / "counts.csv"
@@ -231,14 +257,24 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error: bad circuit payload")
 
-    def test_unexpected_error_exits_3_in_one_line(self, tmp_path, capsys):
-        # 1e14 float64 grid values need 800 TB, beyond any address space, so
-        # numpy's allocation fails whatever the host's overcommit policy
+    @pytest.mark.parametrize("count", ["100000000000", "100000000000000"])
+    def test_grid_count_beyond_the_limit_exits_2(self, tmp_path, capsys, count):
+        # 1e11 values would be 745 GiB and 1e14 beyond any address space; the
+        # count is refused before numpy is asked for either
         out = tmp_path / "d"
-        assert run("channel", "--grid", "0:1:100000000000000", "--out", str(out)) == 3
+        assert run("channel", "--grid", f"0:1:{count}", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and err.startswith("internal error: ")
+        assert "Traceback" not in err and err.startswith(f"error: grid count {count} ")
         assert err.count("\n") == 1 and not out.exists()
+
+    def test_unexpected_error_exits_3_in_one_line(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("lattice engine broke")
+
+        monkeypatch.setattr(circuit_mod, "channel_sweep", broken)
+        assert run("channel", "--channel", "dephasing", "--p", "0.5") == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: lattice engine broke\n"
 
 
 class TestChannelDump:

@@ -1,6 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from krausloom import circuit as circuit_mod
+from krausloom import gates as gates_mod
+from krausloom.channels import DephasingParams, GADParams, PauliParams, SGADParams
+from krausloom.circuit import build_channel_lattice, build_pauli_lattice, channel_sweep
 from krausloom.errors import InvalidArgument, InvalidWiring
 from krausloom.gates import (
     Role,
@@ -181,3 +187,155 @@ class TestControlledOnPath:
         g = u3(U3Params(*rng.uniform(0, 2 * np.pi, 3)))
         m = controlled_on_path(g, "0*", self.register)
         assert unitarity_residual(m) <= 1e-12
+
+
+# -- placement kernels against references built from their definitions ----------
+
+
+def _bit(index, wire, n):
+    return (index >> (n - 1 - wire)) & 1
+
+
+def loop_placement(gate, wire, n, fixed=()):
+    """<r| placement |c>, entry by entry: the gate's (r_w, c_w) entry where r and
+    c agree off ``wire`` and every (wire, bit) of ``fixed`` holds, else the
+    identity's."""
+    d = 2**n
+    out = np.zeros(gate.shape[:-2] + (d, d), dtype=complex)
+    for r in range(d):
+        for c in range(d):
+            same_elsewhere = (r ^ c) & ~(1 << (n - 1 - wire)) == 0
+            if same_elsewhere and all(_bit(r, w, n) == b for w, b in fixed):
+                out[..., r, c] = gate[..., _bit(r, wire, n), _bit(c, wire, n)]
+            elif r == c:
+                out[..., r, c] = 1.0
+    return out
+
+
+def loop_cnot(control, target, n):
+    basis = np.arange(2**n)
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[basis ^ (_bit(basis, control, n) << (n - 1 - target)), basis] = 1.0
+    return mat
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def kernel_registers():
+    """3- and 4-qubit registers with the polarization wire at every position."""
+    for n in (3, 4):
+        for pol in range(n):
+            yield make_register(*("polarization" if i == pol else "system-path" for i in range(n)))
+
+
+def kernel_gates(rng):
+    """A scalar gate and stacks of 1 and 5, entries of every sign."""
+    for shape in ((2, 2), (1, 2, 2), (5, 2, 2)):
+        yield rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestKernelsAgainstReferences:
+    def test_embed_every_wire(self, rng):
+        for n in (1, 2, 3, 4):
+            for wire in range(n):
+                for gate in kernel_gates(rng):
+                    got = embed(gate, wire, n)
+                    assert_bits_equal(got, loop_placement(gate, wire, n))
+                    if gate.ndim == 2:
+                        # np.kron leaves -0.0 where an identity zero meets an
+                        # entry with a negative part; the values are the same
+                        want = np.eye(1, dtype=complex)
+                        for i in range(n):
+                            want = np.kron(want, gate if i == wire else np.eye(2))
+                        np.testing.assert_array_equal(got, want)
+
+    def test_controlled_on_path_every_condition(self, rng):
+        for register in kernel_registers():
+            n = len(register)
+            pol = polarization_wire(register).index
+            paths = [w.index for w in register if w.index != pol]
+            for condition in map("".join, itertools.product("01*", repeat=n - 1)):
+                fixed = tuple((w, int(ch)) for w, ch in zip(paths, condition) if ch != "*")
+                for gate in kernel_gates(rng):
+                    got = controlled_on_path(gate, condition, register)
+                    assert_bits_equal(got, loop_placement(gate, pol, n, fixed))
+
+    def test_cnot_every_target(self):
+        for register in kernel_registers():
+            n = len(register)
+            pol = polarization_wire(register)
+            for target in register:
+                if target == pol:
+                    continue
+                assert_bits_equal(cnot_pol_path(pol, target, n),
+                                  loop_cnot(pol.index, target.index, n))
+
+
+class TestWiringConstants:
+    register = make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
+
+    def test_cnot_is_read_only(self):
+        m = cnot_pol_path(polarization_wire(self.register), self.register[0], 3)
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert cnot_pol_path(polarization_wire(self.register), self.register[0], 3) is m
+
+    def test_flat_positions_are_read_only(self):
+        block, ones = gates_mod._scatter_slots(3, 2, ((0, 1),))
+        for arr in (block, ones):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_placements_are_fresh_and_writable(self):
+        a = controlled_on_path(X, "1*", self.register)
+        a[0, 0] = 5.0
+        assert controlled_on_path(X, "1*", self.register)[0, 0] == 1.0
+        embed(X, 0, 3)[0, 0] = 5.0
+        assert embed(X, 0, 3)[0, 0] == 0.0
+
+
+def _cache_sizes():
+    """currsize of every lru_cache in gates and circuit, by name."""
+    sizes = {}
+    for mod in (gates_mod, circuit_mod):
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info"):
+                sizes[f"{obj.__module__}.{name}"] = obj.cache_info().currsize
+    return sizes
+
+
+def _random_point(rng):
+    u = rng.uniform
+    family = rng.integers(4)
+    if family == 0:
+        return DephasingParams(u())
+    if family == 1:
+        return GADParams(u(), u())
+    if family == 2:
+        return SGADParams(u(), u(), u(), u(), u(0, 2 * np.pi), u(0, 2 * np.pi), u())
+    lo, hi = sorted(u(size=2))
+    return PauliParams(u(), lo, hi - lo, 1.0 - hi)
+
+
+def _run_point(params, theta1):
+    for _ in channel_sweep([params], theta1=theta1):
+        pass
+    if isinstance(params, PauliParams):
+        build_pauli_lattice(params.p, params.q1, params.q2, params.q3, prep_theta=theta1)
+    else:
+        build_channel_lattice(params, theta1=theta1)
+
+
+def test_no_cache_is_keyed_by_an_angle_or_a_parameter():
+    rng = np.random.default_rng(500)
+    for params in (DephasingParams(0.3), GADParams(0.3, 0.6),
+                   SGADParams(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7), PauliParams(0.3, 0.2, 0.3, 0.5)):
+        _run_point(params, 0.4)
+    after_one = _cache_sizes()
+    assert len(after_one) >= 4 and all(after_one.values())
+    for _ in range(500):
+        _run_point(_random_point(rng), rng.uniform(0, np.pi))
+    assert _cache_sizes() == after_one

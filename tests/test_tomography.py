@@ -12,6 +12,7 @@ from krausloom.qmath import DensityMatrix, fidelity, validate_density
 from krausloom.tomography import (
     CountRecord,
     assert_informationally_complete,
+    hv_block_empty,
     linear_reconstruct,
     load_counts,
     ml_reconstruct,
@@ -181,6 +182,18 @@ class TestLinearReconstruct:
         records = simulate_counts(random_density(rng), shots=1000)[:15]
         with pytest.raises(InvalidArgument):
             linear_reconstruct(records)
+
+    def test_empty_hv_block_rejected(self, rng):
+        records = simulate_counts(random_density(rng), shots=1000)
+        emptied = [
+            CountRecord(r.setting_index, r.label, None, 0, r.total_shots)
+            if r.setting_index <= 4
+            else r
+            for r in records
+        ]
+        assert hv_block_empty(emptied) and not hv_block_empty(records)
+        with pytest.raises(InvalidArgument, match="H/V block"):
+            linear_reconstruct(emptied)
 
     def test_per_row_totals_supported(self, rng):
         rho = random_density(rng)
@@ -360,6 +373,22 @@ class TestMLOptimality:
         for shots, records, ml in ml_ensemble:
             reference = poisson_log_likelihood(diluted_rrr(records), records)
             assert poisson_log_likelihood(ml.rho.matrix, records) >= reference - 1e-9 * shots
+
+    def test_tiny_budgets_converge_with_or_without_the_hv_block(self):
+        # at 1 and 3 shots the H/V block is often empty; ML then starts from I/4
+        rng = np.random.default_rng(1313)
+        empty = 0
+        for shots in (1, 3):
+            for k in range(30):
+                records = simulate_counts(random_pure(rng).density(), shots=shots,
+                                          noise=True, seed=k)
+                empty += hv_block_empty(records)
+                ml = ml_reconstruct(records, tol=ML_TOL)
+                assert ml.converged and ml.iterations < 600
+                gap = frank_wolfe_gap(ml.rho.matrix, records)
+                assert gap <= ML_TOL * shots
+                assert ml.optimality_gap == pytest.approx(gap, abs=1e-3 * ML_TOL * shots)
+        assert 0 < empty < 60  # both starts are exercised
 
     def test_input_that_stalled_the_diluted_iteration_converges(self, capsys):
         from krausloom import cli
