@@ -1,6 +1,7 @@
 """The studies under scripts/, run in process at tiny sizes."""
 
 import csv
+import math
 import os
 import runpy
 import sys
@@ -50,3 +51,17 @@ def test_tomography_shots_study(monkeypatch, tmp_path, capsys):
     assert 0.0 <= float(rows[0]["max_ml_gap_per_shot"]) <= 1e-7
     assert not (tmp_path / "shots.csv.tmp").exists()
     assert "wrote" in capsys.readouterr().err
+
+
+def test_tomography_shots_study_at_one_shot(monkeypatch, tmp_path, capsys):
+    # one shot leaves most H/V blocks empty; ML still runs on every state
+    out = tmp_path / "shots.csv"
+    run_script(monkeypatch, "tomography_shots_study.py",
+               "--shots", "1", "--ensemble", "6", "--out", str(out))
+    rows = read_rows(out)
+    assert len(rows) == 1 and rows[0]["shots"] == "1"
+    assert float(rows[0]["ml_converged_share"]) == 1.0
+    assert 0.0 <= float(rows[0]["min_fid_ml"]) <= float(rows[0]["mean_fid_ml"]) <= 1.0
+    lin = float(rows[0]["mean_fid_linear"])
+    assert math.isnan(lin) or 0.0 <= lin <= 1.0
+    capsys.readouterr()
