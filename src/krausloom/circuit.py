@@ -23,10 +23,24 @@ displacers act on all modes at once while wave plates can be placed per mode:
 No two logical amplitudes ever share a (mode, polarization) slot, so the
 composite is manifestly unitary and the per-mode output polarization vectors
 can be read off directly.
+
+Composition
+-----------
+Every product of placements, whether a whole circuit, one stage, a run of
+lattice layers or a single placement, goes through one kernel: the
+rotations of all G placements come from one ``u3`` call on their stacked
+angles, all G matrices from one scatter into a copy of a zeroed template,
+and the matmul chain runs in layer order. The template and the flat
+positions depend on the wiring alone (register, kinds, wires, conditions
+and layer sizes). They are built, and every wiring check is run, once per
+wiring in a bounded cache that no angle or parameter keys. A circuit too
+long for one scatter of KERNEL_BYTES goes through in consecutive runs of
+layers; every channel lattice is one run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -48,9 +62,10 @@ from .gates import (
     Register,
     Role,
     U3Params,
+    _condition_slots,
+    _scatter_slots,
+    _wire_slots,
     cnot_pol_path,
-    controlled_on_path,
-    embed,
     finite_values,
     make_register,
     path_wires,
@@ -104,35 +119,73 @@ class GatePlacement:
 
 
 def placement_matrix(placement: GatePlacement, register: Register) -> np.ndarray:
-    n = len(register)
-    if any(w >= n for w in placement.wires):
-        raise InvalidArgument(f"placement wires {placement.wires} exceed register size {n}")
-    if placement.kind == "local-u3":
-        return embed(u3(placement.params), placement.wires[0], n)
-    if placement.kind == "cnot-pol-path":
-        control, target = placement.wires
-        return cnot_pol_path(register[control], register[target], n)
-    return controlled_on_path(u3(placement.params), placement.condition, register)
+    """The matrix of one placement: the lattice kernel on a one-placement layer."""
+    return _compose(register, [(placement,)])
 
 
-def _acted_wires(placement: GatePlacement, register: Register) -> set[int]:
-    if placement.kind == "path-conditioned-u3":
-        acted = {placement.wires[0]}
-        for ch, wire in zip(placement.condition, path_wires(register)):
+def _acted_wires(kind: str, wires: tuple[int, ...], condition, register: Register) -> set[int]:
+    if kind == "path-conditioned-u3":
+        acted = {wires[0]}
+        for ch, wire in zip(condition, path_wires(register)):
             if ch != "*":
                 acted.add(wire.index)
         return acted
-    return set(placement.wires)
+    return set(wires)
 
 
 def _check_disjoint(register: Register, layers) -> None:
+    """``layers`` holds each layer's (kind, wires, condition) triples."""
     for layer in layers:
         seen: set[int] = set()
-        for placement in layer:
-            acted = _acted_wires(placement, register)
+        for slot in layer:
+            acted = _acted_wires(*slot, register)
             if acted & seen:
                 raise InvalidArgument("placements within a layer must act on disjoint wires")
             seen |= acted
+
+
+@functools.lru_cache(maxsize=128)
+def _wiring(register: Register, sizes: tuple[int, ...], slots: tuple):
+    """Flat scatter positions of a run of layers, from its wiring alone.
+
+    ``sizes`` gives each layer's number of placements and ``slots`` every
+    placement's (kind, wires, condition), in order. All wiring checks run
+    here, once per wiring: disjoint layers, wires in range, the CNOT roles
+    and the path conditions. Returns (template, targets, sources), read-only:
+    template is the zeroed (G*d*d,) buffer of the G placement matrices with
+    all but the rotation entries written (every CNOT whole, the untouched
+    diagonal of every other placement), and entry sources[k] of the flat
+    (..., U*4) stack of the U rotations goes to position targets[k].
+    """
+    layers, at = [], 0
+    for size in sizes:
+        layers.append(slots[at:at + size])
+        at += size
+    _check_disjoint(register, layers)
+    n = len(register)
+    template = np.zeros((len(slots), 4**n), dtype=complex)
+    targets, sources = [], []
+    for g, (kind, wires, condition) in enumerate(slots):
+        if any(w >= n for w in wires):
+            raise InvalidArgument(f"placement wires {wires} exceed register size {n}")
+        if kind == "cnot-pol-path":
+            control, target = wires
+            template[g] = cnot_pol_path(register[control], register[target], n).ravel()
+            continue
+        if kind == "local-u3":
+            block, ones = _scatter_slots(*_wire_slots(wires[0], n))
+        else:
+            block, ones = _scatter_slots(*_condition_slots(condition, register))
+        template[g, ones] = 1.0
+        # rows of block are the (h,h), (h,v), (v,h), (v,v) slots: the rotation's flat entries
+        sources.append(np.broadcast_to(4 * len(targets) + np.arange(4)[:, None], block.shape))
+        targets.append(g * 4**n + block)
+    template = template.reshape(-1)
+    targets = np.concatenate([t.ravel() for t in targets]) if targets else np.zeros(0, dtype=int)
+    sources = np.concatenate([s.ravel() for s in sources]) if sources else np.zeros(0, dtype=int)
+    for arr in (template, targets, sources):
+        arr.flags.writeable = False
+    return template, targets, sources
 
 
 @dataclass(frozen=True)
@@ -153,7 +206,6 @@ class CircuitSpec:
             raise InvalidArgument("one stage tag per layer required")
         if any(s not in STAGES for s in stages):
             raise InvalidArgument(f"stage tags must be among {STAGES}")
-        _check_disjoint(register, layers)
         object.__setattr__(self, "register", register)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "stages", stages)
@@ -174,17 +226,63 @@ class CircuitSpec:
         return 2 ** len(self.register)
 
 
+KERNEL_BYTES = 1 << 18  # most placement-matrix bytes one scatter writes per point
+
+
 def _compose(register: Register, layers) -> np.ndarray:
     """Product of the layers' placement matrices, the first layer acting first.
 
-    Placements with stacked angles give a stack of products.
+    The lattice kernel: the placement matrices come from ``_placement_stack``
+    and the matmul chain runs in layer order. A circuit whose matrices fill
+    more than KERNEL_BYTES goes through in consecutive runs of layers, so the
+    buffers and the cached templates stay bounded whatever a circuit file
+    holds; every lattice is one run. Placements with stacked angles, shape
+    (B,), give a stack of products.
     """
+    d = 2 ** len(register)
     out = None
+    for run in _layer_runs(layers, max(1, KERNEL_BYTES // (16 * d * d))):
+        mats = _placement_stack(register, run)
+        for g in range(mats.shape[-3]):
+            out = mats[..., g, :, :] if out is None else mats[..., g, :, :] @ out
+    return np.eye(d, dtype=complex) if out is None else out
+
+
+def _layer_runs(layers, most: int):
+    """Consecutive layers in runs of at most ``most`` placements, or of one layer."""
+    run, size = [], 0
     for layer in layers:
-        for placement in layer:
-            m = placement_matrix(placement, register)
-            out = m if out is None else m @ out
-    return np.eye(2 ** len(register), dtype=complex) if out is None else out
+        if run and size + len(layer) > most:
+            yield run
+            run, size = [], 0
+        run.append(layer)
+        size += len(layer)
+    if run:
+        yield run
+
+
+def _placement_stack(register: Register, layers) -> np.ndarray:
+    """The G placement matrices of a run of layers, in order, shape (..., G, d, d):
+    one u3 call on the stacked angles of all rotations and one scatter into
+    a copy of the wiring's template."""
+    placements = [p for layer in layers for p in layer]
+    template, targets, sources = _wiring(
+        register, tuple(map(len, layers)), tuple([(p.kind, p.wires, p.condition) for p in placements])
+    )
+    rotations = [p.params for p in placements if p.params is not None]
+    if rotations:
+        angles = [[u.theta for u in rotations], [u.phi for u in rotations], [u.lam for u in rotations]]
+        if any(isinstance(a, np.ndarray) for column in angles for a in column):
+            angles = [np.stack(np.broadcast_arrays(*column), axis=-1) for column in angles]
+        entries = u3(U3Params(*angles))  # (..., U, 2, 2)
+        stack = entries.shape[:-3]
+        flat = np.empty(stack + template.shape, dtype=complex)
+        flat[...] = template
+        flat[..., targets] = entries.reshape(stack + (-1,))[..., sources]
+    else:
+        flat = template.copy()
+    d = 2 ** len(register)
+    return flat.reshape(flat.shape[:-1] + (len(placements), d, d))
 
 
 def layer_unitary(register: Register, layer: Sequence[GatePlacement]) -> np.ndarray:
@@ -653,7 +751,7 @@ BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sw
 
 def _is_stacked(placement: GatePlacement) -> bool:
     u = placement.params
-    return u is not None and any(np.ndim(a) for a in (u.theta, u.phi, u.lam))
+    return u is not None and any(isinstance(a, np.ndarray) for a in (u.theta, u.phi, u.lam))
 
 
 def _block_placement(placement: GatePlacement, start: int, stop: int) -> GatePlacement:
@@ -661,7 +759,7 @@ def _block_placement(placement: GatePlacement, start: int, stop: int) -> GatePla
     if not _is_stacked(placement):
         return placement
     u = placement.params
-    angles = (a[start:stop] if np.ndim(a) else a for a in (u.theta, u.phi, u.lam))
+    angles = (a[start:stop] if isinstance(a, np.ndarray) else a for a in (u.theta, u.phi, u.lam))
     return GatePlacement(placement.kind, placement.wires, U3Params(*angles), placement.condition)
 
 
@@ -685,7 +783,6 @@ class ChannelLattices:
         self.params = ParamStack(points)
         self.theta1 = theta1
         self.register, layers, _ = _channel_layers(self.params, theta1, "half-angle")
-        _check_disjoint(self.register, layers)
         self._segments = []  # a composed constant run (an ndarray), or one stacked layer
         run = []
         for layer in layers:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -33,6 +32,7 @@ from . import channels as channels_mod
 from . import tomography as tomo_mod
 from .errors import InternalConsistencyError, InvalidArgument, KrausloomError
 from .qmath import (
+    _json_text,
     density_to_payload,
     fidelity,
     load_json,
@@ -67,8 +67,7 @@ def _emit(payload: dict, fmt: str, path: str | None) -> None:
     if path:
         save_json(payload, path)
     else:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text(payload))
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]):
@@ -433,6 +432,17 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+def _command_index(argv: list[str]) -> int:
+    """Position of the subcommand in a parsed argv: the first token that is
+    neither a global option (-h, --config=X) nor the value of --config X or of
+    an abbreviation argparse accepts for it, such as --conf X."""
+    i = 0
+    while argv[i].startswith("-"):
+        flag = argv[i]
+        i += 2 if "=" not in flag and len(flag) > 2 and "--config".startswith(flag) else 1
+    return i
+
+
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv; with --config, parse again with the file's flags put right
     after the command, so a flag typed on the command line comes later and
@@ -443,7 +453,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
         argparse.ArgumentParser.error(*exc.args)  # usage and message, exit 2
     if not args.config:
         return args
-    at = argv.index(args.command) + 1
+    at = _command_index(argv) + 1
     try:
         return parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
     except _UsageError as exc:

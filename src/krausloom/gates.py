@@ -12,7 +12,9 @@ buffer: the gate's four entries go to the (h,h), (h,v), (v,h) and (v,v)
 positions of its slot pairs and 1.0 to the other diagonal slots. What
 depends on the wiring alone (those flat positions, the CNOT permutation
 matrices and each register's polarization and path wires) is built once
-per process and shared read-only. Nothing is cached by angle.
+per process and shared read-only. Nothing is cached by angle. The lattice
+kernel in ``circuit`` writes a whole run of placements from the same flat
+positions in one scatter.
 """
 
 from __future__ import annotations
@@ -111,13 +113,25 @@ class U3Params:
 def u3(params: U3Params) -> np.ndarray:
     """2x2 rotation [[cos(t/2), -e^{il} sin(t/2)], [e^{ip} sin(t/2), e^{i(l+p)} cos(t/2)]].
 
-    Array angles give a stack of rotations, shape (B, 2, 2).
+    Array angles give a stack of rotations, shape (B, 2, 2), each bit for bit
+    the rotation its angles give alone.
     """
     c = np.cos(params.theta / 2.0)
     s = np.sin(params.theta / 2.0)
     el = np.exp(1j * params.lam)
     ep = np.exp(1j * params.phi)
-    return matrix_2x2(c, -el * s, ep * s, el * ep * c)
+    return matrix_2x2(c, -el * s, ep * s, _product(el, ep) * c)
+
+
+def _product(x, y):
+    """x * y for complex x and y, each part rounded once, as numpy computes it
+    for a pair of scalars. numpy's vector loops fuse a complex product into
+    multiply-adds, which would make a stack of rotations differ from the same
+    rotations built one at a time in the last bit."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out if out.ndim else out[()]
 
 
 def matrix_2x2(a, b, c, d) -> np.ndarray:
@@ -188,15 +202,20 @@ def _check_gate(gate) -> np.ndarray:
     return gate
 
 
+def _wire_slots(wire: int | WireIndex, n: int):
+    """(n, wire index, no fixed bits) of a gate on one wire, checked."""
+    w = wire.index if isinstance(wire, WireIndex) else int(wire)
+    if not (0 <= w < n):
+        raise InvalidArgument(f"wire {w} out of range for register size {n}")
+    return n, w, ()
+
+
 def embed(gate: np.ndarray, wire: int | WireIndex, n: int) -> np.ndarray:
     """Act with a 2x2 gate on one wire of an n-qubit register, identity elsewhere.
 
     A stack of gates, shape (B, 2, 2), gives a stack of embeddings.
     """
-    w = wire.index if isinstance(wire, WireIndex) else int(wire)
-    if not (0 <= w < n):
-        raise InvalidArgument(f"wire {w} out of range for register size {n}")
-    return _scatter(_check_gate(gate), n, w)
+    return _scatter(_check_gate(gate), *_wire_slots(wire, n))
 
 
 def cnot_pol_path(control: WireIndex, target: WireIndex, n: int) -> np.ndarray:

@@ -330,8 +330,14 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _json_text(payload: dict) -> str:
+    """The JSON text of a payload, the same on stdout and in files. Private, so
+    that a traced run charges the encoding to the caller that writes it."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 def save_json(payload: dict, path: str) -> None:
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, _json_text(payload))
 
 
 def load_json(path: str) -> dict:

@@ -369,6 +369,14 @@ class TestConfigFile:
         assert err.startswith("usage: krausloom tomography")
         assert "argument --shots: invalid int value: 'ten'" in err
 
+    @pytest.mark.parametrize("config_flag", [["--config", "prepare"], ["--config=prepare"],
+                                             ["--conf", "prepare"]])
+    def test_config_file_named_like_the_command(self, tmp_path, monkeypatch, capsys, config_flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prepare").write_text(json.dumps({"theta1": 0.5}))
+        assert run(*config_flag, "prepare") == 0
+        assert json.loads(capsys.readouterr().out)["theta1"] == 0.5
+
     def test_malformed_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

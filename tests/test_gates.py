@@ -35,6 +35,15 @@ class TestU3:
         want = np.array([[1, -1j], [1j, -1]]) / np.sqrt(2)
         np.testing.assert_allclose(u3(U3Params(np.pi / 2, np.pi / 2, np.pi / 2)), want, atol=1e-15)
 
+    def test_stack_is_bit_for_bit_the_single_rotations(self):
+        rng = np.random.default_rng(37)
+        angles = rng.uniform(-10, 10, size=(3, 1000))
+        stacked = u3(U3Params(*angles))
+        shared = u3(U3Params(angles[0], 0.7, angles[2]))
+        for i, (theta, phi, lam) in enumerate(angles.T):
+            assert stacked[i].tobytes() == u3(U3Params(theta, phi, lam)).tobytes()
+            assert shared[i].tobytes() == u3(U3Params(theta, 0.7, lam)).tobytes()
+
     def test_unitary_for_1000_random_triples(self):
         rng = np.random.default_rng(1000)
         for _ in range(1000):

@@ -1,0 +1,377 @@
+"""The lattice kernel (``circuit._compose``) against the per-placement product.
+
+The reference builds every placement matrix on its own, with ``embed``,
+``controlled_on_path`` and ``cnot_pol_path``, and multiplies them in layer
+order, as lattices were composed before the kernel. Matrices must agree bit
+for bit, and invalid wirings must fail with the same error type and message.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from krausloom import circuit as circuit_mod
+from krausloom.channels import DephasingParams, GADParams, ParamStack, PauliParams, SGADParams
+from krausloom.circuit import (
+    ChannelLattices,
+    CircuitSpec,
+    GatePlacement,
+    ProductStateParams,
+    build_channel_lattice,
+    build_pauli_lattice,
+    circuit_from_payload,
+    circuit_to_payload,
+    circuit_unitary,
+    gad_experiment,
+    initial_state,
+    placement_matrix,
+    preparation_circuit,
+    stage_unitary,
+    traced_joint_state,
+)
+from krausloom.errors import InvalidArgument, InvalidState, InvalidWiring, KrausloomError
+from krausloom.gates import (
+    Role,
+    U3Params,
+    cnot_pol_path,
+    controlled_on_path,
+    embed,
+    make_register,
+    path_wires,
+    u3,
+)
+from krausloom.qmath import PureState
+
+
+def reference_matrix(placement, register):
+    n = len(register)
+    if any(w >= n for w in placement.wires):
+        raise InvalidArgument(f"placement wires {placement.wires} exceed register size {n}")
+    if placement.kind == "local-u3":
+        return embed(u3(placement.params), placement.wires[0], n)
+    if placement.kind == "cnot-pol-path":
+        control, target = placement.wires
+        return cnot_pol_path(register[control], register[target], n)
+    return controlled_on_path(u3(placement.params), placement.condition, register)
+
+
+def reference_check_disjoint(register, layers):
+    for layer in layers:
+        seen = set()
+        for p in layer:
+            acted = set(p.wires)
+            if p.kind == "path-conditioned-u3":
+                acted = {p.wires[0]} | {
+                    w.index for ch, w in zip(p.condition, path_wires(register)) if ch != "*"
+                }
+            if acted & seen:
+                raise InvalidArgument("placements within a layer must act on disjoint wires")
+            seen |= acted
+
+
+def reference_compose(register, layers):
+    reference_check_disjoint(register, layers)
+    out = None
+    for layer in layers:
+        for placement in layer:
+            m = reference_matrix(placement, register)
+            out = m if out is None else m @ out
+    return np.eye(2 ** len(register), dtype=complex) if out is None else out
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def random_point(rng, family):
+    u = rng.uniform
+    if family == "dephasing":
+        return DephasingParams(u())
+    if family == "gad":
+        return GADParams(u(), u())
+    if family == "sgad":
+        return SGADParams(u(), u(), u(), u(), u(0, 2 * np.pi), u(0, 2 * np.pi), u())
+    lo, hi = sorted(u(size=2))
+    return PauliParams(u(), lo, hi - lo, 1.0 - hi)
+
+
+FAMILIES = ("dephasing", "gad", "sgad", "pauli")
+
+
+def lattice_of(params, theta1, convention="half-angle"):
+    if isinstance(params, PauliParams):
+        return build_pauli_lattice(params.p, params.q1, params.q2, params.q3, prep_theta=theta1)
+    return build_channel_lattice(params, theta1=theta1, convention=convention)
+
+
+class TestAgainstPerPlacementProduct:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_lattice(self, family):
+        rng = np.random.default_rng(len(family))
+        for _ in range(25):
+            conventions = ("half-angle",) if family == "pauli" else ("half-angle", "experimental")
+            for convention in conventions:
+                lattice = lattice_of(random_point(rng, family), rng.uniform(0, np.pi), convention)
+                assert_bits(lattice.unitary, reference_compose(lattice.register, lattice.layers))
+                for stage in ("prepare", "evolve"):
+                    layers = [l for l, s in zip(lattice.layers, lattice.stages) if s == stage]
+                    assert_bits(stage_unitary(lattice, stage),
+                                reference_compose(lattice.register, layers))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lattice_corners(self, family):
+        # the boundary values where recipes clip angles or skip branches
+        corners = {
+            "dephasing": [DephasingParams(p) for p in (0.0, 1.0)],
+            "gad": [GADParams(p, a) for p in (0.0, 1.0) for a in (0.0, 1.0)],
+            "sgad": [SGADParams(x, x, x, x, 0.0, np.pi, a) for x in (0.0, 1.0) for a in (0.0, 1.0)],
+            "pauli": [PauliParams(1.0, 1.0, 0.0, 0.0), PauliParams(0.0, 0.0, 0.0, 1.0),
+                      PauliParams(0.5, 0.0, 1.0, 0.0)],
+        }[family]
+        for params in corners:
+            for theta1 in (0.0, np.pi / 2, np.pi):
+                lattice = lattice_of(params, theta1)
+                assert_bits(lattice.unitary, reference_compose(lattice.register, lattice.layers))
+
+    def test_preparation_circuit(self):
+        rng = np.random.default_rng(11)
+        for convention in ("half-angle", "experimental"):
+            for theta1, theta2 in list(rng.uniform(-7, 7, size=(30, 2))) + [(0.0, 0.0), (np.pi, np.pi)]:
+                circ = preparation_circuit(ProductStateParams(theta1, theta2, convention))
+                assert_bits(circ.unitary, reference_compose(circ.register, circ.layers))
+
+    def test_gad_experiment(self):
+        rng = np.random.default_rng(12)
+        for angles in [circuit_mod.REFERENCE_GAD_ANGLES] + list(rng.uniform(0, np.pi, size=(20, 3))):
+            t1, t2, t3 = (float(a) for a in angles)
+            params = GADParams(np.sin(2 * t3) ** 2, np.sin(2 * t2) ** 2)
+            lattice = build_channel_lattice(params, theta1=2 * t1, convention="experimental")
+            u = reference_compose(lattice.register, lattice.layers)
+            psi = initial_state(lattice)
+            want = traced_joint_state(PureState(u @ psi.amplitudes, psi.dims)).matrix
+            assert_bits(gad_experiment(t1, t2, t3).matrix, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_stacked_blocks(self, family, size):
+        rng = np.random.default_rng(size)
+        points = [random_point(rng, family) for _ in range(size + 3)]
+        theta1 = rng.uniform(0, np.pi)
+        register, layers, _ = circuit_mod._channel_layers(ParamStack(points), theta1, "half-angle")
+        lattices = ChannelLattices(points, theta1=theta1)
+        start, stop = 2, 2 + size
+        block = [[circuit_mod._block_placement(p, start, stop) for p in layer] for layer in layers]
+        stacked = [layer for layer in block if any(circuit_mod._is_stacked(p) for p in layer)]
+        assert stacked
+        # the kernel on every stacked layer, and on the whole block lattice at once
+        d = 2 ** len(register)
+        for layer in stacked:
+            got = circuit_mod._compose(register, [layer])
+            assert got.shape == (size, d, d)
+            assert_bits(got, reference_compose(register, [layer]))
+        assert_bits(circuit_mod._compose(register, block), reference_compose(register, block))
+        # ChannelLattices composes each constant run once and each stacked layer per block
+        segments, run = [], []
+        for layer in block:
+            if any(circuit_mod._is_stacked(p) for p in layer):
+                segments += ([run] if run else []) + [[layer]]
+                run = []
+            else:
+                run.append(layer)
+        segments += [run] if run else []
+        want = None
+        for segment in segments:
+            m = reference_compose(register, segment)
+            want = m if want is None else m @ want
+        assert_bits(np.ascontiguousarray(lattices.unitaries(start, stop)), want)
+
+    def test_random_circuit_files(self, tmp_path):
+        rng = np.random.default_rng(13)
+        for k in range(150):
+            payload = random_circuit_payload(rng)
+            path = tmp_path / f"c{k}.json"
+            path.write_text(json.dumps(payload))
+            circ = circuit_from_payload(json.loads(path.read_text()))
+            assert_bits(circ.unitary, reference_compose(circ.register, circ.layers))
+            again = circuit_from_payload(circuit_to_payload(circ))
+            assert_bits(again.unitary, circ.unitary)
+            for stage in ("prepare", "evolve", "project"):
+                layers = [l for l, s in zip(circ.layers, circ.stages) if s == stage]
+                assert_bits(stage_unitary(circ, stage), reference_compose(circ.register, layers))
+                through = [l for l, s in zip(circ.layers, circ.stages)
+                           if s in circuit_mod.STAGES[:circuit_mod.STAGES.index(stage) + 1]]
+                assert_bits(np.asarray(circuit_unitary(circ, stage)),
+                            reference_compose(circ.register, through))
+
+    def test_long_circuit_goes_through_in_runs(self):
+        rng = np.random.default_rng(17)
+        payload = random_circuit_payload(rng)
+        while len(payload["register"]) != 4:
+            payload = random_circuit_payload(rng)
+        for _ in range(40):
+            payload["layers"] += random_circuit_payload(rng, payload["register"])["layers"]
+        payload["stages"] = ["evolve"] * len(payload["layers"])
+        circ = circuit_from_payload(payload)
+        most = circuit_mod.KERNEL_BYTES // (16 * circ.dim**2)
+        runs = list(circuit_mod._layer_runs(circ.layers, most))
+        assert len(runs) > 2
+        assert all(sum(map(len, run)) <= most for run in runs)
+        assert [layer for run in runs for layer in run] == list(circ.layers)
+        assert_bits(circ.unitary, reference_compose(circ.register, circ.layers))
+
+    def test_placement_matrix_is_the_one_placement_case(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            payload = random_circuit_payload(rng)
+            circ = circuit_from_payload(payload)
+            for layer in circ.layers:
+                for p in layer:
+                    got = placement_matrix(p, circ.register)
+                    assert_bits(np.ascontiguousarray(got), reference_matrix(p, circ.register))
+                    got[0, 0] = 7.0  # a fresh, writable matrix, even for a CNOT
+
+    def test_empty_circuit_is_the_identity(self):
+        register = make_register("system-path", "polarization")
+        circ = CircuitSpec(register, [(), ()], ["evolve", "evolve"])
+        assert_bits(circ.unitary, np.eye(4, dtype=complex))
+
+
+def random_circuit_payload(rng, roles=None):
+    """A valid circuit file: 2-4 wires, polarization anywhere, disjoint layers."""
+    if roles is None:
+        n = int(rng.integers(2, 5))
+        pol = int(rng.integers(n))
+        roles = [Role.POLARIZATION.value if w == pol else
+                 str(rng.choice([Role.SYSTEM_PATH.value, Role.ENVIRONMENT_PATH.value,
+                                 Role.RESERVOIR_PATH.value]))
+                 for w in range(n)]
+    n, pol = len(roles), roles.index(Role.POLARIZATION.value)
+    paths = [w for w in range(n) if w != pol]
+    layers = []
+    for _ in range(int(rng.integers(0, 9))):
+        layer, used = [], set()
+        for _ in range(int(rng.integers(1, 4))):
+            kind = str(rng.choice(circuit_mod.GATE_KINDS))
+            angles = {"theta": float(rng.uniform(-10, 10)), "phi": float(rng.uniform(-10, 10)),
+                      "lambda": float(rng.uniform(-10, 10))}
+            if kind == "local-u3":
+                wire = int(rng.integers(n))
+                entry, acted = {"kind": kind, "wires": [wire], **angles}, {wire}
+            elif kind == "cnot-pol-path":
+                target = int(rng.choice(paths))
+                entry, acted = {"kind": kind, "wires": [pol, target]}, {pol, target}
+            else:
+                condition = "".join(rng.choice(list("01*"), size=len(paths)))
+                acted = {pol} | {w for ch, w in zip(condition, paths) if ch != "*"}
+                entry = {"kind": kind, "wires": [pol], "condition": condition, **angles}
+            if acted & used:
+                continue
+            used |= acted
+            layer.append(entry)
+        layers.append(layer)
+    stages = [str(rng.choice(circuit_mod.STAGES)) for _ in layers]
+    return {"register": roles, "layers": layers, "stages": stages}
+
+
+SYS, ENV, POL = Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION
+REG = make_register(SYS, ENV, POL)
+X = U3Params(np.pi, 0.0, np.pi)
+
+BAD_LAYERS = {
+    "cnot control not polarization": [(GatePlacement("cnot-pol-path", (0, 1)),)],
+    "cnot target not a path wire": [(GatePlacement("cnot-pol-path", (2, 2)),)],
+    "wire beyond the register": [(GatePlacement("local-u3", (3,), X),)],
+    "negative wire": [(GatePlacement("local-u3", (-1,), X),)],
+    "cnot wire beyond the register": [(GatePlacement("cnot-pol-path", (2, 5)),)],
+    "condition too short": [(GatePlacement("path-conditioned-u3", (2,), X, "1"),)],
+    "condition too long": [(GatePlacement("path-conditioned-u3", (2,), X, "1*0"),)],
+    "condition character": [(GatePlacement("path-conditioned-u3", (2,), X, "1x"),)],
+    "overlapping placements": [(GatePlacement("local-u3", (0,), X),
+                                GatePlacement("path-conditioned-u3", (2,), X, "1*"))],
+    "overlap before a bad wire": [(GatePlacement("cnot-pol-path", (2, 0)),),
+                                  (GatePlacement("local-u3", (7,), X), GatePlacement("local-u3", (7,), X))],
+    "bad condition after good layers": [(GatePlacement("local-u3", (0,), X),),
+                                   (GatePlacement("cnot-pol-path", (2, 0)),),
+                                   (GatePlacement("path-conditioned-u3", (2,), X, "01*"),)],
+}
+
+
+class TestInvalidWirings:
+    @pytest.mark.parametrize("case", sorted(BAD_LAYERS))
+    def test_same_error_as_the_per_placement_product(self, case):
+        layers = BAD_LAYERS[case]
+        with pytest.raises(KrausloomError) as want:
+            reference_compose(REG, layers)
+        for build in (lambda: CircuitSpec(REG, layers, ["evolve"] * len(layers)),
+                      lambda: circuit_mod._compose(REG, layers)):
+            with pytest.raises(KrausloomError) as got:
+                build()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+    def test_error_types(self):
+        for case, error in [("cnot control not polarization", InvalidWiring),
+                            ("cnot target not a path wire", InvalidWiring),
+                            ("condition too short", InvalidWiring),
+                            ("condition character", InvalidArgument),
+                            ("wire beyond the register", InvalidArgument),
+                            ("negative wire", InvalidArgument),
+                            ("overlapping placements", InvalidArgument)]:
+            with pytest.raises(error):
+                CircuitSpec(REG, BAD_LAYERS[case], ["evolve"] * len(BAD_LAYERS[case]))
+
+    def test_single_bad_placement(self):
+        for case in ("cnot control not polarization", "wire beyond the register", "condition character"):
+            (placement,) = BAD_LAYERS[case][0]
+            with pytest.raises(KrausloomError) as want:
+                reference_matrix(placement, REG)
+            with pytest.raises(KrausloomError) as got:
+                placement_matrix(placement, REG)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_bad_wiring_is_not_cached(self):
+        layers = BAD_LAYERS["cnot control not polarization"]
+        for _ in range(3):
+            with pytest.raises(InvalidWiring):
+                CircuitSpec(REG, layers, ["evolve"])
+
+
+class TestWiringCache:
+    def test_bounded(self):
+        maxsize = circuit_mod._wiring.cache_info().maxsize
+        assert maxsize is not None
+        rng = np.random.default_rng(15)
+        wirings = set()
+        while len(wirings) < 2 * maxsize:
+            wires = tuple(int(w) for w in rng.integers(0, 2, size=9))
+            wirings.add(wires)
+        for wires in wirings:
+            CircuitSpec(REG, [(GatePlacement("local-u3", (w,), X),) for w in wires], ["evolve"] * 9)
+            assert circuit_mod._wiring.cache_info().currsize <= maxsize
+        assert circuit_mod._wiring.cache_info().currsize == maxsize
+
+    def test_constants_are_read_only(self):
+        lattice = build_channel_lattice(GADParams(0.3, 0.6))
+        sizes = tuple(len(layer) for layer in lattice.layers)
+        slots = tuple((p.kind, p.wires, p.condition) for layer in lattice.layers for p in layer)
+        for arr in circuit_mod._wiring(lattice.register, sizes, slots):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_one_entry_per_wiring_not_per_angle(self):
+        rng = np.random.default_rng(16)
+        build_channel_lattice(GADParams(0.2, 0.4))
+        before = circuit_mod._wiring.cache_info()
+        for _ in range(50):
+            build_channel_lattice(GADParams(rng.uniform(), rng.uniform()), theta1=rng.uniform(0, 3))
+        after = circuit_mod._wiring.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses and after.hits == before.hits + 50
+
+
+def test_composition_keeps_its_unitarity_check(monkeypatch):
+    monkeypatch.setattr(circuit_mod, "unitarity_residual", lambda u: 1.0)
+    with pytest.raises(InvalidState, match="^layer composition unitarity residual 1.000e"):
+        build_channel_lattice(DephasingParams(0.3))

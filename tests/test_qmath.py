@@ -283,6 +283,21 @@ class TestAtomicWrite:
         assert path.read_text() == json.dumps(payload, sort_keys=True, indent=1) + "\n"
         assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
 
+    def test_stdout_and_file_share_one_json_text(self, tmp_path, capsys):
+        from krausloom.cli import _emit
+
+        payload = {"b": [0.1, 1e-17, -0.0], "a": {"z": 1, "y": "s\u00e9"}, "c": [[1.5, 2], []]}
+        want = (
+            '{\n "a": {\n  "y": "s\\u00e9",\n  "z": 1\n },\n "b": [\n  0.1,\n  1e-17,\n  -0.0\n ],'
+            '\n "c": [\n  [\n   1.5,\n   2\n  ],\n  []\n ]\n}\n'
+        )
+        _emit(payload, "json", None)
+        assert capsys.readouterr().out == want
+        for write in (lambda path: _emit(payload, "json", path), lambda path: save_json(payload, path)):
+            path = tmp_path / "p.json"
+            write(str(path))
+            assert path.read_bytes() == want.encode()
+
     def test_failed_write_leaves_old_file(self, tmp_path):
         path = tmp_path / "out.txt"
         write_atomic(str(path), "old\n")
