@@ -2,8 +2,10 @@
 """Sweep the channel parameter for each lattice and record what decays.
 
 Writes one CSV row per (channel, p): surviving system coherence |rho_01|,
-ground population, and the lattice/Kraus cross-check deviation. Handy for
-plotting decay curves against the closed-form expectations.
+ground population, and the lattice/Kraus cross-check. That column is the
+whole-channel gap: the largest entrywise difference between the lattice's
+and the Kraus set's Choi matrices, or between their outputs on the prepared
+qubit. Handy for plotting decay curves against the closed-form expectations.
 """
 
 import argparse

@@ -17,11 +17,11 @@ from .channels import (
     bloch_vector,
     channel_action_distance,
     channel_kraus,
+    choi,
     completeness_residual,
     dephasing_kraus,
     gad_kraus,
     kraus_apply,
-    kraus_from_unitary,
     pauli_kraus,
     sgad_kraus,
 )
@@ -34,8 +34,6 @@ from .circuit import (
     ProductStateParams,
     build_channel_lattice,
     build_pauli_lattice,
-    channel_transition_maps,
-    channel_unitary,
     circuit_from_payload,
     circuit_to_payload,
     circuit_unitary,

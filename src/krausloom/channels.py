@@ -1,9 +1,10 @@
-"""Kraus-formalism engine: channel constructors, application, and extraction.
+"""Kraus-formalism engine: channel constructors, application, Choi matrices.
 
 The four channel families map onto the interferometer lattices in
 ``circuit``; here they live as operator sets acting on a single qubit.
-Kraus sets are compared by channel action, never by operator lists, since
-the operator representation is basis dependent.
+Channels are compared by their Choi matrices (``choi``), never by operator
+lists, since the operator representation is basis dependent; the lattices
+are certified against their Kraus sets the same way.
 """
 
 from __future__ import annotations
@@ -288,45 +289,6 @@ def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:
     return ops, labels
 
 
-def kraus_from_unitary(u: np.ndarray, env_weights: tuple[float, float]) -> KrausSet:
-    """Extract operators M_ij = sqrt(gamma_j) <i|U|j> from a joint system-bath map.
-
-    ``u`` acts on system (x) environment, both qubits, environment the right
-    (faster-varying) factor; i and j index environment output and input.
-    Completeness only needs each environment-input column of ``u`` to be an
-    isometry from the system into the joint space, which is weaker than
-    unitarity; polarization-tagged lattice maps satisfy the former but not
-    always the latter, so that is what gets checked.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise InvalidArgument(f"expected a 4x4 joint map, got {u.shape}")
-    g0, g1 = float(env_weights[0]), float(env_weights[1])
-    if g0 < 0 or g1 < 0 or abs(g0 + g1 - 1.0) > 1e-12:
-        raise InvalidArgument(f"environment weights must be normalized, got ({g0}, {g1})")
-
-    blocks = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            # <s' i|U|s j> laid out as a 2x2 system operator
-            blocks[i, j] = np.array(
-                [[u[2 * sp + i, 2 * s + j] for s in (0, 1)] for sp in (0, 1)], dtype=complex
-            )
-    for j in (0, 1):
-        iso = dagger(blocks[0, j]) @ blocks[0, j] + dagger(blocks[1, j]) @ blocks[1, j]
-        res = float(np.linalg.norm(iso - np.eye(2)))
-        if res > structural_atol():
-            raise InvalidChannel(
-                f"environment-input column {j} is not an isometry (residual {res:.3e})"
-            )
-    ops, labels = [], []
-    for i in (0, 1):
-        for j in (0, 1):
-            ops.append(math.sqrt((g0, g1)[j]) * blocks[i, j])
-            labels.append(f"M{i}{j}")
-    return KrausSet(tuple(ops), tuple(labels))
-
-
 def bloch_vector(rho) -> tuple[float, float, float]:
     """(Tr rho sigma_x, Tr rho sigma_y, Tr rho sigma_z) for a qubit state."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
@@ -339,11 +301,17 @@ def bloch_vector(rho) -> tuple[float, float, float]:
     )
 
 
-def _choi(k: KrausSet) -> np.ndarray:
-    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|), shape (d*d, d*d)."""
-    ops = np.asarray(k.operators)
-    d = k.dim
-    return np.einsum("mai,mbj->iajb", ops, ops.conj()).reshape(d * d, d * d)
+def choi(ops) -> np.ndarray:
+    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|) of the channel with Kraus
+    operators ``ops``, shape (..., k, d, d), as an array of shape (..., d*d, d*d).
+
+    J[(i, a), (j, b)] = sum_mu <a|M_mu|i> <b|M_mu|j>^*: with the operators laid
+    out as M[(i, a), mu], J = M M^dagger.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    k, d = ops.shape[-3], ops.shape[-1]
+    m = ops.swapaxes(-1, -3).reshape(ops.shape[:-3] + (d * d, k))
+    return m @ dagger(m)
 
 
 def channel_action_distance(k1: KrausSet, k2: KrausSet) -> float:
@@ -351,7 +319,7 @@ def channel_action_distance(k1: KrausSet, k2: KrausSet) -> float:
     the largest gap between their actions on the basis |i><j|."""
     if k1.dim != k2.dim:
         raise InvalidArgument("channels act on different dimensions")
-    return float(np.max(np.abs(_choi(k1) - _choi(k2))))
+    return float(np.max(np.abs(choi(k1.operators) - choi(k2.operators))))
 
 
 def kraus_set_to_payload(k: KrausSet) -> dict:

@@ -55,9 +55,10 @@ from .channels import (
     PauliParams,
     SGADParams,
     apply_operators,
+    choi,
     kraus_stack,
 )
-from .errors import InvalidArgument, InvalidState, KrausloomError
+from .errors import InvalidArgument, InvalidState, InvalidWiring, KrausloomError
 from .gates import (
     Register,
     Role,
@@ -150,8 +151,9 @@ def _wiring(register: Register, sizes: tuple[int, ...], slots: tuple):
 
     ``sizes`` gives each layer's number of placements and ``slots`` every
     placement's (kind, wires, condition), in order. All wiring checks run
-    here, once per wiring: disjoint layers, wires in range, the CNOT roles
-    and the path conditions. Returns (template, targets, sources), read-only:
+    here, once per wiring: disjoint layers, wires in range, the CNOT roles,
+    the polarization target of every path-conditioned rotation and the path
+    conditions. Returns (template, targets, sources), read-only:
     template is the zeroed (G*d*d,) buffer of the G placement matrices with
     all but the rotation entries written (every CNOT whole, the untouched
     diagonal of every other placement), and entry sources[k] of the flat
@@ -169,12 +171,18 @@ def _wiring(register: Register, sizes: tuple[int, ...], slots: tuple):
         if any(w >= n for w in wires):
             raise InvalidArgument(f"placement wires {wires} exceed register size {n}")
         if kind == "cnot-pol-path":
+            if min(wires) < 0:  # register[-1] would name the last wire
+                raise InvalidArgument(f"placement wires {wires} must be nonnegative")
             control, target = wires
             template[g] = cnot_pol_path(register[control], register[target], n).ravel()
             continue
         if kind == "local-u3":
             block, ones = _scatter_slots(*_wire_slots(wires[0], n))
         else:
+            if wires[0] != polarization_wire(register).index:
+                raise InvalidWiring(
+                    f"path-conditioned-u3 must target the polarization wire, got wire {wires[0]}"
+                )
             block, ones = _scatter_slots(*_condition_slots(condition, register))
         template[g, ones] = 1.0
         # rows of block are the (h,h), (h,v), (v,h), (v,v) slots: the rotation's flat entries
@@ -283,10 +291,6 @@ def _placement_stack(register: Register, layers) -> np.ndarray:
         flat = template.copy()
     d = 2 ** len(register)
     return flat.reshape(flat.shape[:-1] + (len(placements), d, d))
-
-
-def layer_unitary(register: Register, layer: Sequence[GatePlacement]) -> np.ndarray:
-    return _compose(register, [layer])
 
 
 def _stage_layers(circuit: CircuitSpec, wanted) -> list:
@@ -453,36 +457,44 @@ def thermal_weights(
     return (w1, 1.0 - w1)
 
 
+def _encode(system, alpha2_sq, n_wires: int) -> np.ndarray:
+    """Lattice inputs: system amplitudes (..., 2) on the first wire, the rest
+    of the register in a2|0...00, H> + b2|0...01, V>, a2 = sqrt(alpha2_sq).
+
+    On the 3-qubit lattices that is environment ground H and excited V, so
+    tracing polarization leaves rho_S (x) diag(alpha2_sq, 1 - alpha2_sq);
+    alpha2_sq = 1 is the reservoir ground state of the Pauli lattice. Stacked
+    weights (...,) give stacked inputs, shape (..., 2**n_wires).
+    """
+    rest = np.zeros(np.shape(alpha2_sq) + (2 ** (n_wires - 1),), dtype=complex)
+    rest[..., 0b00] = np.sqrt(alpha2_sq)
+    rest[..., 0b11] = np.sqrt(1.0 - alpha2_sq)
+    vec = system[..., :, None] * rest[..., None, :]
+    return vec.reshape(vec.shape[:-2] + (-1,))
+
+
+def _system_qubit(system_amplitudes) -> np.ndarray:
+    a, b = (complex(c) for c in system_amplitudes)
+    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+        raise InvalidArgument("system amplitudes must be normalized")
+    return np.array([a, b])
+
+
 def encode_joint_state(system_amplitudes, alpha2_sq: float) -> PureState:
     """Encode an arbitrary system qubit against a thermal environment.
 
     Produces a a2|e=0>|H> + b2|e=1>|V> dressing of the given system qubit:
     tracing polarization leaves rho_S (x) diag(alpha2_sq, 1 - alpha2_sq).
     """
-    a, b = (complex(c) for c in system_amplitudes)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-        raise InvalidArgument("system amplitudes must be normalized")
+    system = _system_qubit(system_amplitudes)
     if not (0.0 <= alpha2_sq <= 1.0):
         raise InvalidArgument(f"alpha2_sq must lie in [0, 1], got {alpha2_sq}")
-    a2 = math.sqrt(alpha2_sq)
-    b2 = math.sqrt(1.0 - alpha2_sq)
-    vec = np.zeros(8, dtype=complex)
-    vec[0b000] = a * a2  # |s=0, e=0, H>
-    vec[0b011] = a * b2  # |s=0, e=1, V>
-    vec[0b100] = b * a2
-    vec[0b111] = b * b2
-    return PureState(vec, (2, 2, 2))
+    return PureState(_encode(system, alpha2_sq, 3), (2, 2, 2))
 
 
 def encode_reservoir_state(system_amplitudes) -> PureState:
     """System qubit against the 4-level reservoir ground state, H polarized."""
-    a, b = (complex(c) for c in system_amplitudes)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-        raise InvalidArgument("system amplitudes must be normalized")
-    vec = np.zeros(16, dtype=complex)
-    vec[0b0000] = a
-    vec[0b1000] = b
-    return PureState(vec, (2, 2, 2, 2))
+    return PureState(_encode(_system_qubit(system_amplitudes), 1.0, 4), (2, 2, 2, 2))
 
 
 # -- channel lattices -----------------------------------------------------------
@@ -578,43 +590,36 @@ def sgad_caption_angles(params: SGADParams) -> dict[str, float]:
     }
 
 
-def _channel_layers(params, theta1: float, convention: str):
-    """(register, layers, stages) of one family's preparation plus evolve lattice.
+def _evolve_layers(params):
+    """(register, evolve layers, environment ground weight) of one family's lattice.
 
     ``params`` is one parameter record or a ParamStack; a stacked field gives
-    stacked angles wherever it enters.
+    stacked angles wherever it enters. The weight is what the preparation
+    (or ``_encode``) puts into the environment's ground mode; the dephasing
+    environment and the Pauli reservoir start in their ground state.
     """
     family = params.family if isinstance(params, ParamStack) else type(params)
     if family is PauliParams:
-        return _pauli_layers(params, theta1)
+        return pauli_register(), _pauli_evolve_layers(params), 1.0
     register = channel_register()
     if family is DephasingParams:
-        alpha2_sq = 1.0
-        lattice = _dephasing_layers(register, params.p)
-    elif family is GADParams:
-        alpha2_sq = params.alpha2_sq
+        return register, _dephasing_layers(register, params.p), 1.0
+    if family is GADParams:
         sp, sq = np.sqrt(params.p), np.sqrt(1 - params.p)
-        lattice = _pair_swap_layers(register, {
+        return register, _pair_swap_layers(register, {
             "00": ModeTransition(1.0, 0.0),
             "10": ModeTransition(sq, sp),
             "01": ModeTransition(sq, sp),
             "11": ModeTransition(1.0, 0.0),
-        })
-    elif family is SGADParams:
-        alpha2_sq = params.alpha2_sq
-        lattice = _pair_swap_layers(register, {
+        }), params.alpha2_sq
+    if family is SGADParams:
+        return register, _pair_swap_layers(register, {
             "00": ModeTransition(np.sqrt(1 - params.alpha), np.sqrt(params.alpha), -params.phi),
             "10": ModeTransition(np.sqrt(1 - params.beta), np.sqrt(params.beta)),
             "01": ModeTransition(np.sqrt(1 - params.mu), np.sqrt(params.mu), -params.lam),
             "11": ModeTransition(np.sqrt(1 - params.nu), np.sqrt(params.nu)),
-        })
-    else:
-        raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
-
-    prep = ProductStateParams(theta1, _theta2_for_weight(alpha2_sq, convention), convention)
-    layers = _preparation_layers(*prep.amplitudes(), register)
-    stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
-    return register, layers + lattice, stages
+        }), params.alpha2_sq
+    raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
 
 
 def _lattice_metadata(params: ChannelParams, theta1: float, convention: str) -> dict:
@@ -650,13 +655,21 @@ def build_channel_lattice(
     theta1: float = math.pi / 2,
     convention: str = "half-angle",
 ) -> CircuitSpec:
-    """Preparation plus evolve lattice for one of the two-qubit channels.
+    """Preparation plus evolve lattice for one of the channels.
 
     theta1 sets the system preparation rotation; the environment rotation is
-    dictated by the channel's bath weights (ground state for dephasing).
+    dictated by the channel's bath weights (ground state for dephasing). The
+    Pauli lattice prepares its system qubit in the half-angle convention.
     """
-    register, layers, stages = _channel_layers(params, theta1, convention)
-    return CircuitSpec(register, layers, stages, _lattice_metadata(params, theta1, convention))
+    register, lattice, alpha2_sq = _evolve_layers(params)
+    if isinstance(params, PauliParams):
+        layers = _pauli_preparation_layers(register, theta1)
+    else:
+        prep = ProductStateParams(theta1, _theta2_for_weight(alpha2_sq, convention), convention)
+        layers = _preparation_layers(*prep.amplitudes(), register)
+    stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
+    return CircuitSpec(register, layers + lattice, stages,
+                       _lattice_metadata(params, theta1, convention))
 
 
 def _theta2_for_weight(alpha2_sq, convention: str):
@@ -684,32 +697,33 @@ def build_pauli_lattice(
     p: float, q1: float, q2: float, q3: float, *, prep_theta: float = math.pi / 2
 ) -> CircuitSpec:
     """Lattice coupling one system qubit to a 4-level reservoir."""
-    params = PauliParams(p, q1, q2, q3)
-    register, layers, stages = _pauli_layers(params, prep_theta)
-    meta = _lattice_metadata(params, prep_theta, "half-angle")
-    return CircuitSpec(register, layers, stages, meta)
+    return build_channel_lattice(PauliParams(p, q1, q2, q3), theta1=prep_theta)
 
 
-def _pauli_layers(params, prep_theta: float):
-    """(register, layers, stages) of the Pauli lattice.
-
-    The evolve stage splits each of the two H-polarized input modes into its
-    stay amplitude and three double-flip transitions, one sqrt(p q_i) branch
-    per round; signs and the i factors ride on the tag phases.
-    """
+def _pauli_preparation_layers(register: Register, prep_theta: float):
+    """Layers taking |000>|H> to (cos(prep_theta/2)|000> + sin(prep_theta/2)|100>)|H>."""
     prep_theta = finite_values("prep_theta", prep_theta)
+    pol = polarization_wire(register).index
+    a, b = math.cos(prep_theta / 2), math.sin(prep_theta / 2)
+    return [
+        (GatePlacement("local-u3", (pol,), U3Params(2 * math.atan2(b, a), 0.0, math.pi)),),
+        (GatePlacement("cnot-pol-path", (pol, register[0].index)),),
+        (GatePlacement("path-conditioned-u3", (pol,), _X, "1**"),),
+    ]
+
+
+def _pauli_evolve_layers(params):
+    """Evolve layers of the Pauli lattice.
+
+    Each of the two H-polarized input modes splits into its stay amplitude
+    and three double-flip transitions, one sqrt(p q_i) branch per round;
+    signs and the i factors ride on the tag phases.
+    """
     t1, t2, t3 = pauli_caption_angles(params.p, params.q1, params.q2, params.q3)
     register = pauli_register()
     pol = polarization_wire(register).index
     s, r1, r2 = (w.index for w in path_wires(register))
-
-    a, b = math.cos(prep_theta / 2), math.sin(prep_theta / 2)
-    layers = [
-        (GatePlacement("local-u3", (pol,), U3Params(2 * math.atan2(b, a), 0.0, math.pi)),),
-        (GatePlacement("cnot-pol-path", (pol, s)),),
-        (GatePlacement("path-conditioned-u3", (pol,), _X, "1**"),),
-    ]
-    stages = ["prepare"] * len(layers)
+    layers = []
 
     # absolute branch amplitudes from the knob angles
     m_q1 = np.cos(t1) * np.cos(t2)
@@ -739,9 +753,7 @@ def _pauli_layers(params, prep_theta: float):
         for mode in arrivals:
             layers.append((GatePlacement("path-conditioned-u3", (pol,), _X, mode),))
         remaining = remaining * stay
-
-    stages += ["evolve"] * (len(layers) - len(stages))
-    return register, layers, stages
+    return layers
 
 
 # -- batched lattices --------------------------------------------------------------
@@ -771,18 +783,27 @@ def _first_failure(bad: np.ndarray, start: int, message) -> None:
 
 
 class ChannelLattices:
-    """The lattices of one channel family over a sequence of parameter points.
+    """The evolve stages of one channel family's lattices over a sequence of
+    parameter points, each read as a channel on the system qubit.
 
-    The layer recipes run once, on the points' stacked angles (half-angle
-    convention, as in build_channel_lattice's default). Each run of layers
-    whose angles agree at every point is composed here, once; the layers
-    whose angles vary are built and composed per block of points.
+    The layer recipes run once, on the points' stacked angles. Each run of
+    layers whose angles agree at every point is composed here, once; the
+    layers whose angles vary are built and composed per block of points.
+    No preparation is built: each block's composition acts on the two
+    encoded system basis inputs, |0> and |1> against the environment, and
+    those two output columns give each point's Choi matrix. Their
+    combination a1 col0 + b1 col1 is the output on the qubit that theta1
+    prepares (half-angle convention, as in build_channel_lattice's default).
     """
 
     def __init__(self, points: Sequence[ChannelParams], *, theta1: float = math.pi / 2):
         self.params = ParamStack(points)
         self.theta1 = theta1
-        self.register, layers, _ = _channel_layers(self.params, theta1, "half-angle")
+        half = finite_values("theta1", theta1) / 2
+        self.system_input = np.array([np.cos(half), np.sin(half)])  # (a1, b1)
+        self.register, layers, alpha2_sq = _evolve_layers(self.params)
+        inputs = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(self.register))
+        self._inputs = np.broadcast_to(inputs, (len(self),) + inputs.shape[-2:])  # (B, 2, d)
         self._segments = []  # a composed constant run (an ndarray), or one stacked layer
         run = []
         for layer in layers:
@@ -804,7 +825,7 @@ class ChannelLattices:
         return _lattice_metadata(self.params.points[i], self.theta1, "half-angle")
 
     def unitaries(self, start: int, stop: int) -> np.ndarray:
-        """Composed lattice unitaries of points start..stop-1, shape (stop - start, d, d)."""
+        """Composed evolve-stage unitaries of points start..stop-1, shape (stop - start, d, d)."""
         out = None
         for seg in self._segments:
             if not isinstance(seg, np.ndarray):
@@ -812,64 +833,73 @@ class ChannelLattices:
             out = seg if out is None else seg @ out
         return np.broadcast_to(out, (stop - start,) + out.shape[-2:])
 
-    def system_states(self, start: int, stop: int) -> np.ndarray:
-        """Reduced system states of points start..stop-1, shape (stop - start, 2, 2),
-        after each lattice acts on the initial photon.
+    def outputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Choi matrices, shape (stop - start, 4, 4), and reduced system states
+        after the qubit theta1 prepares, shape (stop - start, 2, 2), of points
+        start..stop-1.
 
         Each point gets the checks of the per-point path: the composed
-        unitarity residual, the evolved state's norm, the joint density and
+        unitarity residual, the output state's norm, the joint density and
         the traced density (Hermiticity and trace).
         """
         u = self.unitaries(start, stop)
         res = unitarity_residual(u)
         _first_failure(res > structural_atol(), start,
                        lambda i: f"layer composition unitarity residual {res[i]:.3e}")
-        psi = u[..., 0]  # the initial photon |0...0> is the first basis vector
+        cols = self._inputs[start:stop] @ u.swapaxes(-1, -2)  # row i: U on the encoded |i>
+        psi = self.system_input @ cols
         norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
         _first_failure(norm_dev > ATOL_ARITHMETIC, start,
                        lambda i: f"state norm deviates from 1 by {norm_dev[i]:.3e}")
         check_densities(psi[:, :, None] * psi[:, None, :].conj(), first_index=start)
-        amps = psi.reshape(len(psi), 2, -1)  # system wire first, the rest traced out
+        # the system wire first, the rest traced out; E(|i><j|)[a, b] is
+        # sum_r out_i[a, r] out_j[b, r]^*, so J = M M^dagger with rows (i, a)
+        amps = psi.reshape(len(psi), 2, -1)
         rho = amps @ dagger(amps)
         check_densities(rho, eig_atol=None, first_index=start)
-        return rho
+        m = cols.reshape(len(cols), 4, -1)
+        return m @ dagger(m), rho
 
 
 @dataclass(frozen=True)
 class SweepBlock:
-    """Lattice and Kraus outputs of consecutive points of a sweep."""
+    """Lattice and Kraus channels of consecutive points of a sweep."""
 
     start: int  # index of the block's first point in the sweep
     params: list  # each point's lattice metadata
     lattice: np.ndarray  # (b, 2, 2) system states from the lattices
     kraus: np.ndarray  # (b, 2, 2) Kraus-route outputs on the prepared qubit
-    deviation: np.ndarray  # (b,) largest entrywise gap between the two
+    lattice_choi: np.ndarray  # (b, 4, 4) Choi matrices of the lattices
+    kraus_choi: np.ndarray  # (b, 4, 4) Choi matrices of the Kraus sets
+    deviation: np.ndarray  # (b,) largest entrywise gap, Choi matrices and outputs alike
     labels: tuple[str, ...]  # the Kraus operators' labels
 
 
 def channel_sweep(
     points: Sequence[ChannelParams], *, theta1: float = math.pi / 2
 ) -> Iterator[SweepBlock]:
-    """Send the qubit prepared by theta1 through each point's lattice and
-    through its Kraus set, BLOCK_SIZE points at a time.
+    """Compare each point's lattice with its Kraus set, BLOCK_SIZE points at a
+    time: their Choi matrices, and their outputs on the qubit theta1 prepares.
 
     Every point is validated, and its Kraus completeness checked, before this
     returns; the lattice and output checks run as each block is computed.
     """
     lattices = ChannelLattices(points, theta1=theta1)
     ops, labels = kraus_stack(lattices.params)
-    a1, b1, _, _ = ProductStateParams(theta1, 0.0).amplitudes()
-    rho_in = np.array([[a1 * a1, a1 * b1], [a1 * b1, b1 * b1]], dtype=complex)
+    rho_in = np.outer(lattices.system_input, lattices.system_input).astype(complex)
 
     def blocks():
         for start in range(0, len(lattices), BLOCK_SIZE):
             stop = min(start + BLOCK_SIZE, len(lattices))
-            lattice = lattices.system_states(start, stop)
+            lattice_choi, lattice = lattices.outputs(start, stop)
             kraus = apply_operators(rho_in, ops[start:stop])
             check_densities(kraus, first_index=start)
-            deviation = np.max(np.abs(lattice - kraus), axis=(-2, -1))
+            kraus_choi = choi(ops[start:stop])
+            deviation = np.maximum(np.max(np.abs(lattice_choi - kraus_choi), axis=(-2, -1)),
+                                   np.max(np.abs(lattice - kraus), axis=(-2, -1)))
             meta = [lattices.metadata(i) for i in range(start, stop)]
-            yield SweepBlock(start, meta, lattice, kraus, deviation, labels)
+            yield SweepBlock(start, meta, lattice, kraus, lattice_choi, kraus_choi, deviation,
+                             labels)
 
     return blocks()
 
@@ -888,55 +918,6 @@ def output_mode_decomposition(state: PureState) -> dict[str, np.ndarray]:
     n_path = len(state.dims) - 1
     table = state.amplitudes.reshape(2**n_path, 2)
     return {format(i, f"0{n_path}b"): table[i].copy() for i in range(2**n_path)}
-
-
-@dataclass(frozen=True)
-class TransitionMaps:
-    """Path-mode maps of an evolve stage, split by input polarization class."""
-
-    h_map: np.ndarray
-    v_map: np.ndarray
-    cross_leakage: float
-
-
-def channel_transition_maps(circuit: CircuitSpec) -> TransitionMaps:
-    """Extract the per-polarization path maps of a 3-qubit channel lattice.
-
-    Cross leakage is measured on the populated columns only: preparation
-    leaves environment-ground modes H-polarized and environment-excited
-    modes V-polarized, and those inputs must keep their class. Unpopulated
-    input slots may mix freely; unitarity of the lattice demands it.
-    """
-    if circuit.n_wires != 3:
-        raise InvalidArgument("transition maps are defined for the 3-qubit channel lattices")
-    w = stage_unitary(circuit, "evolve")
-    # basis index 4s + 2e + pol
-    h_idx = [0b000, 0b010, 0b100, 0b110]  # modes 00,01,10,11 with H
-    v_idx = [i | 1 for i in h_idx]
-    h_map = w[np.ix_(h_idx, h_idx)]
-    v_map = w[np.ix_(v_idx, v_idx)]
-    populated_h = [0b000, 0b100]  # e=0 modes arrive H
-    populated_v = [0b011, 0b111]  # e=1 modes arrive V
-    leak = max(
-        float(np.max(np.abs(w[np.ix_(v_idx, populated_h)]))),
-        float(np.max(np.abs(w[np.ix_(h_idx, populated_v)]))),
-    )
-    return TransitionMaps(h_map, v_map, leak)
-
-
-def channel_unitary(circuit: CircuitSpec) -> np.ndarray:
-    """Joint system-environment map read off the lattice.
-
-    Environment-ground inputs live in the H sector, environment-excited
-    inputs in the V sector; columns are taken from the matching sector.
-    The result is column-isometric, as kraus_from_unitary requires.
-    """
-    maps = channel_transition_maps(circuit)
-    out = np.zeros((4, 4), dtype=complex)
-    for col in range(4):
-        source = maps.h_map if col % 2 == 0 else maps.v_map
-        out[:, col] = source[:, col]
-    return out
 
 
 # -- tabletop thermal-damping run ------------------------------------------------

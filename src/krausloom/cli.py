@@ -145,7 +145,9 @@ def cmd_prepare(args) -> dict:
 def _channel_payloads(blocks, channel: str):
     """Each point's channel payload, in order, from the blocks of a channel_sweep.
 
-    A point whose lattice and Kraus outputs disagree raises
+    max_deviation is the block's deviation: the largest entrywise gap between
+    the lattice's and the Kraus set's Choi matrices or their outputs on the
+    prepared qubit. A point where it reaches CONSISTENCY_TOL raises
     InternalConsistencyError naming its index.
     """
     for block in blocks:
@@ -153,7 +155,7 @@ def _channel_payloads(blocks, channel: str):
             deviation = float(block.deviation[i])
             if deviation >= CONSISTENCY_TOL:
                 raise InternalConsistencyError(
-                    f"point {block.start + i}: lattice and Kraus outputs deviate by "
+                    f"point {block.start + i}: lattice and Kraus channels deviate by "
                     f"{deviation:.3e} (tolerance {CONSISTENCY_TOL})"
                 )
             yield {
@@ -252,7 +254,7 @@ def cmd_tomography(args) -> dict:
         psi = circuit_mod.prepare_product_state(
             circuit_mod.ProductStateParams(args.theta1, args.theta2, args.convention)
         )
-    truth = tomo_mod.traced_truth(psi)
+    truth = circuit_mod.traced_joint_state(psi)
     records = tomo_mod.simulate_counts(psi.density(), shots, noise=args.noise, seed=args.seed)
     # at a tiny budget the H/V block can be empty, and linear inversion with it
     linear = None if tomo_mod.hv_block_empty(records) else tomo_mod.linear_reconstruct(records)

@@ -34,17 +34,9 @@ PSD_TOL_MEASURED = 1e-6
 
 
 def structural_atol() -> float:
-    """Structural tolerance, overridable through KRAUSLOOM_TOL (testing only)."""
-    raw = os.environ.get("KRAUSLOOM_TOL")
-    if raw is None:
-        return ATOL_STRUCTURAL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise InvalidArgument(f"KRAUSLOOM_TOL is not a number: {raw!r}") from exc
-    if not (value > 0 and math.isfinite(value)):
-        raise InvalidArgument(f"KRAUSLOOM_TOL must be a positive finite number, got {value}")
-    return value
+    """The structural tolerance, read at each completeness and unitarity check
+    through this one function, so that a test can patch it."""
+    return ATOL_STRUCTURAL
 
 
 def _as_matrix(obj) -> np.ndarray:
@@ -265,15 +257,6 @@ def unitarity_residual(u: np.ndarray):
     u = np.asarray(u, dtype=complex)
     res = np.linalg.norm(dagger(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
-
-
-def assert_unitary(u: np.ndarray, atol: float | None = None) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    tol = structural_atol() if atol is None else atol
-    res = unitarity_residual(u)
-    if res > tol:
-        raise InvalidState(f"unitarity residual {res:.3e} exceeds {tol:.1e}")
-    return u
 
 
 # -- serialization ------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidState
 from .gates import U3Params, u3
-from .qmath import DensityMatrix, PureState, partial_trace, write_atomic
+from .qmath import DensityMatrix, PureState, write_atomic
 
 HALF_PI = math.pi / 2
 
@@ -355,11 +355,6 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     gap, _ = _frank_wolfe_gap(probs, weights)
     final = project_to_psd(_density(z))
     return MLReconstruction(final, gap <= tol, it, float(ll * scale), gap * scale)
-
-
-def traced_truth(state) -> DensityMatrix:
-    """Two-qubit marginal of a 3-qubit lattice state (drops polarization)."""
-    return partial_trace(state.density(), (0, 1))
 
 
 # -- count files -----------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every point of a ``channel_sweep`` must equal ``build_channel_lattice`` ->
 ``evolve`` -> ``traced_system_state`` on the lattice side and ``kraus_apply``
-on the Kraus side.
+on the Kraus side, and its Choi matrices must equal the ones computed, entry
+by entry, from the lattice's evolve stage on encoded basis inputs and from
+the Kraus operators.
 """
 
 import numpy as np
@@ -23,12 +25,16 @@ from krausloom.channels import (
 from krausloom.circuit import (
     BLOCK_SIZE,
     ChannelLattices,
+    CircuitSpec,
     ProductStateParams,
     build_channel_lattice,
     channel_sweep,
     circuit_unitary,
+    encode_joint_state,
+    encode_reservoir_state,
     evolve,
     initial_state,
+    stage_unitary,
     traced_system_state,
 )
 from krausloom.errors import InvalidArgument, InvalidChannel, InvalidState
@@ -45,16 +51,44 @@ def per_point(params, theta1):
     return lattice, rho_lattice, kraus_apply(rho_in, channel_kraus(params))
 
 
+def lattice_choi(lattice, params):
+    """J[(i, a), (j, b)] = Tr_rest(U|in_i><in_j|U^dagger)[a, b], entry by entry,
+    with U the evolve stage and in_i the encoded system basis state |i>."""
+    u = stage_unitary(lattice, "evolve")
+    if isinstance(params, PauliParams):
+        inputs = [encode_reservoir_state(e) for e in np.eye(2)]
+    else:
+        inputs = [encode_joint_state(e, getattr(params, "alpha2_sq", 1.0)) for e in np.eye(2)]
+    out = [(u @ psi.amplitudes).reshape(2, -1) for psi in inputs]
+    j = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i, a, jj, b in np.ndindex(2, 2, 2, 2):
+        j[i, a, jj, b] = np.sum(out[i][a] * out[jj][b].conj())
+    return j.reshape(4, 4)
+
+
+def kraus_choi(params):
+    """J[(i, a), (j, b)] = sum_mu <a|M_mu|i> <b|M_mu|j>^*, entry by entry."""
+    ops = channel_kraus(params).operators
+    j = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i, a, jj, b in np.ndindex(2, 2, 2, 2):
+        j[i, a, jj, b] = sum(m[a, i] * m[b, jj].conj() for m in ops)
+    return j.reshape(4, 4)
+
+
 def assert_sweep_matches(points, theta1=np.pi / 2):
     seen = 0
     for block in channel_sweep(points, theta1=theta1):
         assert block.start == seen
         assert len(block.params) == len(block.lattice) <= BLOCK_SIZE
-        for i, (rho_l, rho_k, dev) in enumerate(zip(block.lattice, block.kraus, block.deviation)):
+        for i, dev in enumerate(block.deviation):
+            rho_l, rho_k = block.lattice[i], block.kraus[i]
+            j_l, j_k = block.lattice_choi[i], block.kraus_choi[i]
             lattice, want_l, want_k = per_point(points[seen + i], theta1)
             assert np.max(np.abs(rho_l - want_l)) <= TOL
             assert np.max(np.abs(rho_k - want_k)) <= TOL
-            assert dev == np.max(np.abs(rho_l - rho_k))
+            assert np.max(np.abs(j_l - lattice_choi(lattice, points[seen + i]))) <= TOL
+            assert np.max(np.abs(j_k - kraus_choi(points[seen + i]))) <= TOL
+            assert dev == max(np.max(np.abs(j_l - j_k)), np.max(np.abs(rho_l - rho_k)))
             assert block.params[i] == lattice.metadata
             assert block.labels == channel_kraus(points[seen + i]).labels
         seen += len(block.lattice)
@@ -109,8 +143,38 @@ def test_lattice_unitaries_match_circuit_unitary():
     u = stack.unitaries(2, 7)
     assert u.shape == (5, 8, 8)
     for i in range(2, 7):
-        want = circuit_unitary(build_channel_lattice(points[i], theta1=1.9))
+        # the lattices hold the evolve stage only: its layers as a circuit of their own
+        lattice = build_channel_lattice(points[i], theta1=1.9)
+        evolve_only = [layer for layer, stage in zip(lattice.layers, lattice.stages)
+                       if stage == "evolve"]
+        want = circuit_unitary(CircuitSpec(lattice.register, evolve_only,
+                                           ["evolve"] * len(evolve_only)))
         assert np.max(np.abs(u[i - 2] - want)) <= TOL
+
+
+def test_sweep_builds_no_preparation(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep built a preparation")
+
+    for name in ("ProductStateParams", "_preparation_layers", "_pauli_preparation_layers"):
+        monkeypatch.setattr(circuit, name, never)
+    for _, points in _channel_grid():
+        for block in channel_sweep(points, theta1=0.9):
+            assert np.all(block.deviation < TOL)
+
+
+def test_encoded_inputs_are_the_one_point_encoders():
+    # the stacked inputs at each point are encode_joint_state (encode_reservoir_state
+    # for Pauli) of |0> and |1>, bit for bit
+    for _, points in _channel_grid():
+        inputs = ChannelLattices(points)._inputs
+        for params, pair in zip(points, inputs):
+            for e, got in zip(np.eye(2), pair):
+                if isinstance(params, PauliParams):
+                    want = encode_reservoir_state(e)
+                else:
+                    want = encode_joint_state(e, getattr(params, "alpha2_sq", 1.0))
+                assert got.tobytes() == want.amplitudes.tobytes()
 
 
 def test_param_stack_collapses_shared_fields():

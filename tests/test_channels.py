@@ -13,11 +13,11 @@ from krausloom.channels import (
     bloch_vector,
     channel_action_distance,
     channel_kraus,
+    choi,
     completeness_residual,
     dephasing_kraus,
     gad_kraus,
     kraus_apply,
-    kraus_from_unitary,
     pauli_kraus,
     sgad_kraus,
 )
@@ -213,34 +213,29 @@ class TestCompletenessResidual:
             KrausSet((np.eye(2), np.eye(2)))
 
 
-class TestKrausFromUnitary:
-    def test_identity_unitary(self):
-        k = kraus_from_unitary(np.eye(4), (1.0, 0.0))
-        by_label = dict(zip(k.labels, k.operators))
-        np.testing.assert_array_equal(by_label["M00"], np.eye(2))
-        for label in ("M01", "M10", "M11"):
-            np.testing.assert_array_equal(by_label[label], np.zeros((2, 2)))
+class TestChoi:
+    def test_identity_channel_is_the_unnormalized_bell_projector(self):
+        want = np.zeros((4, 4), dtype=complex)
+        want[np.ix_([0, 3], [0, 3])] = 1.0
+        np.testing.assert_array_equal(choi([np.eye(2)]), want)
 
-    def test_swap_reset_structure(self):
-        # <i|SWAP|j> = |j><i| indexed by hand
-        swap = np.zeros((4, 4))
-        for s in (0, 1):
-            for e in (0, 1):
-                swap[2 * e + s, 2 * s + e] = 1.0
-        k = kraus_from_unitary(swap, (1.0, 0.0))
-        by_label = dict(zip(k.labels, k.operators))
-        np.testing.assert_array_equal(by_label["M00"], [[1, 0], [0, 0]])
-        np.testing.assert_array_equal(by_label["M10"], [[0, 1], [0, 0]])
+    def test_blocks_are_the_actions_on_the_basis(self, rng):
+        for d in (2, 3):
+            k = _random_kraus(rng, d, 3)
+            j = choi(k.operators).reshape(d, d, d, d)  # [i, a, j, b]
+            for i in range(d):
+                for jj in range(d):
+                    e = np.zeros((d, d), dtype=complex)
+                    e[i, jj] = 1.0
+                    np.testing.assert_allclose(j[i, :, jj, :], kraus_apply(e, k), rtol=0, atol=1e-15)
 
-    def test_rejects_non_isometric_columns(self):
-        broken = np.eye(4)
-        broken[0, 0] = 0.5
-        with pytest.raises(InvalidChannel):
-            kraus_from_unitary(broken, (0.5, 0.5))
-
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(InvalidArgument):
-            kraus_from_unitary(np.eye(4), (0.9, 0.2))
+    def test_stack_gives_each_point_its_matrix(self):
+        points = [PauliParams(p, 0.5, 0.3, 0.2) for p in (0.0, 0.4, 1.0)]
+        stack = np.stack([np.asarray(channel_kraus(prm).operators) for prm in points])
+        got = choi(stack)
+        assert got.shape == (3, 4, 4)
+        for j, prm in zip(got, points):
+            np.testing.assert_allclose(j, choi(channel_kraus(prm).operators), rtol=0, atol=1e-15)
 
 
 def _random_kraus(rng, d, k):

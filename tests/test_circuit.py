@@ -8,10 +8,10 @@ from krausloom.channels import (
     DephasingParams,
     GADParams,
     PauliParams,
+    KrausSet,
     SGADParams,
     channel_kraus,
     kraus_apply,
-    kraus_from_unitary,
     channel_action_distance,
 )
 from krausloom.circuit import (
@@ -19,8 +19,6 @@ from krausloom.circuit import (
     ProductStateParams,
     build_channel_lattice,
     build_pauli_lattice,
-    channel_transition_maps,
-    channel_unitary,
     circuit_from_payload,
     circuit_to_payload,
     circuit_unitary,
@@ -292,8 +290,24 @@ class TestModeContracts:
             GADParams(0.3, 0.6),
             SGADParams(0.2, 0.5, 0.1, 0.4, 0.9, 0.3, 0.55),
         ):
-            maps = channel_transition_maps(build_channel_lattice(params))
-            assert maps.cross_leakage < 1e-12
+            # populated inputs: environment-ground modes arrive H, excited modes V
+            w = stage_unitary(build_channel_lattice(params), "evolve")
+            leak = max(np.max(np.abs(w[np.ix_(V_SLOTS, [0b000, 0b100])])),
+                       np.max(np.abs(w[np.ix_(H_SLOTS, [0b011, 0b111])])))
+            assert leak < 1e-12
+
+
+H_SLOTS = [0b000, 0b010, 0b100, 0b110]  # path modes se = 00, 01, 10, 11, H polarized
+V_SLOTS = [i | 1 for i in H_SLOTS]
+
+
+def joint_map(lattice):
+    """The 4x4 system-environment map of a 3-qubit lattice's evolve stage:
+    column se is the image of mode se in its input class (H for e = 0, V for
+    e = 1), read on the slots of that class."""
+    w = stage_unitary(lattice, "evolve")
+    return np.stack([w[[h | e for h in H_SLOTS], col | e]
+                     for col, e in zip(H_SLOTS, (0, 1, 0, 1))], axis=1)
 
 
 class TestLatticeKrausConsistency:
@@ -321,9 +335,10 @@ class TestLatticeKrausConsistency:
     def test_extracted_kraus_match_constructor(self):
         params = GADParams(0.38, 0.77)
         lattice = build_channel_lattice(params)
-        extracted = kraus_from_unitary(
-            channel_unitary(lattice), (params.alpha2_sq, 1 - params.alpha2_sq)
-        )
+        # M_r[a, i] = <a, r|U|encoded i>, one operator per traced basis state r
+        u = stage_unitary(lattice, "evolve")
+        cols = np.stack([u @ encode_joint_state(e, params.alpha2_sq).amplitudes for e in np.eye(2)])
+        extracted = KrausSet(cols.reshape(2, 2, 4).transpose(2, 1, 0))
         constructed = channel_kraus(params)
         assert channel_action_distance(extracted, constructed) < 1e-9
         # same operators up to per-operator phase, as sets: the extraction
@@ -346,7 +361,7 @@ class TestLatticeKrausConsistency:
     def test_gad_joint_map_rows(self):
         # column j is the image of joint basis state j (|se>: 00,01,10,11)
         p = 0.3
-        u = channel_unitary(build_channel_lattice(GADParams(p, 0.5)))
+        u = joint_map(build_channel_lattice(GADParams(p, 0.5)))
         sp, sq = np.sqrt(p), np.sqrt(1 - p)
         want = np.array(
             [
@@ -360,7 +375,7 @@ class TestLatticeKrausConsistency:
 
     def test_sgad_joint_map_rows(self):
         prm = SGADParams(0.2, 0.5, 0.3, 0.1, 0.7, 1.3, 0.6)
-        u = channel_unitary(build_channel_lattice(prm))
+        u = joint_map(build_channel_lattice(prm))
         eph, ela = np.exp(-1j * prm.phi), np.exp(-1j * prm.lam)
         want = np.zeros((4, 4), dtype=complex)
         want[0b00, 0b00] = np.sqrt(1 - prm.alpha)
@@ -375,7 +390,7 @@ class TestLatticeKrausConsistency:
 
     def test_dephasing_joint_map_rows(self):
         p = 0.45
-        u = channel_unitary(build_channel_lattice(DephasingParams(p)))
+        u = joint_map(build_channel_lattice(DephasingParams(p)))
         want = np.eye(4, dtype=complex)
         want[0b10, 0b10] = np.sqrt(1 - p)
         want[0b11, 0b10] = np.sqrt(p)
@@ -444,6 +459,15 @@ class TestPauliLattice:
         assert np.sin(t2) ** 2 * np.sin(t3) ** 2 == pytest.approx(q3, abs=1e-12)
         for angle in (t1, t2, t3):
             assert 0 <= angle <= np.pi / 2
+
+    def test_is_the_channel_lattice_of_its_parameters(self):
+        for args, prep_theta in [((0.58, 0.5, 0.2, 0.3), 0.7), ((1.0, 0.0, 0.0, 1.0), np.pi / 2),
+                                 ((0.0, 1 / 3, 1 / 3, 1 / 3), -2.0)]:
+            got = build_pauli_lattice(*args, prep_theta=prep_theta)
+            want = build_channel_lattice(PauliParams(*args), theta1=prep_theta)
+            assert got == want
+            assert got.metadata == want.metadata
+            assert got.unitary.tobytes() == want.unitary.tobytes()
 
     def test_weight_normalization_enforced(self):
         with pytest.raises(InvalidArgument):

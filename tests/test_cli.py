@@ -134,6 +134,62 @@ class TestChannel:
         assert "point 0:" in capsys.readouterr().err
 
 
+PAULI_FLAGS = ("--channel", "pauli", "--p", "0.4", "--q1", "0.3", "--q2", "0.5", "--q3", "0.2")
+
+
+def _swap_pauli_y_and_z(monkeypatch):
+    """Build the Pauli Kraus sets with the Y and Z weights exchanged: on the
+    default input the outputs differ by rounding only, the channels by 0.12."""
+    from types import SimpleNamespace
+
+    from krausloom import channels
+
+    build, labels = channels._FAMILY_OPS[channels.PauliParams]
+
+    def swapped(params):
+        return build(SimpleNamespace(p=params.p, q1=params.q1, q2=params.q3, q3=params.q2))
+
+    monkeypatch.setitem(channels._FAMILY_OPS, channels.PauliParams, (swapped, labels))
+
+
+class TestWholeChannelCheck:
+    @pytest.mark.parametrize("flags", [
+        ("--channel", "dephasing", "--p", "0.3"),
+        ("--channel", "gad", "--p", "0.4", "--alpha2-sq", "0.75"),
+        ("--channel", "sgad", "--sgad-alpha", "0.1", "--sgad-beta", "0.3", "--sgad-mu", "0.2",
+         "--sgad-nu", "0.05", "--sgad-phi", "0.7", "--sgad-lambda", "1.3", "--alpha2-sq", "0.8"),
+        PAULI_FLAGS,
+    ], ids=["dephasing", "gad", "sgad", "pauli"])
+    def test_every_family_agrees_to_rounding(self, capsys, flags):
+        assert run("channel", *flags, "--theta1", "0.7") == 0
+        assert json.loads(capsys.readouterr().out)["max_deviation"] < 1e-12
+
+    def test_swapped_weights_agree_on_the_default_input(self, monkeypatch):
+        from krausloom.channels import PauliParams
+
+        _swap_pauli_y_and_z(monkeypatch)
+        (block,) = circuit_mod.channel_sweep([PauliParams(0.4, 0.3, 0.5, 0.2)])
+        assert np.max(np.abs(block.lattice - block.kraus)) < 1e-15
+        assert np.max(np.abs(block.lattice_choi - block.kraus_choi)) > 0.1
+        assert block.deviation[0] > 0.1
+
+    def test_swapped_weights_exit_3_naming_the_point(self, monkeypatch, capsys):
+        _swap_pauli_y_and_z(monkeypatch)
+        assert run("channel", *PAULI_FLAGS) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal consistency failure: point 0: lattice and Kraus ")
+        assert captured.err.count("\n") == 1
+
+    def test_swapped_weights_exit_3_on_a_grid(self, monkeypatch, capsys, tmp_path):
+        _swap_pauli_y_and_z(monkeypatch)
+        assert run("channel", *PAULI_FLAGS[:2], *PAULI_FLAGS[4:], "--grid", "0.4:0.6:3",
+                   "--out", str(tmp_path / "sweep")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: point 0: ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep" / "index.json").exists()
+
+
 class TestEvolveCommand:
     def test_circuit_file_round_trip(self, tmp_path, capsys):
         from krausloom.channels import DephasingParams
@@ -163,6 +219,28 @@ class TestEvolveCommand:
         assert run("evolve", *(a for kv in files.items() for a in kv)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {bad} is not valid json") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("layers, message", [
+        # register[-1] is the polarization wire, and a path-conditioned rotation
+        # acts on polarization whatever its wires entry names
+        ([[{"kind": "cnot-pol-path", "wires": [-1, 0]},
+           {"kind": "local-u3", "wires": [2], "theta": 0.3, "phi": 0.0, "lambda": 0.0}],
+          [{"kind": "path-conditioned-u3", "wires": [0], "condition": "*1",
+            "theta": 0.5, "phi": 0.0, "lambda": 0.0}]],
+         "error: placement wires (-1, 0) must be nonnegative\n"),
+        ([[{"kind": "path-conditioned-u3", "wires": [0], "condition": "*1",
+            "theta": 0.5, "phi": 0.0, "lambda": 0.0}]],
+         "error: path-conditioned-u3 must target the polarization wire, got wire 0\n"),
+    ], ids=["negative-cnot-wire", "rotation-off-polarization"])
+    def test_wires_the_composition_ignores_exit_2(self, tmp_path, capsys, layers, message):
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps({
+            "register": ["system-path", "environment-path", "polarization"],
+            "layers": layers, "stages": ["evolve"] * len(layers)}))
+        assert run("evolve", "--circuit", str(circ)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 
 
 class TestTomographyCommand:

@@ -159,7 +159,7 @@ class TestAgainstPerPlacementProduct:
         rng = np.random.default_rng(size)
         points = [random_point(rng, family) for _ in range(size + 3)]
         theta1 = rng.uniform(0, np.pi)
-        register, layers, _ = circuit_mod._channel_layers(ParamStack(points), theta1, "half-angle")
+        register, layers, _ = circuit_mod._evolve_layers(ParamStack(points))
         lattices = ChannelLattices(points, theta1=theta1)
         start, stop = 2, 2 + size
         block = [[circuit_mod._block_placement(p, start, stop) for p in layer] for layer in layers]
@@ -172,7 +172,8 @@ class TestAgainstPerPlacementProduct:
             assert got.shape == (size, d, d)
             assert_bits(got, reference_compose(register, [layer]))
         assert_bits(circuit_mod._compose(register, block), reference_compose(register, block))
-        # ChannelLattices composes each constant run once and each stacked layer per block
+        # ChannelLattices composes the evolve stage: each constant run once and each
+        # stacked layer per block
         segments, run = [], []
         for layer in block:
             if any(circuit_mod._is_stacked(p) for p in layer):
@@ -330,6 +331,26 @@ class TestInvalidWirings:
             with pytest.raises(KrausloomError) as got:
                 placement_matrix(placement, REG)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("layers, error, message", [
+        ([(GatePlacement("cnot-pol-path", (-1, 0)),)], InvalidArgument,
+         "placement wires (-1, 0) must be nonnegative"),
+        ([(GatePlacement("cnot-pol-path", (2, -3)),)], InvalidArgument,
+         "placement wires (2, -3) must be nonnegative"),
+        ([(GatePlacement("path-conditioned-u3", (0,), X, "*1"),)], InvalidWiring,
+         "path-conditioned-u3 must target the polarization wire, got wire 0"),
+        ([(GatePlacement("path-conditioned-u3", (-1,), X, "1*"),)], InvalidWiring,
+         "path-conditioned-u3 must target the polarization wire, got wire -1"),
+    ], ids=["cnot-control-minus-1", "cnot-target-minus-3", "rotation-on-path", "rotation-on-minus-1"])
+    def test_wires_the_composition_would_not_act_on(self, layers, error, message):
+        # the per-placement product accepts these: register[-1] is the
+        # polarization wire, and controlled_on_path ignores the wires entry
+        reference_compose(REG, layers)
+        for build in (lambda: CircuitSpec(REG, layers, ["evolve"] * len(layers)),
+                      lambda: circuit_mod._compose(REG, layers)):
+            with pytest.raises(KrausloomError) as got:
+                build()
+            assert (type(got.value), str(got.value)) == (error, message)
 
     def test_bad_wiring_is_not_cached(self):
         layers = BAD_LAYERS["cnot control not polarization"]

@@ -8,6 +8,7 @@ from krausloom.errors import InvalidArgument, InvalidState
 from krausloom.gates import U3Params, u3
 from krausloom.qmath import (
     ATOL_ARITHMETIC,
+    ATOL_STRUCTURAL,
     DensityMatrix,
     PureState,
     check_densities,
@@ -246,14 +247,9 @@ def test_partial_trace_preserves_trace_property(amps):
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
 
 
-def test_structural_tol_env_override(monkeypatch):
-    monkeypatch.setenv("KRAUSLOOM_TOL", "1e-6")
-    assert structural_atol() == 1e-6
-    monkeypatch.setenv("KRAUSLOOM_TOL", "zero")
-    with pytest.raises(InvalidArgument):
-        structural_atol()
-    monkeypatch.delenv("KRAUSLOOM_TOL")
-    assert structural_atol() == 1e-10
+def test_structural_tol_is_the_constant(monkeypatch):
+    monkeypatch.setenv("KRAUSLOOM_TOL", "1e-6")  # no longer read
+    assert structural_atol() == ATOL_STRUCTURAL == 1e-10
 
 
 class TestSerialization:

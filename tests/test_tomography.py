@@ -5,7 +5,7 @@ import pytest
 from conftest import random_density, random_pure
 from scipy import stats
 
-from krausloom.circuit import ProductStateParams, prepare_product_state
+from krausloom.circuit import ProductStateParams, prepare_product_state, traced_joint_state
 from krausloom.errors import InvalidArgument, InvalidState
 from krausloom.gates import u3
 from krausloom.qmath import DensityMatrix, fidelity, validate_density
@@ -22,7 +22,6 @@ from krausloom.tomography import (
     save_counts,
     settings_table,
     simulate_counts,
-    traced_truth,
 )
 
 
@@ -160,7 +159,7 @@ class TestSimulateCounts:
         # the result must agree with tomography of its two-qubit marginal
         psi = prepare_product_state(ProductStateParams(1.2, 0.8))
         via_branches = simulate_counts(psi.density(), shots=10**9, noise=False)
-        via_marginal = simulate_counts(traced_truth(psi), shots=10**9, noise=False)
+        via_marginal = simulate_counts(traced_joint_state(psi), shots=10**9, noise=False)
         for a, b in zip(via_branches, via_marginal):
             assert abs(a.counts - b.counts) <= 1
 
