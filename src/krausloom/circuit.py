@@ -379,9 +379,10 @@ def _col0_u3(c, s) -> U3Params:
     """Rotation whose first column is the real pair (c, s).
 
     Exact for c in (-1, 1]; at the c = -1 boundary the principal-range
-    reduction flips the column's global sign.
+    reduction flips the column's global sign. arctan2 keeps a small s that
+    arccos(c) would lose once c rounds to 1.
     """
-    theta = 2.0 * np.arccos(np.clip(c, -1.0, 1.0))
+    theta = 2.0 * np.arctan2(np.abs(s), c)
     phi = np.where(s >= 0, 0.0, math.pi)
     return U3Params(theta, phi, math.pi)
 

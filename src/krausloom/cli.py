@@ -256,9 +256,9 @@ def cmd_tomography(args) -> dict:
         )
     truth = circuit_mod.traced_joint_state(psi)
     records = tomo_mod.simulate_counts(psi.density(), shots, noise=args.noise, seed=args.seed)
-    # at a tiny budget the H/V block can be empty, and linear inversion with it
-    linear = None if tomo_mod.hv_block_empty(records) else tomo_mod.linear_reconstruct(records)
     ml = tomo_mod.ml_reconstruct(records)
+    # None when a tiny budget left the H/V block, and linear inversion, empty
+    linear = ml.linear
     payload = {
         "command": "tomography",
         "shots": shots,

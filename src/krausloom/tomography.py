@@ -148,6 +148,8 @@ def simulate_counts(
     """
     if shots <= 0:
         raise InvalidArgument(f"shots must be positive, got {shots}")
+    if noise and seed is not None and seed < 0:
+        raise InvalidArgument(f"seed must be non-negative, got {seed}")
     branches = _branch_probabilities(rho)
     probs = np.minimum(branches.sum(axis=1), 1.0)
     if noise:
@@ -223,6 +225,7 @@ class MLReconstruction:
     iterations: int
     log_likelihood: float
     optimality_gap: float  # Frank-Wolfe bound on (maximum - log_likelihood), in nats
+    linear: DensityMatrix | None  # the linear estimate the ascent started from
 
 
 def _likelihood(z: np.ndarray, counts: np.ndarray, shots: np.ndarray):
@@ -238,11 +241,46 @@ def _likelihood(z: np.ndarray, counts: np.ndarray, shots: np.ndarray):
     return ll, grad, probs, weights
 
 
-def _factor(rho: np.ndarray) -> np.ndarray:
-    """z = [Re T; Im T] flattened, for T = V sqrt(W) with rho = V W V^dagger."""
-    w, v = np.linalg.eigh(rho)
+def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z = [Re T; Im T] flattened, for T = V sqrt(W), so that T T^dagger = V W V^dagger."""
     t = v * np.sqrt(np.clip(w, 0.0, None))
     return np.concatenate([t.real, t.imag]).reshape(32)
+
+
+def _start(linear: DensityMatrix | None) -> np.ndarray:
+    """z of the linear estimate with its negative eigenvalues clipped, mixed
+    with 1e-9 of I/4 so that it is full rank; z of I/4 without an estimate."""
+    if linear is None:
+        return _factor(np.full(4, 0.25), np.eye(4))
+    w, v = np.linalg.eigh(linear.matrix)
+    w = np.clip(w, 0.0, None)
+    return _factor((1.0 - 1e-9) * w / np.sum(w) + 1e-9 / 4.0, v)
+
+
+def _curvature(z, grad, probs, weights, counts) -> np.ndarray:
+    """M = -Hessian of the likelihood in z, from what ``_likelihood`` returns.
+
+    With n = z.z, D_s = dp_s/dz = (2/n)(R_s z - p_s z) and g = sum_s w_s D_s,
+    M = sum_s (c_s / p_s^2) D_s D_s^T
+        - (2/n) [(sum_s w_s R_s) (x) I_4 - (w.p) I - z g^T - g z^T].
+    """
+    norm = z @ z
+    rz = (_REAL_FORMS @ z.reshape(8, 4)).reshape(16, 32)
+    d = (2.0 / norm) * (rz - probs[:, None] * z)
+    forms = np.kron(np.tensordot(weights, _REAL_FORMS.reshape(16, 8, 8), axes=1), np.eye(4))
+    inner = forms - (weights @ probs) * np.eye(32) - np.outer(z, grad) - np.outer(grad, z)
+    return (d.T * (counts / probs / probs)) @ d - (2.0 / norm) * inner
+
+
+def _inverse_curvature(z, grad, probs, weights, counts) -> np.ndarray:
+    """Inverse of M, shifted by max(0, -lambda_min) + 1e-2 lambda_max to be
+    positive definite: T -> T U leaves rho unchanged, so M is flat along those
+    gauge directions, and it is indefinite away from the maximum. Only the
+    eigenvalues are taken: OpenBLAS hands part of a 32x32 eigh with
+    eigenvectors to a worker thread, and eigvalsh and inv stay on the caller's."""
+    m = _curvature(z, grad, probs, weights, counts)
+    lam = np.linalg.eigvalsh(m)
+    return np.linalg.inv(m + (max(0.0, -lam[0]) + 1e-2 * lam[-1]) * np.eye(32))
 
 
 def _density(z: np.ndarray) -> np.ndarray:
@@ -289,6 +327,11 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     unconstrained. BFGS with Armijo backtracking climbs from the clipped
     linear estimate mixed with 1e-9 of the identity, which is full rank, or
     from I/4 when the H/V block is empty and there is no linear estimate.
+    Its inverse-Hessian estimate starts from the likelihood's own curvature
+    in z, shifted to be positive definite (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., sec. 6.1), and is seeded again that way after
+    each Frank-Wolfe step. ``linear`` in the result is that linear estimate,
+    or None.
 
     Once |grad_z l| |z| <= tol * N, N the mean of the records' total_shots,
     the Frank-Wolfe gap Delta = lambda_max(G) - Tr(rho G), with
@@ -301,21 +344,16 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     either way.
     """
     recs = sorted(records, key=lambda r: r.setting_index)
-    if hv_block_empty(recs):
-        start = np.eye(4) / 4.0
-    else:
-        start = project_to_psd(linear_reconstruct(recs)).matrix
+    linear = None if hv_block_empty(recs) else linear_reconstruct(recs)
     shots = np.array([r.total_shots for r in recs], dtype=float)
     scale = float(np.mean(shots))
     # per shot, so that tol and the line search do not depend on the budget
     counts = np.array([r.counts for r in recs], dtype=float) / scale
     shots = shots / scale
 
-    z = _factor((1.0 - 1e-9) * start + 1e-9 * np.eye(4) / 4.0)
+    z = _start(linear)
     ll, grad, probs, weights = _likelihood(z, counts, shots)
-    # Per shot, the likelihood's curvature in z (with |z| = 1) is of order
-    # one, so the inverse-Hessian estimate starts as the identity.
-    inv_hess = np.eye(32)
+    inv_hess = _inverse_curvature(z, grad, probs, weights, counts)
     stalled = False
     it = 0
     while it < max_iter:
@@ -327,9 +365,10 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
             gamma = _segment_step(probs, (_DESIGN @ vertex.reshape(16)).real, counts, shots)
             if gamma == 0.0:
                 break
-            z = _factor((1.0 - gamma) * _density(z) + gamma * vertex)
+            z = _factor(*np.linalg.eigh((1.0 - gamma) * _density(z) + gamma * vertex))
             ll, grad, probs, weights = _likelihood(z, counts, shots)
-            inv_hess, stalled = np.eye(32), False
+            inv_hess = _inverse_curvature(z, grad, probs, weights, counts)
+            stalled = False
             it += 1
             continue
         step = inv_hess @ grad
@@ -353,8 +392,9 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
         it += 1
 
     gap, _ = _frank_wolfe_gap(probs, weights)
-    final = project_to_psd(_density(z))
-    return MLReconstruction(final, gap <= tol, it, float(ll * scale), gap * scale)
+    # T T^dagger is PSD by construction; validate it once
+    final = DensityMatrix(_density(z), (2, 2), eig_atol=1e-12)
+    return MLReconstruction(final, gap <= tol, it, float(ll * scale), gap * scale, linear)
 
 
 # -- count files -----------------------------------------------------------------

@@ -26,6 +26,12 @@ class TestPrepare:
         joint = density_from_payload(payload["traced_joint"])
         assert joint.matrix[0, 2].real == pytest.approx(0.5, abs=1e-6)
 
+    def test_small_angle_keeps_its_coherence(self, capsys):
+        # sin(theta1 / 2) = 5e-9 survives; an arccos of cos(theta1 / 2) rounds it to 0
+        assert run("prepare", "--theta1", "1e-8", "--theta2", "0") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["traced_joint"]["re"][0][2] == pytest.approx(5e-9, rel=1e-12)
+
     def test_malformed_angle_exits_2_without_output(self, tmp_path):
         out = tmp_path / "never.json"
         assert run("prepare", "--theta1", "nan", "--out", str(out)) == 2
@@ -334,6 +340,11 @@ class TestExitCodeContract:
         assert run("evolve", "--circuit", str(path)) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("error: bad circuit payload")
+
+    def test_negative_seed_with_noise_exits_2(self, capsys):
+        assert run("tomography", "--noise", "--shots", "100", "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("count", ["100000000000", "100000000000000"])
     def test_grid_count_beyond_the_limit_exits_2(self, tmp_path, capsys, count):

@@ -9,6 +9,7 @@ from krausloom.circuit import ProductStateParams, prepare_product_state, traced_
 from krausloom.errors import InvalidArgument, InvalidState
 from krausloom.gates import u3
 from krausloom.qmath import DensityMatrix, fidelity, validate_density
+from krausloom import tomography as tomo_mod
 from krausloom.tomography import (
     CountRecord,
     assert_informationally_complete,
@@ -398,6 +399,51 @@ class TestMLOptimality:
         assert payload["ml_converged"] is True
         assert payload["ml_optimality_gap"] <= ML_TOL * 10000
         assert payload["fidelity_ml"] >= 0.999
+
+
+class TestCurvatureSeed:
+    """The inverse-Hessian seed of ml_reconstruct's BFGS ascent."""
+
+    @pytest.fixture
+    def per_shot(self, rng):
+        records = simulate_counts(random_density(rng), shots=1000, noise=True, seed=5)
+        counts = np.array([r.counts for r in records], dtype=float) / 1000
+        return counts, np.ones(16)
+
+    def test_curvature_is_the_negated_hessian(self, rng, per_shot):
+        counts, shots = per_shot
+        step = 1e-5
+        for _ in range(3):
+            z = rng.normal(size=32)
+            _, grad, probs, weights = tomo_mod._likelihood(z, counts, shots)
+            hess = np.empty((32, 32))
+            for i in range(32):
+                e = np.zeros(32)
+                e[i] = step
+                hess[:, i] = (tomo_mod._likelihood(z + e, counts, shots)[1]
+                              - tomo_mod._likelihood(z - e, counts, shots)[1]) / (2 * step)
+            m = tomo_mod._curvature(z, grad, probs, weights, counts)
+            assert np.max(np.abs(m + hess)) <= 1e-6 * np.max(np.abs(hess))
+
+    def test_seeded_inverse_is_symmetric_positive_definite(self, rng, per_shot):
+        counts, shots = per_shot
+        for _ in range(3):
+            z = rng.normal(size=32)
+            _, grad, probs, weights = tomo_mod._likelihood(z, counts, shots)
+            inv = tomo_mod._inverse_curvature(z, grad, probs, weights, counts)
+            np.testing.assert_allclose(inv, inv.T, rtol=0, atol=1e-10 * np.max(np.abs(inv)))
+            np.linalg.cholesky((inv + inv.T) / 2)  # raises unless positive definite
+
+    def test_result_carries_the_linear_estimate(self, rng):
+        records = simulate_counts(random_density(rng), shots=1000, noise=True, seed=2)
+        ml = ml_reconstruct(records)
+        assert np.array_equal(ml.linear.matrix, linear_reconstruct(records).matrix)
+
+    def test_no_linear_estimate_when_the_hv_block_is_empty(self):
+        records = [CountRecord(s.index, "".join(s.label), None, int(s.index == 10), 1)
+                   for s in settings_table()]
+        assert hv_block_empty(records)
+        assert ml_reconstruct(records).linear is None
 
 
 class TestCountFiles:
