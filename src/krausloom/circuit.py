@@ -375,6 +375,14 @@ def channel_register() -> Register:
 # points of a batch; an array gives a placement with stacked angles.
 
 
+def _qubit_amplitudes(name: str, theta) -> np.ndarray:
+    """(cos theta/2, sin theta/2): the system qubit a half-angle rotation by
+    theta prepares. Raises, naming the caller's argument ``name``, unless
+    theta is finite."""
+    half = finite_values(name, theta) / 2
+    return np.array([np.cos(half), np.sin(half)])
+
+
 def _col0_u3(c, s) -> U3Params:
     """Rotation whose first column is the real pair (c, s).
 
@@ -574,21 +582,9 @@ def _dephasing_layers(register: Register, p: float):
     return layers
 
 
-def dephasing_caption_angle(p: float) -> float:
-    """Knob angle of the single active rotation, from p = cos^2(theta/2)."""
-    return 2.0 * math.acos(min(1.0, math.sqrt(p)))
-
-def gad_caption_angle(p: float) -> float:
-    """Knob angle of the two active rotations, from p = cos^2(theta)."""
-    return math.acos(min(1.0, math.sqrt(p)))
-
-
-def sgad_caption_angles(params: SGADParams) -> dict[str, float]:
-    """Knob angles theta_i with rate = cos^2(theta_i) for each of the four rates."""
-    return {
-        name: math.acos(min(1.0, math.sqrt(getattr(params, attr))))
-        for name, attr in (("theta1", "alpha"), ("theta2", "beta"), ("theta3", "mu"), ("theta4", "nu"))
-    }
+def _caption_angle(rate: float) -> float:
+    """Knob angle theta with rate = cos^2(theta)."""
+    return math.acos(min(1.0, math.sqrt(rate)))
 
 
 def _evolve_layers(params):
@@ -623,7 +619,7 @@ def _evolve_layers(params):
     raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
 
 
-def _lattice_metadata(params: ChannelParams, theta1: float, convention: str) -> dict:
+def _lattice_metadata(params: ChannelParams, theta1: float) -> dict:
     """The metadata a lattice for one parameter record carries."""
     if isinstance(params, PauliParams):
         angles = pauli_caption_angles(params.p, params.q1, params.q2, params.q3)
@@ -636,49 +632,37 @@ def _lattice_metadata(params: ChannelParams, theta1: float, convention: str) -> 
     if isinstance(params, DephasingParams):
         alpha2_sq = 1.0
         meta = {"channel": "dephasing", "p": params.p,
-                "caption_theta": dephasing_caption_angle(params.p)}
+                "caption_theta": 2.0 * _caption_angle(params.p)}
     elif isinstance(params, GADParams):
         alpha2_sq = params.alpha2_sq
         meta = {"channel": "gad", "p": params.p, "alpha2_sq": params.alpha2_sq,
-                "caption_theta": gad_caption_angle(params.p)}
+                "caption_theta": _caption_angle(params.p)}
     else:
         alpha2_sq = params.alpha2_sq
         meta = {"channel": "sgad", "alpha2_sq": params.alpha2_sq,
                 **{k: getattr(params, k) for k in ("alpha", "beta", "mu", "nu", "phi", "lam")},
-                **sgad_caption_angles(params)}
-    meta.update({"theta1": theta1, "convention": convention, "alpha2_sq_prep": alpha2_sq})
+                **{name: _caption_angle(getattr(params, attr)) for name, attr in
+                   (("theta1", "alpha"), ("theta2", "beta"), ("theta3", "mu"), ("theta4", "nu"))}}
+    meta.update({"theta1": theta1, "convention": "half-angle", "alpha2_sq_prep": alpha2_sq})
     return meta
 
 
-def build_channel_lattice(
-    params: ChannelParams,
-    *,
-    theta1: float = math.pi / 2,
-    convention: str = "half-angle",
-) -> CircuitSpec:
+def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2) -> CircuitSpec:
     """Preparation plus evolve lattice for one of the channels.
 
-    theta1 sets the system preparation rotation; the environment rotation is
-    dictated by the channel's bath weights (ground state for dephasing). The
-    Pauli lattice prepares its system qubit in the half-angle convention.
+    The preparation puts the system qubit (cos theta1/2, sin theta1/2) and the
+    environment (sqrt(alpha2_sq), sqrt(1 - alpha2_sq)) that ``_encode`` gives
+    the evolve stage, with alpha2_sq from the channel's bath weights (ground
+    state for dephasing and for the Pauli reservoir).
     """
     register, lattice, alpha2_sq = _evolve_layers(params)
     if isinstance(params, PauliParams):
         layers = _pauli_preparation_layers(register, theta1)
     else:
-        prep = ProductStateParams(theta1, _theta2_for_weight(alpha2_sq, convention), convention)
-        layers = _preparation_layers(*prep.amplitudes(), register)
+        a1, b1 = _qubit_amplitudes("theta1", theta1)
+        layers = _preparation_layers(a1, b1, np.sqrt(alpha2_sq), np.sqrt(1.0 - alpha2_sq), register)
     stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
-    return CircuitSpec(register, layers + lattice, stages,
-                       _lattice_metadata(params, theta1, convention))
-
-
-def _theta2_for_weight(alpha2_sq, convention: str):
-    """Preparation angle whose environment ground weight is alpha2_sq."""
-    a2 = np.sqrt(np.clip(alpha2_sq, 0.0, 1.0))
-    if convention == "half-angle":
-        return 2.0 * np.arccos(a2)
-    return np.arcsin(a2)
+    return CircuitSpec(register, layers + lattice, stages, _lattice_metadata(params, theta1))
 
 
 def pauli_caption_angles(p, q1, q2, q3) -> tuple[float, float, float]:
@@ -703,9 +687,8 @@ def build_pauli_lattice(
 
 def _pauli_preparation_layers(register: Register, prep_theta: float):
     """Layers taking |000>|H> to (cos(prep_theta/2)|000> + sin(prep_theta/2)|100>)|H>."""
-    prep_theta = finite_values("prep_theta", prep_theta)
+    a, b = _qubit_amplitudes("prep_theta", prep_theta)
     pol = polarization_wire(register).index
-    a, b = math.cos(prep_theta / 2), math.sin(prep_theta / 2)
     return [
         (GatePlacement("local-u3", (pol,), U3Params(2 * math.atan2(b, a), 0.0, math.pi)),),
         (GatePlacement("cnot-pol-path", (pol, register[0].index)),),
@@ -794,14 +777,13 @@ class ChannelLattices:
     encoded system basis inputs, |0> and |1> against the environment, and
     those two output columns give each point's Choi matrix. Their
     combination a1 col0 + b1 col1 is the output on the qubit that theta1
-    prepares (half-angle convention, as in build_channel_lattice's default).
+    prepares, (a1, b1) = (cos theta1/2, sin theta1/2) as in build_channel_lattice.
     """
 
     def __init__(self, points: Sequence[ChannelParams], *, theta1: float = math.pi / 2):
         self.params = ParamStack(points)
         self.theta1 = theta1
-        half = finite_values("theta1", theta1) / 2
-        self.system_input = np.array([np.cos(half), np.sin(half)])  # (a1, b1)
+        self.system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
         self.register, layers, alpha2_sq = _evolve_layers(self.params)
         inputs = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(self.register))
         self._inputs = np.broadcast_to(inputs, (len(self),) + inputs.shape[-2:])  # (B, 2, d)
@@ -823,7 +805,7 @@ class ChannelLattices:
 
     def metadata(self, i: int) -> dict:
         """The metadata build_channel_lattice gives point i's lattice."""
-        return _lattice_metadata(self.params.points[i], self.theta1, "half-angle")
+        return _lattice_metadata(self.params.points[i], self.theta1)
 
     def unitaries(self, start: int, stop: int) -> np.ndarray:
         """Composed evolve-stage unitaries of points start..stop-1, shape (stop - start, d, d)."""
@@ -834,10 +816,11 @@ class ChannelLattices:
             out = seg if out is None else seg @ out
         return np.broadcast_to(out, (stop - start,) + out.shape[-2:])
 
-    def outputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Choi matrices, shape (stop - start, 4, 4), and reduced system states
-        after the qubit theta1 prepares, shape (stop - start, 2, 2), of points
-        start..stop-1.
+    def outputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Choi matrices, shape (stop - start, 4, 4), reduced system states
+        after the qubit theta1 prepares, shape (stop - start, 2, 2), and the
+        joint output states they are traced from, shape (stop - start, d), of
+        points start..stop-1.
 
         Each point gets the checks of the per-point path: the composed
         unitarity residual, the output state's norm, the joint density and
@@ -859,7 +842,15 @@ class ChannelLattices:
         rho = amps @ dagger(amps)
         check_densities(rho, eig_atol=None, first_index=start)
         m = cols.reshape(len(cols), 4, -1)
-        return m @ dagger(m), rho
+        return m @ dagger(m), rho, psi
+
+
+def lattice_state(params: ChannelParams, *, theta1: float = math.pi / 2) -> PureState:
+    """The joint output state of one point's lattice on the qubit theta1
+    prepares: the one-point case of ChannelLattices, with all of its checks."""
+    lattices = ChannelLattices([params], theta1=theta1)
+    psi = lattices.outputs(0, 1)[2][0]
+    return PureState(psi, (2,) * len(lattices.register))
 
 
 @dataclass(frozen=True)
@@ -892,7 +883,7 @@ def channel_sweep(
     def blocks():
         for start in range(0, len(lattices), BLOCK_SIZE):
             stop = min(start + BLOCK_SIZE, len(lattices))
-            lattice_choi, lattice = lattices.outputs(start, stop)
+            lattice_choi, lattice, _ = lattices.outputs(start, stop)
             kraus = apply_operators(rho_in, ops[start:stop])
             check_densities(kraus, first_index=start)
             kraus_choi = choi(ops[start:stop])
@@ -944,17 +935,17 @@ def gad_experiment(theta1: float, theta2: float, theta3: float) -> DensityMatrix
     """Joint system-environment state after the two-layer tabletop interferometer.
 
     Angles are half-wave-plate mount angles; each plate rotates polarization
-    by twice its mount angle. This is the GAD lattice in the experimental
-    convention with amplitudes cos/sin of 2 theta1, bath ground weight
-    sin^2(2 theta2) and p = sin^2(2 theta3); theta3 = pi/2 leaves the
-    product state untouched. Polarization is traced out of the result.
+    by twice its mount angle. This is the GAD lattice with system amplitudes
+    cos/sin of 2 theta1, which are the half-angle amplitudes at 4 theta1
+    (scaling by a power of two is exact), bath ground weight sin^2(2 theta2)
+    and p = sin^2(2 theta3); theta3 = pi/2 leaves the product state
+    untouched. Polarization is traced out of the result.
     """
-    for name, v in (("theta1", theta1), ("theta2", theta2), ("theta3", theta3)):
-        if not math.isfinite(2 * v):  # math.sin of an infinite angle raises ValueError
-            raise InvalidArgument(f"{name} must be finite when doubled, got {v}")
+    for name, v, scale in (("theta1", theta1, 4), ("theta2", theta2, 2), ("theta3", theta3, 2)):
+        if not math.isfinite(scale * v):  # math.sin of an infinite angle raises ValueError
+            raise InvalidArgument(f"{name} must be finite when multiplied by {scale}, got {v}")
     params = GADParams(math.sin(2 * theta3) ** 2, math.sin(2 * theta2) ** 2)
-    lattice = build_channel_lattice(params, theta1=2 * theta1, convention="experimental")
-    joint = traced_joint_state(evolve(initial_state(lattice), lattice))
+    joint = traced_joint_state(lattice_state(params, theta1=4 * theta1))
     return DensityMatrix(joint.matrix, joint.dims)
 
 

@@ -37,6 +37,7 @@ from .qmath import (
     fidelity,
     load_json,
     matrix_to_payload,
+    partial_trace,
     save_json,
     state_from_payload,
     state_to_payload,
@@ -248,14 +249,16 @@ def cmd_tomography(args) -> dict:
             not isinstance(params, channels_mod.PauliParams),
             "tomography covers the two-qubit lattices; pauli uses a 4-level reservoir",
         )
-        lattice = circuit_mod.build_channel_lattice(params, theta1=args.theta1)
-        psi = circuit_mod.evolve(circuit_mod.initial_state(lattice), lattice)
+        # the experimental amplitudes cos/sin theta1 are the half-angle ones at 2 theta1
+        theta1 = 2 * args.theta1 if args.convention == "experimental" else args.theta1
+        psi = circuit_mod.lattice_state(params, theta1=theta1)
     else:
         psi = circuit_mod.prepare_product_state(
             circuit_mod.ProductStateParams(args.theta1, args.theta2, args.convention)
         )
-    truth = circuit_mod.traced_joint_state(psi)
-    records = tomo_mod.simulate_counts(psi.density(), shots, noise=args.noise, seed=args.seed)
+    joint = psi.density()
+    truth = partial_trace(joint, (0, 1))  # polarization, the last wire, traced out
+    records = tomo_mod.simulate_counts(joint, shots, noise=args.noise, seed=args.seed)
     ml = tomo_mod.ml_reconstruct(records)
     # None when a tiny budget left the H/V block, and linear inversion, empty
     linear = ml.linear

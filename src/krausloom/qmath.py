@@ -88,15 +88,7 @@ class DensityMatrix:
     matrix: np.ndarray
     dims: tuple[int, ...]
 
-    def __init__(
-        self,
-        matrix,
-        dims: Sequence[int],
-        *,
-        herm_atol: float = ATOL_STRUCTURAL,
-        trace_atol: float = ATOL_STRUCTURAL,
-        eig_atol: float | None = ATOL_SPECTRAL,
-    ):
+    def __init__(self, matrix, dims: Sequence[int], *, eig_atol: float | None = ATOL_SPECTRAL):
         mat = np.asarray(matrix, dtype=complex)
         dims = tuple(int(d) for d in dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -105,7 +97,7 @@ class DensityMatrix:
             raise InvalidState(f"dims {dims} do not multiply to matrix size {mat.shape[0]}")
         if not np.all(np.isfinite(mat)):
             raise InvalidState("density matrix entries must be finite")
-        check_densities(mat, herm_atol=herm_atol, trace_atol=trace_atol, eig_atol=eig_atol)
+        check_densities(mat, eig_atol=eig_atol)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
@@ -149,21 +141,16 @@ def density_residuals(mats, *, eig: bool = True):
     return herm, tdev, lo
 
 
-def check_densities(
-    mats,
-    *,
-    herm_atol: float = ATOL_STRUCTURAL,
-    trace_atol: float = ATOL_STRUCTURAL,
-    eig_atol: float | None = ATOL_SPECTRAL,
-    first_index: int = 0,
-) -> None:
-    """Raise InvalidState unless every matrix of ``mats`` is a density matrix.
+def check_densities(mats, *, eig_atol: float | None = ATOL_SPECTRAL, first_index: int = 0) -> None:
+    """Raise InvalidState unless every matrix of ``mats`` is a density matrix:
+    Hermitian and of unit trace to ATOL_STRUCTURAL, and no eigenvalue below
+    -eig_atol.
 
     ``mats`` is one matrix or a stack; a failing stack entry is named by its
     index plus ``first_index``. ``eig_atol=None`` skips the eigenvalue check.
     """
     herm, tdev, lo = density_residuals(mats, eig=eig_atol is not None)
-    bad = (herm > herm_atol) | (tdev > trace_atol)
+    bad = (herm > ATOL_STRUCTURAL) | (tdev > ATOL_STRUCTURAL)
     if eig_atol is not None:
         bad = bad | (lo < -eig_atol)
     if not bad.any():
@@ -171,9 +158,9 @@ def check_densities(
     i = int(np.argmax(bad))
     where = f"point {first_index + i}: " if np.ndim(mats) == 3 else ""
     herm, tdev = np.ravel(herm)[i], np.ravel(tdev)[i]
-    if herm > herm_atol:
-        raise InvalidState(f"{where}hermiticity residual {herm:.3e} exceeds {herm_atol:.1e}")
-    if tdev > trace_atol:
+    if herm > ATOL_STRUCTURAL:
+        raise InvalidState(f"{where}hermiticity residual {herm:.3e} exceeds {ATOL_STRUCTURAL:.1e}")
+    if tdev > ATOL_STRUCTURAL:
         raise InvalidState(f"{where}trace deviates from 1 by {tdev:.3e}")
     raise InvalidState(f"{where}minimum eigenvalue {np.ravel(lo)[i]:.3e} below -{eig_atol:.1e}")
 

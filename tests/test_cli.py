@@ -264,6 +264,18 @@ class TestTomographyCommand:
         payload = load_json(str(out))
         assert payload["fidelity_linear"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_experimental_convention_is_the_half_angle_run_at_twice_theta1(self, capsys):
+        # the experimental amplitudes cos/sin theta1 are the half-angle ones at 2 theta1
+        flags = ("tomography", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8",
+                 "--noise", "--shots", "1000", "--seed", "5")
+        outs = []
+        for extra in (("--theta1", "0.7", "--convention", "experimental"), ("--theta1", "1.4"),
+                      ("--theta1", "0.7")):
+            assert run(*flags, *extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0] != outs[2]
+
     def test_seeded_noisy_run_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ("tomography", "--theta1", "0.9", "--noise", "--shots", "5000", "--seed", "7")
@@ -318,12 +330,34 @@ class TestReproduceGad:
         assert run("reproduce-gad", flag, "1e308") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_theta1_that_overflows_four_fold_exits_2(self, capsys):
+        # the lattice's half-angle qubit sits at 4 theta1
+        assert run("reproduce-gad", "--theta1", "5e307") == 2
+        assert capsys.readouterr().err.startswith("error: theta1 must be finite")
+
     def test_emit_theory(self, tmp_path, capsys):
         path = tmp_path / "theory.json"
         assert run("reproduce-gad", "--emit-theory", str(path)) == 0
         capsys.readouterr()
         matrix = density_from_payload(load_json(str(path))["matrix"])
         assert matrix.dims == (2, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tomography", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8"),
+    ("tomography", "--channel", "sgad", "--sgad-alpha", "0.2", "--sgad-beta", "0.4",
+     "--sgad-mu", "0.1", "--sgad-nu", "0.3", "--sgad-phi", "0.5", "--alpha2-sq", "0.7"),
+    ("tomography", "--channel", "dephasing", "--p", "0.3", "--noise", "--shots", "1000"),
+    ("reproduce-gad",),
+])
+def test_lattice_states_build_no_preparation(monkeypatch, capsys, argv):
+    # tomography and reproduce-gad take the lattice's state from ChannelLattices
+    def never(*args, **kwargs):
+        raise AssertionError("a preparation was built")
+
+    for name in ("ProductStateParams", "_preparation_layers", "_pauli_preparation_layers"):
+        monkeypatch.setattr(circuit_mod, name, never)
+    assert run(*argv) == 0, capsys.readouterr().err
 
 
 class TestExitCodeContract:

@@ -24,7 +24,6 @@ from krausloom.circuit import (
     circuit_to_payload,
     circuit_unitary,
     gad_experiment,
-    initial_state,
     placement_matrix,
     preparation_circuit,
     stage_unitary,
@@ -100,10 +99,10 @@ def random_point(rng, family):
 FAMILIES = ("dephasing", "gad", "sgad", "pauli")
 
 
-def lattice_of(params, theta1, convention="half-angle"):
+def lattice_of(params, theta1):
     if isinstance(params, PauliParams):
         return build_pauli_lattice(params.p, params.q1, params.q2, params.q3, prep_theta=theta1)
-    return build_channel_lattice(params, theta1=theta1, convention=convention)
+    return build_channel_lattice(params, theta1=theta1)
 
 
 class TestAgainstPerPlacementProduct:
@@ -111,9 +110,10 @@ class TestAgainstPerPlacementProduct:
     def test_every_family_lattice(self, family):
         rng = np.random.default_rng(len(family))
         for _ in range(25):
-            conventions = ("half-angle",) if family == "pauli" else ("half-angle", "experimental")
-            for convention in conventions:
-                lattice = lattice_of(random_point(rng, family), rng.uniform(0, np.pi), convention)
+            # the experimental amplitudes cos/sin theta1 are the half-angle ones at 2 theta1
+            theta1 = rng.uniform(0, np.pi)
+            for angle in (theta1,) if family == "pauli" else (theta1, 2 * theta1):
+                lattice = lattice_of(random_point(rng, family), angle)
                 assert_bits(lattice.unitary, reference_compose(lattice.register, lattice.layers))
                 for stage in ("prepare", "evolve"):
                     layers = [l for l, s in zip(lattice.layers, lattice.stages) if s == stage]
@@ -143,15 +143,16 @@ class TestAgainstPerPlacementProduct:
                 assert_bits(circ.unitary, reference_compose(circ.register, circ.layers))
 
     def test_gad_experiment(self):
+        # the evolve stage on the encoded system qubit (cos 2 t1, sin 2 t1)
         rng = np.random.default_rng(12)
         for angles in [circuit_mod.REFERENCE_GAD_ANGLES] + list(rng.uniform(0, np.pi, size=(20, 3))):
             t1, t2, t3 = (float(a) for a in angles)
             params = GADParams(np.sin(2 * t3) ** 2, np.sin(2 * t2) ** 2)
-            lattice = build_channel_lattice(params, theta1=2 * t1, convention="experimental")
-            u = reference_compose(lattice.register, lattice.layers)
-            psi = initial_state(lattice)
-            want = traced_joint_state(PureState(u @ psi.amplitudes, psi.dims)).matrix
-            assert_bits(gad_experiment(t1, t2, t3).matrix, want)
+            register, layers, alpha2_sq = circuit_mod._evolve_layers(params)
+            u = reference_compose(register, layers)
+            cols = circuit_mod._encode(np.eye(2), alpha2_sq, len(register)) @ u.T
+            psi = PureState(np.array([np.cos(2 * t1), np.sin(2 * t1)]) @ cols, (2, 2, 2))
+            assert_bits(gad_experiment(t1, t2, t3).matrix, traced_joint_state(psi).matrix)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("size", [1, 5, 64])
