@@ -209,19 +209,19 @@ def _sgad_ops(params) -> np.ndarray:
     sb2 = np.sqrt(1.0 - params.alpha2_sq)
     eph = np.exp(-1j * np.asarray(params.phi))
     ela = np.exp(-1j * np.asarray(params.lam))
-    return np.stack([
+    return np.stack(np.broadcast_arrays(  # a field may vary in some operators only
         matrix_2x2(sa2 * np.sqrt(1 - a), 0, 0, sa2 * np.sqrt(1 - b)),
         matrix_2x2(0, sa2 * np.sqrt(b), sa2 * (np.sqrt(a) * eph), 0),
         matrix_2x2(sb2 * np.sqrt(1 - mu), 0, 0, sb2 * np.sqrt(1 - nu)),
         matrix_2x2(0, sb2 * np.sqrt(nu), sb2 * (np.sqrt(mu) * ela), 0),
-    ], axis=-3)
+    ), axis=-3)
 
 
 def _pauli_ops(params) -> np.ndarray:
     weights = (1 - params.p, params.p * params.q1, params.p * params.q2, params.p * params.q3)
     paulis = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
-    return np.stack([np.sqrt(np.asarray(w))[..., None, None] * m
-                     for w, m in zip(weights, paulis)], axis=-3)
+    return np.stack(np.broadcast_arrays(*[np.sqrt(np.asarray(w))[..., None, None] * m
+                                          for w, m in zip(weights, paulis)]), axis=-3)
 
 
 _FAMILY_OPS = {

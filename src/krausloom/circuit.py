@@ -34,8 +34,8 @@ and the matmul chain runs in layer order. The template and the flat
 positions depend on the wiring alone (register, kinds, wires, conditions
 and layer sizes). They are built, and every wiring check is run, once per
 wiring in a bounded cache that no angle or parameter keys. A circuit too
-long for one scatter of KERNEL_BYTES goes through in consecutive runs of
-layers; every channel lattice is one run.
+long for one scatter of KERNEL_BYTES, over all of its stacked points, goes
+through in consecutive runs of layers; every one-point lattice is one run.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ class CircuitSpec:
         return 2 ** len(self.register)
 
 
-KERNEL_BYTES = 1 << 18  # most placement-matrix bytes one scatter writes per point
+KERNEL_BYTES = 1 << 18  # most placement-matrix bytes one scatter writes, every point of a stack
 
 
 def _compose(register: Register, layers) -> np.ndarray:
@@ -243,13 +243,16 @@ def _compose(register: Register, layers) -> np.ndarray:
     The lattice kernel: the placement matrices come from ``_placement_stack``
     and the matmul chain runs in layer order. A circuit whose matrices fill
     more than KERNEL_BYTES goes through in consecutive runs of layers, so the
-    buffers and the cached templates stay bounded whatever a circuit file
-    holds; every lattice is one run. Placements with stacked angles, shape
-    (B,), give a stack of products.
+    buffers and the cached templates stay bounded whatever a circuit file or
+    a sweep block holds. Placements with stacked angles, shape (B,), give a
+    stack of products, and their scatter writes B matrices per placement.
     """
     d = 2 ** len(register)
+    points = max([a.size for layer in layers for p in layer if p.params is not None
+                  for a in (p.params.theta, p.params.phi, p.params.lam)
+                  if isinstance(a, np.ndarray)], default=1)
     out = None
-    for run in _layer_runs(layers, max(1, KERNEL_BYTES // (16 * d * d))):
+    for run in _layer_runs(layers, max(1, KERNEL_BYTES // (16 * d * d * points))):
         mats = _placement_stack(register, run)
         for g in range(mats.shape[-3]):
             out = mats[..., g, :, :] if out is None else mats[..., g, :, :] @ out
@@ -373,6 +376,13 @@ def channel_register() -> Register:
 
 # The angle helpers and layer recipes below take floats or arrays over the
 # points of a batch; an array gives a placement with stacked angles.
+
+
+def _finite_multiple(name: str, value: float, scale: int) -> float:
+    """``scale * value``; raises unless it is finite, naming the value given."""
+    if not math.isfinite(scale * value):
+        raise InvalidArgument(f"{name} must be finite when multiplied by {scale}, got {value}")
+    return scale * value
 
 
 def _qubit_amplitudes(name: str, theta) -> np.ndarray:
@@ -745,20 +755,6 @@ def _pauli_evolve_layers(params):
 BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sweep length
 
 
-def _is_stacked(placement: GatePlacement) -> bool:
-    u = placement.params
-    return u is not None and any(isinstance(a, np.ndarray) for a in (u.theta, u.phi, u.lam))
-
-
-def _block_placement(placement: GatePlacement, start: int, stop: int) -> GatePlacement:
-    """The placement at points start..stop-1 of its stacked angles."""
-    if not _is_stacked(placement):
-        return placement
-    u = placement.params
-    angles = (a[start:stop] if isinstance(a, np.ndarray) else a for a in (u.theta, u.phi, u.lam))
-    return GatePlacement(placement.kind, placement.wires, U3Params(*angles), placement.condition)
-
-
 def _first_failure(bad: np.ndarray, start: int, message) -> None:
     """Raise InvalidState for the first flagged point, ``message(i)`` describing it."""
     if np.any(bad):
@@ -766,91 +762,44 @@ def _first_failure(bad: np.ndarray, start: int, message) -> None:
         raise InvalidState(f"point {start + i}: {message(i)}")
 
 
-class ChannelLattices:
-    """The evolve stages of one channel family's lattices over a sequence of
-    parameter points, each read as a channel on the system qubit.
-
-    The layer recipes run once, on the points' stacked angles. Each run of
-    layers whose angles agree at every point is composed here, once; the
-    layers whose angles vary are built and composed per block of points.
-    No preparation is built: each block's composition acts on the two
-    encoded system basis inputs, |0> and |1> against the environment, and
-    those two output columns give each point's Choi matrix. Their
-    combination a1 col0 + b1 col1 is the output on the qubit that theta1
-    prepares, (a1, b1) = (cos theta1/2, sin theta1/2) as in build_channel_lattice.
+def lattice_outputs(
+    params: ParamStack, system_input: np.ndarray, *, first_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Choi matrices (B, 4, 4), reduced outputs (B, 2, 2) on the qubit
+    ``system_input`` = (a1, b1) and joint densities (B, d, d) of a stack's B
+    points: one kernel call composes their evolve stages, which act on the two
+    encoded system basis inputs; no preparation is built. Every point is checked
+    (unitarity, norm, joint and traced density); errors name point first_index + i.
     """
-
-    def __init__(self, points: Sequence[ChannelParams], *, theta1: float = math.pi / 2):
-        self.params = ParamStack(points)
-        self.theta1 = theta1
-        self.system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
-        self.register, layers, alpha2_sq = _evolve_layers(self.params)
-        inputs = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(self.register))
-        self._inputs = np.broadcast_to(inputs, (len(self),) + inputs.shape[-2:])  # (B, 2, d)
-        self._segments = []  # a composed constant run (an ndarray), or one stacked layer
-        run = []
-        for layer in layers:
-            if not any(_is_stacked(p) for p in layer):
-                run.append(layer)
-                continue
-            if run:
-                self._segments.append(_compose(self.register, run))
-                run = []
-            self._segments.append(layer)
-        if run:
-            self._segments.append(_compose(self.register, run))
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-    def metadata(self, i: int) -> dict:
-        """The metadata build_channel_lattice gives point i's lattice."""
-        return _lattice_metadata(self.params.points[i], self.theta1)
-
-    def unitaries(self, start: int, stop: int) -> np.ndarray:
-        """Composed evolve-stage unitaries of points start..stop-1, shape (stop - start, d, d)."""
-        out = None
-        for seg in self._segments:
-            if not isinstance(seg, np.ndarray):
-                seg = _compose(self.register, [[_block_placement(p, start, stop) for p in seg]])
-            out = seg if out is None else seg @ out
-        return np.broadcast_to(out, (stop - start,) + out.shape[-2:])
-
-    def outputs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Choi matrices, shape (stop - start, 4, 4), reduced system states
-        after the qubit theta1 prepares, shape (stop - start, 2, 2), and the
-        joint output states they are traced from, shape (stop - start, d), of
-        points start..stop-1.
-
-        Each point gets the checks of the per-point path: the composed
-        unitarity residual, the output state's norm, the joint density and
-        the traced density (Hermiticity and trace).
-        """
-        u = self.unitaries(start, stop)
-        res = unitarity_residual(u)
-        _first_failure(res > structural_atol(), start,
-                       lambda i: f"layer composition unitarity residual {res[i]:.3e}")
-        cols = self._inputs[start:stop] @ u.swapaxes(-1, -2)  # row i: U on the encoded |i>
-        psi = self.system_input @ cols
-        norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-        _first_failure(norm_dev > ATOL_ARITHMETIC, start,
-                       lambda i: f"state norm deviates from 1 by {norm_dev[i]:.3e}")
-        check_densities(psi[:, :, None] * psi[:, None, :].conj(), first_index=start)
-        # the system wire first, the rest traced out; E(|i><j|)[a, b] is
-        # sum_r out_i[a, r] out_j[b, r]^*, so J = M M^dagger with rows (i, a)
-        amps = psi.reshape(len(psi), 2, -1)
-        rho = amps @ dagger(amps)
-        check_densities(rho, eig_atol=None, first_index=start)
-        m = cols.reshape(len(cols), 4, -1)
-        return m @ dagger(m), rho, psi
+    register, layers, alpha2_sq = _evolve_layers(params)
+    d = 2 ** len(register)
+    u = np.broadcast_to(_compose(register, layers), (len(params), d, d))
+    res = unitarity_residual(u)
+    _first_failure(res > structural_atol(), first_index,
+                   lambda i: f"layer composition unitarity residual {res[i]:.3e}")
+    # row i: U on the encoded |i>
+    cols = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register)) @ u.swapaxes(-1, -2)
+    psi = system_input @ cols
+    norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    _first_failure(norm_dev > ATOL_ARITHMETIC, first_index,
+                   lambda i: f"state norm deviates from 1 by {norm_dev[i]:.3e}")
+    joint = psi[:, :, None] * psi[:, None, :].conj()
+    check_densities(joint, first_index=first_index)
+    # the system wire first, the rest traced out; E(|i><j|)[a, b] is
+    # sum_r out_i[a, r] out_j[b, r]^*, so J = M M^dagger with rows (i, a)
+    amps = psi.reshape(len(psi), 2, -1)
+    rho = amps @ dagger(amps)
+    check_densities(rho, eig_atol=None, first_index=first_index)
+    m = cols.reshape(len(cols), 4, -1)
+    return m @ dagger(m), rho, joint
 
 
-def lattice_state(params: ChannelParams, *, theta1: float = math.pi / 2) -> PureState:
-    """The joint output state of one point's lattice on the qubit theta1
-    prepares: the one-point case of ChannelLattices, with all of its checks."""
-    lattices = ChannelLattices([params], theta1=theta1)
-    psi = lattices.outputs(0, 1)[2][0]
-    return PureState(psi, (2,) * len(lattices.register))
+def lattice_state(params: ChannelParams, *, theta1: float = math.pi / 2) -> DensityMatrix:
+    """``lattice_outputs`` at one point: its joint density on the qubit theta1 prepares."""
+    joint = lattice_outputs(ParamStack([params]), _qubit_amplitudes("theta1", theta1),
+                            first_index=0)[2][0]
+    # lattice_outputs ran the eigenvalue check; one qubit per wire
+    return DensityMatrix(joint, (2,) * (len(joint).bit_length() - 1), eig_atol=None)
 
 
 @dataclass(frozen=True)
@@ -874,22 +823,24 @@ def channel_sweep(
     time: their Choi matrices, and their outputs on the qubit theta1 prepares.
 
     Every point is validated, and its Kraus completeness checked, before this
-    returns; the lattice and output checks run as each block is computed.
+    returns; each block's ParamStack then runs through ``lattice_outputs``.
     """
-    lattices = ChannelLattices(points, theta1=theta1)
-    ops, labels = kraus_stack(lattices.params)
-    rho_in = np.outer(lattices.system_input, lattices.system_input).astype(complex)
+    stack = ParamStack(points)
+    system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
+    ops, labels = kraus_stack(stack)
+    rho_in = np.outer(system_input, system_input).astype(complex)
 
     def blocks():
-        for start in range(0, len(lattices), BLOCK_SIZE):
-            stop = min(start + BLOCK_SIZE, len(lattices))
-            lattice_choi, lattice, _ = lattices.outputs(start, stop)
-            kraus = apply_operators(rho_in, ops[start:stop])
+        for start in range(0, len(stack), BLOCK_SIZE):
+            block = stack.points[start:start + BLOCK_SIZE]
+            lattice_choi, lattice, _ = lattice_outputs(ParamStack(block), system_input,
+                                                       first_index=start)
+            kraus = apply_operators(rho_in, ops[start:start + BLOCK_SIZE])
             check_densities(kraus, first_index=start)
-            kraus_choi = choi(ops[start:stop])
+            kraus_choi = choi(ops[start:start + BLOCK_SIZE])
             deviation = np.maximum(np.max(np.abs(lattice_choi - kraus_choi), axis=(-2, -1)),
                                    np.max(np.abs(lattice - kraus), axis=(-2, -1)))
-            meta = [lattices.metadata(i) for i in range(start, stop)]
+            meta = [_lattice_metadata(p, theta1) for p in block]
             yield SweepBlock(start, meta, lattice, kraus, lattice_choi, kraus_choi, deviation,
                              labels)
 
@@ -941,11 +892,10 @@ def gad_experiment(theta1: float, theta2: float, theta3: float) -> DensityMatrix
     and p = sin^2(2 theta3); theta3 = pi/2 leaves the product state
     untouched. Polarization is traced out of the result.
     """
-    for name, v, scale in (("theta1", theta1, 4), ("theta2", theta2, 2), ("theta3", theta3, 2)):
-        if not math.isfinite(scale * v):  # math.sin of an infinite angle raises ValueError
-            raise InvalidArgument(f"{name} must be finite when multiplied by {scale}, got {v}")
-    params = GADParams(math.sin(2 * theta3) ** 2, math.sin(2 * theta2) ** 2)
-    joint = traced_joint_state(lattice_state(params, theta1=4 * theta1))
+    t1, t2, t3 = (_finite_multiple(name, v, scale) for name, v, scale in  # math.sin(inf) raises
+                  (("theta1", theta1, 4), ("theta2", theta2, 2), ("theta3", theta3, 2)))
+    params = GADParams(math.sin(t3) ** 2, math.sin(t2) ** 2)
+    joint = partial_trace(lattice_state(params, theta1=t1), (0, 1))
     return DensityMatrix(joint.matrix, joint.dims)
 
 

@@ -250,13 +250,13 @@ def cmd_tomography(args) -> dict:
             "tomography covers the two-qubit lattices; pauli uses a 4-level reservoir",
         )
         # the experimental amplitudes cos/sin theta1 are the half-angle ones at 2 theta1
-        theta1 = 2 * args.theta1 if args.convention == "experimental" else args.theta1
-        psi = circuit_mod.lattice_state(params, theta1=theta1)
+        experimental = args.convention == "experimental"
+        theta1 = circuit_mod._finite_multiple("theta1", args.theta1, 2) if experimental else args.theta1
+        joint = circuit_mod.lattice_state(params, theta1=theta1)
     else:
-        psi = circuit_mod.prepare_product_state(
+        joint = circuit_mod.prepare_product_state(
             circuit_mod.ProductStateParams(args.theta1, args.theta2, args.convention)
-        )
-    joint = psi.density()
+        ).density()
     truth = partial_trace(joint, (0, 1))  # polarization, the last wire, traced out
     records = tomo_mod.simulate_counts(joint, shots, noise=args.noise, seed=args.seed)
     ml = tomo_mod.ml_reconstruct(records)

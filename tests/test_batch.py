@@ -24,7 +24,6 @@ from krausloom.channels import (
 )
 from krausloom.circuit import (
     BLOCK_SIZE,
-    ChannelLattices,
     CircuitSpec,
     ProductStateParams,
     build_channel_lattice,
@@ -136,11 +135,21 @@ def test_every_point_of_partial_blocks_matches(count):
     assert_sweep_matches(points, theta1=0.4)
 
 
+@pytest.mark.parametrize("points", [
+    [PauliParams(0.5, q, 0.3, 0.7 - q) for q in (0.1, 0.2, 0.4)],
+    [SGADParams(0.3, 0.4, mu, 0.2, 0.5, 1.1, 0.6) for mu in (0.0, 0.5, 1.0)],
+    [SGADParams(a, 0.4, 0.2, 0.1, 0.5, 1.1, 0.6) for a in (0.0, 0.5, 1.0)],
+], ids=["pauli-q", "sgad-mu", "sgad-alpha"])
+def test_fields_that_vary_in_some_operators_only(points):
+    # the other operators stay one matrix across the stack
+    assert_sweep_matches(points, theta1=1.1)
+
+
 def test_lattice_unitaries_match_circuit_unitary():
     points = [SGADParams(0.3 * t, t, 0.8 * t, 0.1 * t, 0.5, 1.1, 0.2 + 0.6 * t)
               for t in np.linspace(0.0, 1.0, 7)]
-    stack = ChannelLattices(points, theta1=1.9)
-    u = stack.unitaries(2, 7)
+    register, layers, _ = circuit._evolve_layers(ParamStack(points[2:7]))
+    u = circuit._compose(register, layers)
     assert u.shape == (5, 8, 8)
     for i in range(2, 7):
         # the lattices hold the evolve stage only: its layers as a circuit of their own
@@ -167,8 +176,9 @@ def test_encoded_inputs_are_the_one_point_encoders():
     # the stacked inputs at each point are encode_joint_state (encode_reservoir_state
     # for Pauli) of |0> and |1>, bit for bit
     for _, points in _channel_grid():
-        inputs = ChannelLattices(points)._inputs
-        for params, pair in zip(points, inputs):
+        register, _, alpha2_sq = circuit._evolve_layers(ParamStack(points))
+        inputs = circuit._encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register))
+        for params, pair in zip(points, np.broadcast_to(inputs, (len(points),) + inputs.shape[-2:])):
             for e, got in zip(np.eye(2), pair):
                 if isinstance(params, PauliParams):
                     want = encode_reservoir_state(e)

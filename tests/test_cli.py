@@ -125,6 +125,21 @@ class TestChannel:
                    "--format", "csv") == 0
         assert (out / "point_001.csv").read_text() == capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ("--channel", "dephasing", "--theta1", "0.9"),
+        ("--channel", "gad", "--alpha2-sq", "0.75"),
+        ("--channel", "pauli", "--q1", "0.2", "--q2", "0.3", "--q3", "0.5", "--theta1", "2.3"),
+    ], ids=["dephasing", "gad", "pauli"])
+    def test_grid_points_are_the_single_point_runs(self, tmp_path, capsys, flags):
+        # the grid spans three blocks, the last of one point
+        out = tmp_path / "sweep"
+        count = 2 * circuit_mod.BLOCK_SIZE + 1
+        assert run("channel", *flags, "--grid", f"0:1:{count}", "--out", str(out)) == 0
+        capsys.readouterr()
+        for entry in load_json(str(out / "index.json"))["points"]:
+            assert run("channel", *flags, "--p", repr(entry["p"])) == 0
+            assert (out / entry["file"]).read_bytes() == capsys.readouterr().out.encode(), entry
+
     def test_bad_grid_value_writes_nothing(self, tmp_path):
         out = tmp_path / "sweep"
         assert run("channel", "--channel", "dephasing", "--grid=-0.5:1:5",
@@ -276,6 +291,13 @@ class TestTomographyCommand:
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
 
+    def test_experimental_theta1_that_overflows_names_the_typed_value(self, capsys):
+        # 2 * 1e308 overflows; the error names the angle as typed, not inf
+        assert run("tomography", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8",
+                   "--convention", "experimental", "--theta1", "1e308") == 2
+        err = capsys.readouterr().err
+        assert err == "error: theta1 must be finite when multiplied by 2, got 1e+308\n"
+
     def test_seeded_noisy_run_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ("tomography", "--theta1", "0.9", "--noise", "--shots", "5000", "--seed", "7")
@@ -351,13 +373,32 @@ class TestReproduceGad:
     ("reproduce-gad",),
 ])
 def test_lattice_states_build_no_preparation(monkeypatch, capsys, argv):
-    # tomography and reproduce-gad take the lattice's state from ChannelLattices
+    # tomography and reproduce-gad take the lattice's state from lattice_outputs
     def never(*args, **kwargs):
         raise AssertionError("a preparation was built")
 
     for name in ("ProductStateParams", "_preparation_layers", "_pauli_preparation_layers"):
         monkeypatch.setattr(circuit_mod, name, never)
     assert run(*argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tomography", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8", "--noise",
+     "--shots", "1000", "--seed", "1"),
+    ("reproduce-gad",),
+])
+def test_joint_density_is_eigen_checked_once(monkeypatch, capsys, argv):
+    eigvalsh = np.linalg.eigvalsh
+    joint_checks = []
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (8, 8):
+            joint_checks.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert run(*argv) == 0, capsys.readouterr().err
+    assert joint_checks == [(1, 8, 8)]
 
 
 class TestExitCodeContract:

@@ -14,7 +14,6 @@ import pytest
 from krausloom import circuit as circuit_mod
 from krausloom.channels import DephasingParams, GADParams, ParamStack, PauliParams, SGADParams
 from krausloom.circuit import (
-    ChannelLattices,
     CircuitSpec,
     GatePlacement,
     ProductStateParams,
@@ -160,34 +159,33 @@ class TestAgainstPerPlacementProduct:
         rng = np.random.default_rng(size)
         points = [random_point(rng, family) for _ in range(size + 3)]
         theta1 = rng.uniform(0, np.pi)
-        register, layers, _ = circuit_mod._evolve_layers(ParamStack(points))
-        lattices = ChannelLattices(points, theta1=theta1)
         start, stop = 2, 2 + size
-        block = [[circuit_mod._block_placement(p, start, stop) for p in layer] for layer in layers]
-        stacked = [layer for layer in block if any(circuit_mod._is_stacked(p) for p in layer)]
-        assert stacked
-        # the kernel on every stacked layer, and on the whole block lattice at once
+        block = ParamStack(points[start:stop])
+        register, layers, alpha2_sq = circuit_mod._evolve_layers(block)
         d = 2 ** len(register)
+
+        def is_stacked(placement):
+            u = placement.params
+            return u is not None and any(np.ndim(a) for a in (u.theta, u.phi, u.lam))
+
+        stacked = [layer for layer in layers if any(is_stacked(p) for p in layer)]
+        # one point collapses every field to a float, so nothing stacks
+        assert bool(stacked) == (size > 1)
+        # the kernel on every stacked layer, and on the whole block lattice at once
         for layer in stacked:
             got = circuit_mod._compose(register, [layer])
             assert got.shape == (size, d, d)
             assert_bits(got, reference_compose(register, [layer]))
-        assert_bits(circuit_mod._compose(register, block), reference_compose(register, block))
-        # ChannelLattices composes the evolve stage: each constant run once and each
-        # stacked layer per block
-        segments, run = [], []
-        for layer in block:
-            if any(circuit_mod._is_stacked(p) for p in layer):
-                segments += ([run] if run else []) + [[layer]]
-                run = []
-            else:
-                run.append(layer)
-        segments += [run] if run else []
-        want = None
-        for segment in segments:
-            m = reference_compose(register, segment)
-            want = m if want is None else m @ want
-        assert_bits(np.ascontiguousarray(lattices.unitaries(start, stop)), want)
+        u = reference_compose(register, layers)
+        assert u.shape == ((size, d, d) if size > 1 else (d, d))
+        assert_bits(circuit_mod._compose(register, layers), u)
+        # the block's outputs come from those unitaries, composed in one run
+        system_input = circuit_mod._qubit_amplitudes("theta1", theta1)
+        inputs = circuit_mod._encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register))
+        cols = np.broadcast_to(inputs, (size, 2, d)) @ np.broadcast_to(u, (size, d, d)).swapaxes(-1, -2)
+        psi = system_input @ cols
+        _, _, joint = circuit_mod.lattice_outputs(block, system_input, first_index=start)
+        assert_bits(joint, psi[:, :, None] * psi[:, None, :].conj())
 
     def test_random_circuit_files(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -222,6 +220,23 @@ class TestAgainstPerPlacementProduct:
         assert all(sum(map(len, run)) <= most for run in runs)
         assert [layer for run in runs for layer in run] == list(circ.layers)
         assert_bits(circ.unitary, reference_compose(circ.register, circ.layers))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sweep_block_scatters_stay_within_kernel_bytes(self, family, monkeypatch):
+        # a block of BLOCK_SIZE points holds BLOCK_SIZE matrices per placement
+        rng = np.random.default_rng(18)
+        block = ParamStack([random_point(rng, family) for _ in range(circuit_mod.BLOCK_SIZE)])
+        register, layers, _ = circuit_mod._evolve_layers(block)
+        placement_stack, written = circuit_mod._placement_stack, []
+
+        def recording(*args):
+            mats = placement_stack(*args)
+            written.append(mats.nbytes)
+            return mats
+
+        monkeypatch.setattr(circuit_mod, "_placement_stack", recording)
+        assert_bits(circuit_mod._compose(register, layers), reference_compose(register, layers))
+        assert written and max(written) <= circuit_mod.KERNEL_BYTES
 
     def test_placement_matrix_is_the_one_placement_case(self):
         rng = np.random.default_rng(14)
