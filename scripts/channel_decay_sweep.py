@@ -10,6 +10,7 @@ qubit. Handy for plotting decay curves against the closed-form expectations.
 
 import argparse
 import csv
+import io
 import math
 import sys
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from krausloom.channels import DephasingParams, GADParams, PauliParams, SGADParams
 from krausloom.circuit import channel_sweep
+from krausloom.qmath import write_atomic
 
 
 def families(n_points):
@@ -35,21 +37,22 @@ def main():
     parser.add_argument("--out", default="channel_decay.csv")
     args = parser.parse_args()
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "p", "coherence", "ground_population", "cross_check"])
-        for name, ts, points in families(args.points):
-            for block in channel_sweep(points, theta1=args.theta1):
-                for t, rho, dev in zip(ts[block.start:], block.lattice, block.deviation):
-                    writer.writerow(
-                        [
-                            name,
-                            f"{t:.6f}",
-                            f"{abs(rho[0, 1]):.12g}",
-                            f"{rho[0, 0].real:.12g}",
-                            f"{dev:.3e}",
-                        ]
-                    )
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["channel", "p", "coherence", "ground_population", "cross_check"])
+    for name, ts, points in families(args.points):
+        for block in channel_sweep(points, theta1=args.theta1):
+            for t, rho, dev in zip(ts[block.start:], block.lattice, block.deviation):
+                writer.writerow(
+                    [
+                        name,
+                        f"{t:.6f}",
+                        f"{abs(rho[0, 1]):.12g}",
+                        f"{rho[0, 0].real:.12g}",
+                        f"{dev:.3e}",
+                    ]
+                )
+    write_atomic(args.out, text.getvalue())
     print(f"wrote {args.out}", file=sys.stderr)
 
 

@@ -10,20 +10,19 @@ are certified against their Kraus sets the same way.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidChannel
-from .gates import PAULI_X, PAULI_Y, PAULI_Z, matrix_2x2
-from .qmath import DensityMatrix, dagger, structural_atol
+from .gates import PAULI_X, PAULI_Y, PAULI_Z, finite_values, matrix_2x2
+from .qmath import ATOL_ARITHMETIC, DensityMatrix, check_residuals, dagger, structural_atol
 
 
 def _check_prob(name: str, value: float) -> float:
     value = float(value)
-    if not (0.0 <= value <= 1.0) or not math.isfinite(value):
+    if not 0.0 <= value <= 1.0:  # nan and +-inf fail it too
         raise InvalidArgument(f"{name} must lie in [0, 1], got {value}")
     return value
 
@@ -60,10 +59,7 @@ class SGADParams:
         for name in ("alpha", "beta", "mu", "nu", "alpha2_sq"):
             object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
         for name in ("phi", "lam"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidArgument(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_values(name, float(getattr(self, name))))
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,8 @@ class PauliParams:
         for name in ("q1", "q2", "q3"):
             object.__setattr__(self, name, _check_prob(name, getattr(self, name)))
         s = self.q1 + self.q2 + self.q3
-        if abs(s - 1.0) > 1e-12:
-            raise InvalidArgument(f"q1+q2+q3 must equal 1 within 1e-12, got {s!r}")
+        if abs(s - 1.0) > ATOL_ARITHMETIC:
+            raise InvalidArgument(f"q1+q2+q3 must equal 1 within {ATOL_ARITHMETIC}, got {s!r}")
 
 
 ChannelParams = DephasingParams | GADParams | SGADParams | PauliParams
@@ -143,9 +139,8 @@ class KrausSet:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(ops):
             raise InvalidChannel("one label per operator required")
-        res = completeness_residual(ops)
-        if res > structural_atol():
-            raise InvalidChannel(f"completeness residual {res:.3e} exceeds tolerance")
+        check_residuals(completeness_residual(ops), structural_atol(),
+                        "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", labels)
 
@@ -275,17 +270,14 @@ def channel_kraus(params: ChannelParams) -> KrausSet:
 def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:
     """Operators of every point of a stack, shape (B, k, 2, 2), and their labels.
 
-    Each point's completeness residual is checked as KrausSet checks it; the
-    first point that fails is named in the InvalidChannel raised.
+    Each point's completeness residual is checked as KrausSet checks it, by
+    ``check_residuals``, which names the first point that fails.
     """
     build, labels = _FAMILY_OPS[stack.family]
     ops = build(stack)
     ops = np.broadcast_to(ops, (len(stack),) + ops.shape[-3:])
-    res = completeness_residual(ops)
-    bad = np.flatnonzero(res > structural_atol())
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidChannel(f"point {i}: completeness residual {res[i]:.3e} exceeds tolerance")
+    check_residuals(completeness_residual(ops), structural_atol(),
+                    "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel)
     return ops, labels
 
 

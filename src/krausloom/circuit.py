@@ -58,7 +58,7 @@ from .channels import (
     choi,
     kraus_stack,
 )
-from .errors import InvalidArgument, InvalidState, InvalidWiring, KrausloomError
+from .errors import InvalidArgument, InvalidWiring, KrausloomError
 from .gates import (
     Register,
     Role,
@@ -78,6 +78,7 @@ from .qmath import (
     DensityMatrix,
     PureState,
     check_densities,
+    check_residuals,
     dagger,
     partial_trace,
     structural_atol,
@@ -219,9 +220,8 @@ class CircuitSpec:
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "metadata", dict(metadata or {}))
         unitary = _compose(register, layers)
-        res = unitarity_residual(unitary)
-        if res > structural_atol():
-            raise InvalidState(f"layer composition unitarity residual {res:.3e}")
+        check_residuals(unitarity_residual(unitary), structural_atol(),
+                        "layer composition unitarity residual {:.3e}")
         unitary.flags.writeable = False
         object.__setattr__(self, "unitary", unitary)
 
@@ -494,8 +494,8 @@ def _encode(system, alpha2_sq, n_wires: int) -> np.ndarray:
 
 def _system_qubit(system_amplitudes) -> np.ndarray:
     a, b = (complex(c) for c in system_amplitudes)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-        raise InvalidArgument("system amplitudes must be normalized")
+    check_residuals(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0), ATOL_ARITHMETIC,
+                    "system amplitudes must be normalized", error=InvalidArgument)
     return np.array([a, b])
 
 
@@ -755,34 +755,25 @@ def _pauli_evolve_layers(params):
 BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sweep length
 
 
-def _first_failure(bad: np.ndarray, start: int, message) -> None:
-    """Raise InvalidState for the first flagged point, ``message(i)`` describing it."""
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise InvalidState(f"point {start + i}: {message(i)}")
-
-
 def lattice_outputs(
     params: ParamStack, system_input: np.ndarray, *, first_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Choi matrices (B, 4, 4), reduced outputs (B, 2, 2) on the qubit
     ``system_input`` = (a1, b1) and joint densities (B, d, d) of a stack's B
     points: one kernel call composes their evolve stages, which act on the two
-    encoded system basis inputs; no preparation is built. Every point is checked
-    (unitarity, norm, joint and traced density); errors name point first_index + i.
+    encoded system basis inputs; no preparation is built. ``check_residuals`` checks
+    every point (unitarity, norm, joint and traced density), naming point first_index + i.
     """
     register, layers, alpha2_sq = _evolve_layers(params)
     d = 2 ** len(register)
     u = np.broadcast_to(_compose(register, layers), (len(params), d, d))
-    res = unitarity_residual(u)
-    _first_failure(res > structural_atol(), first_index,
-                   lambda i: f"layer composition unitarity residual {res[i]:.3e}")
+    check_residuals(unitarity_residual(u), structural_atol(),
+                    "layer composition unitarity residual {:.3e}", first_index=first_index)
     # row i: U on the encoded |i>
     cols = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register)) @ u.swapaxes(-1, -2)
     psi = system_input @ cols
-    norm_dev = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    _first_failure(norm_dev > ATOL_ARITHMETIC, first_index,
-                   lambda i: f"state norm deviates from 1 by {norm_dev[i]:.3e}")
+    check_residuals(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), ATOL_ARITHMETIC,
+                    "state norm deviates from 1 by {:.3e}", first_index=first_index)
     joint = psi[:, :, None] * psi[:, None, :].conj()
     check_densities(joint, first_index=first_index)
     # the system wire first, the rest traced out; E(|i><j|)[a, b] is

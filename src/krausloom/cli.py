@@ -32,7 +32,9 @@ from . import channels as channels_mod
 from . import tomography as tomo_mod
 from .errors import InternalConsistencyError, InvalidArgument, KrausloomError
 from .qmath import (
+    ATOL_ARITHMETIC,
     _json_text,
+    check_residuals,
     density_to_payload,
     fidelity,
     load_json,
@@ -148,24 +150,24 @@ def _channel_payloads(blocks, channel: str):
 
     max_deviation is the block's deviation: the largest entrywise gap between
     the lattice's and the Kraus set's Choi matrices or their outputs on the
-    prepared qubit. A point where it reaches CONSISTENCY_TOL raises
+    prepared qubit. ``check_residuals`` checks each block before its payloads:
+    a point where the deviation reaches CONSISTENCY_TOL raises
     InternalConsistencyError naming its index.
     """
     for block in blocks:
+        # the largest float below the bound, so that reaching it fails, even at 0.0
+        check_residuals(block.deviation, np.nextafter(CONSISTENCY_TOL, -np.inf),
+                        f"lattice and Kraus channels deviate by {{:.3e}} "
+                        f"(tolerance {CONSISTENCY_TOL})",
+                        error=InternalConsistencyError, first_index=block.start)
         for i, params in enumerate(block.params):
-            deviation = float(block.deviation[i])
-            if deviation >= CONSISTENCY_TOL:
-                raise InternalConsistencyError(
-                    f"point {block.start + i}: lattice and Kraus channels deviate by "
-                    f"{deviation:.3e} (tolerance {CONSISTENCY_TOL})"
-                )
             yield {
                 "command": "channel",
                 "channel": channel,
                 "params": params,
                 "lattice_output": matrix_to_payload(block.lattice[i], (2,)),
                 "kraus_output": matrix_to_payload(block.kraus[i], (2,)),
-                "max_deviation": deviation,
+                "max_deviation": float(block.deviation[i]),
                 "kraus_labels": list(block.labels),
             }
 
@@ -293,7 +295,7 @@ def cmd_reproduce_gad(args) -> dict:
     f = fidelity(theory, circuit_mod.REFERENCE_GAD_MATRIX)
     lo, hi = circuit_mod.REFERENCE_GAD_FIDELITY_BAND
     at_reference = all(
-        abs(t - r) < 1e-12
+        abs(t - r) < ATOL_ARITHMETIC
         for t, r in zip((args.theta1, args.theta2, args.theta3), circuit_mod.REFERENCE_GAD_ANGLES)
     )
     payload = {

@@ -29,8 +29,10 @@ ATOL_STRUCTURAL = 1e-10
 ATOL_SPECTRAL = 1e-9
 
 # Reconstructed matrices from real measurements carry eigenvalue noise well
-# above ATOL_SPECTRAL; fidelity accepts them up to this bound.
+# above ATOL_SPECTRAL; fidelity accepts them up to PSD_TOL_MEASURED, and
+# tomography.project_to_psd an anti-Hermitian part up to HERM_TOL_MEASURED.
 PSD_TOL_MEASURED = 1e-6
+HERM_TOL_MEASURED = 1e-8
 
 
 def structural_atol() -> float:
@@ -62,9 +64,8 @@ class PureState:
             raise InvalidState("state amplitudes must be finite")
         if math.prod(dims) != amps.size:
             raise InvalidState(f"dims {dims} do not multiply to vector length {amps.size}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL_ARITHMETIC:
-            raise InvalidState(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        check_residuals(abs(float(np.linalg.norm(amps)) - 1.0), ATOL_ARITHMETIC,
+                        "state norm deviates from 1 by {:.3e}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
@@ -141,28 +142,36 @@ def density_residuals(mats, *, eig: bool = True):
     return herm, tdev, lo
 
 
-def check_densities(mats, *, eig_atol: float | None = ATOL_SPECTRAL, first_index: int = 0) -> None:
-    """Raise InvalidState unless every matrix of ``mats`` is a density matrix:
-    Hermitian and of unit trace to ATOL_STRUCTURAL, and no eigenvalue below
-    -eig_atol.
-
-    ``mats`` is one matrix or a stack; a failing stack entry is named by its
-    index plus ``first_index``. ``eig_atol=None`` skips the eigenvalue check.
-    """
-    herm, tdev, lo = density_residuals(mats, eig=eig_atol is not None)
-    bad = (herm > ATOL_STRUCTURAL) | (tdev > ATOL_STRUCTURAL)
-    if eig_atol is not None:
-        bad = bad | (lo < -eig_atol)
+def check_residuals(res, tol: float, message: str, *, error=InvalidState,
+                    first_index: int = 0) -> None:
+    """Raise ``error`` for the first residual of ``res`` above ``tol``: the one
+    test of every invariant the package enforces. ``res`` is one residual or an
+    array over a stack; the text is ``message.format(r)`` for the failing r,
+    prefixed, for stack entry i, with ``point {first_index + i}: ``."""
+    res = np.asarray(res)
+    bad = res > tol
     if not bad.any():
         return
+    if res.ndim == 0:
+        raise error(message.format(float(res)))
     i = int(np.argmax(bad))
-    where = f"point {first_index + i}: " if np.ndim(mats) == 3 else ""
-    herm, tdev = np.ravel(herm)[i], np.ravel(tdev)[i]
-    if herm > ATOL_STRUCTURAL:
-        raise InvalidState(f"{where}hermiticity residual {herm:.3e} exceeds {ATOL_STRUCTURAL:.1e}")
-    if tdev > ATOL_STRUCTURAL:
-        raise InvalidState(f"{where}trace deviates from 1 by {tdev:.3e}")
-    raise InvalidState(f"{where}minimum eigenvalue {np.ravel(lo)[i]:.3e} below -{eig_atol:.1e}")
+    raise error(f"point {first_index + i}: " + message.format(float(res[i])))
+
+
+def check_densities(mats, *, eig_atol: float | None = ATOL_SPECTRAL, first_index: int = 0) -> None:
+    """Raise InvalidState unless every matrix of ``mats``, one or a stack, is a
+    density matrix: Hermitian and of unit trace to ATOL_STRUCTURAL, and no
+    eigenvalue below -eig_atol (``None`` skips that). ``check_residuals`` tests
+    one invariant at a time, in that order, over the whole stack."""
+    herm, tdev, lo = density_residuals(mats, eig=eig_atol is not None)
+    check_residuals(herm, ATOL_STRUCTURAL,
+                    f"hermiticity residual {{:.3e}} exceeds {ATOL_STRUCTURAL:.1e}",
+                    first_index=first_index)
+    check_residuals(tdev, ATOL_STRUCTURAL, "trace deviates from 1 by {:.3e}",
+                    first_index=first_index)
+    if eig_atol is not None:  # -lo is above eig_atol, so "-{}" prints lo itself
+        check_residuals(-lo, eig_atol, f"minimum eigenvalue -{{:.3e}} below -{eig_atol:.1e}",
+                        first_index=first_index)
 
 
 def validate_density(rho) -> DensityReport:
@@ -221,7 +230,8 @@ def fidelity(rho, sigma, *, psd_tol: float = PSD_TOL_MEASURED) -> float:
     below zero (down to ``-psd_tol``) are clipped; anything lower raises.
     The trace runs over the support of rho: with rho = W W^dagger, W built
     from the eigenvalues of rho above rounding level (d * eps * ||rho||),
-    F = (Tr sqrt(W^dagger sigma W))^2. A rounding-level eigenvalue (~1e-17)
+    F = (Tr sqrt(W^dagger sigma W))^2, and the eigenvalues of W^dagger sigma W
+    are kept by the same rule. A rounding-level eigenvalue (~1e-17) of either
     would otherwise add its square root (~3e-9) to the trace.
     """
     a = _as_matrix(rho)
@@ -230,12 +240,13 @@ def fidelity(rho, sigma, *, psd_tol: float = PSD_TOL_MEASURED) -> float:
         raise InvalidArgument(f"dimension mismatch: {a.shape} vs {b.shape}")
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     for name, lo in (("rho", w[0]), ("sigma", np.linalg.eigvalsh((b + b.conj().T) / 2)[0])):
-        if lo < -psd_tol:
-            raise InvalidState(f"{name} has eigenvalue {lo:.3e} below -{psd_tol:.1e}")
-    support = w > a.shape[0] * np.finfo(float).eps * np.abs(w).max()
+        check_residuals(-lo, psd_tol, f"{name} has eigenvalue -{{:.3e}} below -{psd_tol:.1e}")
+    rounding = a.shape[0] * np.finfo(float).eps  # per unit of the largest |eigenvalue|
+    support = w > rounding * np.abs(w).max()
     root = v[:, support] * np.sqrt(w[support])
     inner = root.conj().T @ b @ root
-    lam = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
+    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)  # empty when rho is 0
+    lam = lam[lam > rounding * np.abs(lam).max(initial=0.0)]
     return min(float(np.sum(np.sqrt(lam)) ** 2), 1.0)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidState
 from .gates import U3Params, u3
-from .qmath import DensityMatrix, PureState, write_atomic
+from .qmath import (ATOL_ARITHMETIC, ATOL_STRUCTURAL, HERM_TOL_MEASURED, DensityMatrix,
+                    PureState, check_residuals, write_atomic)
 
 HALF_PI = math.pi / 2
 
@@ -97,7 +98,7 @@ _REAL_FORMS = _read_only(
 
 def assert_informationally_complete() -> None:
     """The 16 vectorized projectors must span the full 16-dim operator space."""
-    rank = np.linalg.matrix_rank(_DESIGN, tol=1e-10)
+    rank = np.linalg.matrix_rank(_DESIGN, tol=ATOL_STRUCTURAL)
     if rank != 16:
         raise InvalidState(f"projector set spans rank {rank} < 16; reconstruction impossible")
 
@@ -204,9 +205,8 @@ def linear_reconstruct(records) -> DensityMatrix:
 def project_to_psd(m, dims=(2, 2)) -> DensityMatrix:
     """Clip negative eigenvalues and renormalize; idempotent on valid states."""
     mat = m.matrix if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > 1e-8:
-        raise InvalidState(f"matrix is not Hermitian (residual {herm:.3e})")
+    check_residuals(np.max(np.abs(mat - mat.conj().T)), HERM_TOL_MEASURED,
+                    "matrix is not Hermitian (residual {:.3e})")
     mat = (mat + mat.conj().T) / 2
     w, v = np.linalg.eigh(mat)
     w = np.clip(w, 0.0, None)
@@ -215,7 +215,7 @@ def project_to_psd(m, dims=(2, 2)) -> DensityMatrix:
         raise InvalidState("matrix has no positive weight to normalize")
     rho = (v * (w / total)) @ v.conj().T
     dims = m.dims if isinstance(m, DensityMatrix) else dims
-    return DensityMatrix(rho, dims, eig_atol=1e-12)
+    return DensityMatrix(rho, dims, eig_atol=ATOL_ARITHMETIC)
 
 
 @dataclass(frozen=True)
@@ -393,7 +393,7 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
 
     gap, _ = _frank_wolfe_gap(probs, weights)
     # T T^dagger is PSD by construction; validate it once
-    final = DensityMatrix(_density(z), (2, 2), eig_atol=1e-12)
+    final = DensityMatrix(_density(z), (2, 2), eig_atol=ATOL_ARITHMETIC)
     return MLReconstruction(final, gap <= tol, it, float(ll * scale), gap * scale, linear)
 
 

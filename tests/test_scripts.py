@@ -65,3 +65,22 @@ def test_tomography_shots_study_at_one_shot(monkeypatch, tmp_path, capsys):
     lin = float(rows[0]["mean_fid_linear"])
     assert math.isnan(lin) or 0.0 <= lin <= 1.0
     capsys.readouterr()
+
+
+def test_channel_decay_sweep_keeps_the_old_file_when_a_sweep_fails(monkeypatch, tmp_path):
+    from krausloom import circuit
+
+    sweep = circuit.channel_sweep
+
+    def failing_on_sgad(points, **kwargs):
+        if type(points[0]).__name__ == "SGADParams":
+            raise RuntimeError("sweep failed")
+        return sweep(points, **kwargs)
+
+    monkeypatch.setattr(circuit, "channel_sweep", failing_on_sgad)
+    out = tmp_path / "decay.csv"
+    out.write_text("old\n")
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        run_script(monkeypatch, "channel_decay_sweep.py", "--points", "3", "--out", str(out))
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["decay.csv"]
