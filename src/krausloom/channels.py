@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ def _check_prob(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class DephasingParams:
+    name: ClassVar[str] = "dephasing"
     p: float
 
     def __post_init__(self):
@@ -37,6 +38,7 @@ class DephasingParams:
 
 @dataclass(frozen=True)
 class GADParams:
+    name: ClassVar[str] = "gad"
     p: float
     alpha2_sq: float
 
@@ -47,6 +49,7 @@ class GADParams:
 
 @dataclass(frozen=True)
 class SGADParams:
+    name: ClassVar[str] = "sgad"
     alpha: float
     beta: float
     mu: float
@@ -64,6 +67,7 @@ class SGADParams:
 
 @dataclass(frozen=True)
 class PauliParams:
+    name: ClassVar[str] = "pauli"
     p: float
     q1: float
     q2: float
@@ -79,6 +83,9 @@ class PauliParams:
 
 
 ChannelParams = DephasingParams | GADParams | SGADParams | PauliParams
+# The one map from a family's name to its parameter record; the CLI's flags
+# and a lattice's metadata are read off the record's fields.
+FAMILIES = {cls.name: cls for cls in (DephasingParams, GADParams, SGADParams, PauliParams)}
 
 
 class ParamStack:

@@ -460,6 +460,7 @@ def thermal_weights(
     e1: float, e2: float, kbt: float, *, zero_temperature: bool = False
 ) -> tuple[float, float]:
     """Boltzmann weights (w1, w2) of a two-level environment; w1 + w2 = 1."""
+    e1, e2 = finite_values("e1", e1), finite_values("e2", e2)
     if zero_temperature:
         if e1 < e2:
             return (1.0, 0.0)
@@ -629,32 +630,20 @@ def _evolve_layers(params):
     raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
 
 
+# Each family's knob angles, in the order its lattice sets them.
+_CAPTION_ANGLES = {
+    DephasingParams: lambda prm: [2.0 * _caption_angle(prm.p)],
+    GADParams: lambda prm: [_caption_angle(prm.p)],
+    SGADParams: lambda prm: [_caption_angle(r) for r in (prm.alpha, prm.beta, prm.mu, prm.nu)],
+    PauliParams: lambda prm: [float(t) for t in pauli_caption_angles(prm.p, prm.q1, prm.q2, prm.q3)],
+}
+
+
 def _lattice_metadata(params: ChannelParams, theta1: float) -> dict:
-    """The metadata a lattice for one parameter record carries."""
-    if isinstance(params, PauliParams):
-        angles = pauli_caption_angles(params.p, params.q1, params.q2, params.q3)
-        t1, t2, t3 = (float(t) for t in angles)
-        return {
-            "channel": "pauli", "p": params.p, "q1": params.q1, "q2": params.q2, "q3": params.q3,
-            "caption_theta1": t1, "caption_theta2": t2, "caption_theta3": t3,
-            "prep_theta": theta1,
-        }
-    if isinstance(params, DephasingParams):
-        alpha2_sq = 1.0
-        meta = {"channel": "dephasing", "p": params.p,
-                "caption_theta": 2.0 * _caption_angle(params.p)}
-    elif isinstance(params, GADParams):
-        alpha2_sq = params.alpha2_sq
-        meta = {"channel": "gad", "p": params.p, "alpha2_sq": params.alpha2_sq,
-                "caption_theta": _caption_angle(params.p)}
-    else:
-        alpha2_sq = params.alpha2_sq
-        meta = {"channel": "sgad", "alpha2_sq": params.alpha2_sq,
-                **{k: getattr(params, k) for k in ("alpha", "beta", "mu", "nu", "phi", "lam")},
-                **{name: _caption_angle(getattr(params, attr)) for name, attr in
-                   (("theta1", "alpha"), ("theta2", "beta"), ("theta3", "mu"), ("theta4", "nu"))}}
-    meta.update({"theta1": theta1, "convention": "half-angle", "alpha2_sq_prep": alpha2_sq})
-    return meta
+    """The metadata a lattice for one parameter record carries: the family,
+    its fields, the preparation angle theta1 and the knob angles."""
+    return {"channel": params.name, **vars(params), "theta1": theta1,
+            "caption_theta": _CAPTION_ANGLES[type(params)](params)}
 
 
 def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2) -> CircuitSpec:

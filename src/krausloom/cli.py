@@ -20,6 +20,7 @@ File formats
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -97,33 +98,26 @@ def _payload_to_csv(payload: dict) -> list[str]:
     return ["key,value"] + [f"{k},{v}" for k, v in rows]
 
 
+# The flag that sets each field of a channel family's parameter record.
+_PARAM_FLAGS = {
+    "p": "--p", "alpha2_sq": "--alpha2-sq", "q1": "--q1", "q2": "--q2", "q3": "--q3",
+    "alpha": "--sgad-alpha", "beta": "--sgad-beta", "mu": "--sgad-mu", "nu": "--sgad-nu",
+    "phi": "--sgad-phi", "lam": "--sgad-lambda",
+}
+_PARAM_DEFAULTS = {"phi": 0.0, "lam": 0.0}
+
+
+def _channel_family(args):
+    _require(args.channel is not None, "--channel is required")
+    return channels_mod.FAMILIES[args.channel]
+
+
 def _channel_params_from_args(args) -> channels_mod.ChannelParams:
-    kind = args.channel
-    _require(kind is not None, "--channel is required")
-    if kind == "dephasing":
-        _require(args.p is not None, "--p is required for the dephasing channel")
-        return channels_mod.DephasingParams(args.p)
-    if kind == "gad":
-        _require(args.p is not None, "--p is required for the gad channel")
-        _require(args.alpha2_sq is not None, "--alpha2-sq is required for the gad channel")
-        return channels_mod.GADParams(args.p, args.alpha2_sq)
-    if kind == "sgad":
-        missing = [
-            f"--sgad-{n}" for n in ("alpha", "beta", "mu", "nu")
-            if getattr(args, f"sgad_{n}") is None
-        ]
-        _require(not missing, f"missing {', '.join(missing)} for the sgad channel")
-        _require(args.alpha2_sq is not None, "--alpha2-sq is required for the sgad channel")
-        return channels_mod.SGADParams(
-            args.sgad_alpha, args.sgad_beta, args.sgad_mu, args.sgad_nu,
-            args.sgad_phi, args.sgad_lambda, args.alpha2_sq,
-        )
-    if kind == "pauli":
-        _require(args.p is not None, "--p is required for the pauli channel")
-        missing = [f"--q{i}" for i in (1, 2, 3) if getattr(args, f"q{i}") is None]
-        _require(not missing, f"missing {', '.join(missing)} for the pauli channel")
-        return channels_mod.PauliParams(args.p, args.q1, args.q2, args.q3)
-    raise KrausloomError(f"unknown channel {kind!r}")
+    family = _channel_family(args)
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(family)}
+    missing = [_PARAM_FLAGS[name] for name, value in values.items() if value is None]
+    _require(not missing, f"missing {', '.join(missing)} for the {family.name} channel")
+    return family(**values)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -190,7 +184,6 @@ def _run_channel_grid(args):
     Every grid value is validated before the first file is written.
     """
     _require(args.out is not None, "--grid requires --out pointing at a directory")
-    _require(args.channel != "sgad", "--grid sweeps --p; use explicit runs for sgad")
     try:
         start, stop, count = args.grid.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -199,6 +192,9 @@ def _run_channel_grid(args):
         raise KrausloomError(f"bad --grid spec {args.grid!r}; expected start:stop:count") from exc
     if count > GRID_MAX_POINTS:
         raise InvalidArgument(f"grid count {count} exceeds the limit of {GRID_MAX_POINTS} points")
+    family = _channel_family(args)
+    _require("p" in {f.name for f in dataclasses.fields(family)},
+             f"--grid sweeps --p; use explicit runs for {family.name}")
     values = np.linspace(start, stop, count)
     local = argparse.Namespace(**vars(args))
     points = []
@@ -329,15 +325,9 @@ def cmd_channel_dump(args) -> dict:
 
 
 def _add_channel_flags(sub):
-    sub.add_argument("--channel", choices=("dephasing", "gad", "sgad", "pauli"))
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--alpha2-sq", dest="alpha2_sq", type=float)
-    for i in (1, 2, 3):
-        sub.add_argument(f"--q{i}", type=float)
-    for name in ("alpha", "beta", "mu", "nu"):
-        sub.add_argument(f"--sgad-{name}", dest=f"sgad_{name}", type=float)
-    sub.add_argument("--sgad-phi", dest="sgad_phi", type=float, default=0.0)
-    sub.add_argument("--sgad-lambda", dest="sgad_lambda", type=float, default=0.0)
+    sub.add_argument("--channel", choices=tuple(channels_mod.FAMILIES))
+    for name, flag in _PARAM_FLAGS.items():
+        sub.add_argument(flag, dest=name, type=float, default=_PARAM_DEFAULTS.get(name))
 
 
 def _add_common_flags(sub):

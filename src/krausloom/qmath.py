@@ -121,11 +121,11 @@ class DensityReport:
         trace_atol: float = ATOL_STRUCTURAL,
         eig_atol: float = ATOL_SPECTRAL,
     ) -> bool:
-        return (
-            self.hermiticity_residual <= herm_atol
-            and self.trace_deviation <= trace_atol
-            and self.min_eigenvalue >= -eig_atol
-        )
+        return all(_within_tolerance(r, tol) for r, tol in (
+            (self.hermiticity_residual, herm_atol),
+            (self.trace_deviation, trace_atol),
+            (-self.min_eigenvalue, eig_atol),
+        ))
 
 
 def density_residuals(mats, *, eig: bool = True):
@@ -142,14 +142,21 @@ def density_residuals(mats, *, eig: bool = True):
     return herm, tdev, lo
 
 
+def _within_tolerance(res, tol: float):
+    """Whether a residual, or each of an array of them, passes: at most ``tol``.
+    A nan residual never passes."""
+    return np.asarray(res) <= tol
+
+
 def check_residuals(res, tol: float, message: str, *, error=InvalidState,
                     first_index: int = 0) -> None:
-    """Raise ``error`` for the first residual of ``res`` above ``tol``: the one
-    test of every invariant the package enforces. ``res`` is one residual or an
-    array over a stack; the text is ``message.format(r)`` for the failing r,
-    prefixed, for stack entry i, with ``point {first_index + i}: ``."""
+    """Raise ``error`` for the first residual of ``res`` that is not
+    ``_within_tolerance``: the one test of every invariant the package enforces.
+    ``res`` is one residual or an array over a stack; the text is
+    ``message.format(r)`` for the failing r, prefixed, for stack entry i, with
+    ``point {first_index + i}: ``."""
     res = np.asarray(res)
-    bad = res > tol
+    bad = ~_within_tolerance(res, tol)
     if not bad.any():
         return
     if res.ndim == 0:

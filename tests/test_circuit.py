@@ -154,6 +154,17 @@ class TestThermalWeights:
         assert thermal_weights(3.0, 1.0, -1.0, zero_temperature=True) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("e1, e2, kbt, zero_temperature", [
+    (np.nan, 0.0, 1.0, False),
+    (np.nan, 0.0, 1.0, True),
+    (np.inf, np.inf, 1.0, False),
+    (0.0, -np.inf, 1.0, True),
+])
+def test_thermal_weights_reject_nonfinite_energies(e1, e2, kbt, zero_temperature):
+    with pytest.raises(InvalidArgument, match="must be finite"):
+        thermal_weights(e1, e2, kbt, zero_temperature=zero_temperature)
+
+
 class TestEvolve:
     def test_empty_circuit_is_identity(self, rng):
         circuit = CircuitSpec(preparation_circuit(ProductStateParams(0, 0)).register, (), ())

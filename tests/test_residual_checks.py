@@ -13,7 +13,7 @@ from krausloom.channels import DephasingParams
 from krausloom.cli import main
 from krausloom.errors import (InternalConsistencyError, InvalidArgument, InvalidChannel,
                               InvalidState)
-from krausloom.qmath import check_densities, check_residuals, fidelity
+from krausloom.qmath import DensityReport, check_densities, check_residuals, fidelity
 
 
 class TestCheckResiduals:
@@ -65,3 +65,21 @@ def test_a_failing_grid_point_stops_its_block_before_any_file(monkeypatch, capsy
     assert main(["channel", "--channel", "dephasing", "--grid", "0:1:3", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("internal consistency failure: point 1: ")
     assert not out.exists() or not any(out.iterdir())
+
+
+class TestNanResiduals:
+    def test_a_nan_residual_fails(self):
+        with pytest.raises(InvalidState, match="^residual nan$"):
+            check_residuals(np.nan, 1.0, "residual {:.3e}")
+        with pytest.raises(InvalidState, match="^point 6: residual nan$"):
+            check_residuals(np.array([0.0, np.nan, 5.0]), 1.0, "residual {:.3e}", first_index=5)
+
+    def test_a_kraus_set_with_a_nan_entry_is_rejected(self):
+        with pytest.raises(InvalidChannel, match="^completeness residual nan exceeds tolerance$"):
+            channels.KrausSet([[[np.nan, 0], [0, 1]]])
+
+    def test_a_density_report_with_a_nan_residual_is_not_ok(self):
+        assert DensityReport(0.0, 0.0, 0.5).ok()
+        assert not DensityReport(np.nan, 0.0, 0.5).ok()
+        assert not DensityReport(0.0, np.nan, 0.5).ok()
+        assert not DensityReport(0.0, 0.0, np.nan).ok()
