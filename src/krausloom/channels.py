@@ -107,8 +107,9 @@ class ParamStack:
         self.family = family
         self.points = points
         for f in dataclasses.fields(family):
-            values = np.array([getattr(p, f.name) for p in points])
-            setattr(self, f.name, float(values[0]) if np.all(values == values[0]) else values)
+            values = [getattr(p, f.name) for p in points]
+            same = all(v == values[0] for v in values)
+            setattr(self, f.name, float(values[0]) if same else np.array(values))
 
     def __len__(self) -> int:
         return len(self.points)

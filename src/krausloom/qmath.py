@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,7 +146,7 @@ def density_residuals(mats, *, eig: bool = True):
 def _within_tolerance(res, tol: float):
     """Whether a residual, or each of an array of them, passes: at most ``tol``.
     A nan residual never passes."""
-    return np.asarray(res) <= tol
+    return res <= tol
 
 
 def check_residuals(res, tol: float, message: str, *, error=InvalidState,
@@ -154,14 +155,16 @@ def check_residuals(res, tol: float, message: str, *, error=InvalidState,
     ``_within_tolerance``: the one test of every invariant the package enforces.
     ``res`` is one residual or an array over a stack; the text is
     ``message.format(r)`` for the failing r, prefixed, for stack entry i, with
-    ``point {first_index + i}: ``."""
+    ``point {first_index + i}: ``. A float residual that passes costs one comparison."""
+    if isinstance(res, float) and _within_tolerance(res, tol):  # np.float64 included
+        return
     res = np.asarray(res)
-    bad = ~_within_tolerance(res, tol)
-    if not bad.any():
+    ok = _within_tolerance(res, tol)
+    if ok.all():
         return
     if res.ndim == 0:
         raise error(message.format(float(res)))
-    i = int(np.argmax(bad))
+    i = int(np.argmax(~ok))
     raise error(f"point {first_index + i}: " + message.format(float(res[i])))
 
 
@@ -319,9 +322,51 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    """The JSON text of a payload, the same on stdout and in files. Private, so
-    that a traced run charges the encoding to the caller that writes it."""
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """The JSON text of a payload, the same on stdout and in files: byte for byte
+    ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``. Private, so that a
+    traced run charges the encoding to the caller that writes it."""
+    return _json_value(payload, "\n") + "\n"
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _json_str(key if isinstance(key, str) else _json_value(key, ""))
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` as json writes it, in json's order of type tests, each line
+    after the first starting with ``newline``."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    inner = newline + " "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is float for v in value):  # a row of floats: one join
+            body = sep.join(map(float.__repr__, value))
+            if "n" not in body:  # json spells nan and inf otherwise
+                return "[" + inner + body + newline + "]"
+        return "[" + inner + sep.join([_json_value(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + sep.join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def save_json(payload: dict, path: str) -> None:

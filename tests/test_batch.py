@@ -197,6 +197,14 @@ def test_param_stack_collapses_shared_fields():
         ParamStack([])
 
 
+def test_param_stack_of_one_point_holds_plain_floats():
+    point = SGADParams(0.3, 0.2, 0.5, 0.4, 0.1, -0.2, 0.8)
+    stack = ParamStack([point])
+    for name in ("alpha", "beta", "mu", "nu", "phi", "lam", "alpha2_sq"):
+        assert type(getattr(stack, name)) is float
+        assert getattr(stack, name) == getattr(point, name)
+
+
 def test_kraus_stack_matches_constructors():
     points = [PauliParams(p, 0.5, 0.3, 0.2) for p in (0.0, 0.3, 1.0)]
     ops, labels = kraus_stack(ParamStack(points))

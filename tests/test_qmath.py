@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from conftest import random_density, random_pure
@@ -11,6 +14,7 @@ from krausloom.qmath import (
     ATOL_STRUCTURAL,
     DensityMatrix,
     PureState,
+    _json_text,
     check_densities,
     dagger,
     density_from_payload,
@@ -318,3 +322,105 @@ class TestStackedChecks:
         check_densities(np.stack([good, bad]), eig_atol=None)
         with pytest.raises(InvalidState, match="^trace deviates"):
             check_densities(2 * good)
+
+
+# -- the JSON writer: byte for byte json.dumps(sort_keys=True, indent=1) --------
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-17]),
+)
+JSON_LEAVES = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # non-ASCII, control characters, lone surrogates
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+    JSON_FLOATS,
+    JSON_FLOATS.map(np.float64),
+    st.none(),
+    st.lists(st.one_of(JSON_FLOATS, JSON_FLOATS.map(np.float64)), max_size=5),  # matrix rows
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), children,
+                        max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": [], "b": {}}, [[]], {1: "int key", 2.5: None}, {True: 0, False: 1}, {None: 1},
+    {math.nan: 0, np.float64(-math.inf): 1}, [0.5, math.nan, 2.0], [0.5, 1, "s", None],
+])
+def test_json_text_edge_shapes(value):
+    assert _json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}, b"x"])
+@pytest.mark.parametrize("place", [
+    lambda b: b, lambda b: [0.5, 1.5, b], lambda b: {"a": 1, "b": [b]}, lambda b: {"k": {"z": b}},
+])
+def test_json_text_raises_where_json_dumps_does(bad, place):
+    with pytest.raises(TypeError) as want:
+        _dumps(place(bad))
+    with pytest.raises(TypeError) as got:
+        _json_text(place(bad))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, {"a": 0, 1: 1}])
+def test_json_text_rejects_keys_as_json_dumps_does(value):
+    with pytest.raises(TypeError) as want:
+        _dumps(value)
+    with pytest.raises(TypeError) as got:
+        _json_text(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_every_cli_json_output_is_json_dumps_text(tmp_path, capsys):
+    from krausloom.channels import DephasingParams
+    from krausloom.circuit import build_channel_lattice, circuit_to_payload
+    from krausloom.cli import main
+
+    circ = tmp_path / "circ.json"
+    save_json(circuit_to_payload(build_channel_lattice(DephasingParams(0.3))), str(circ))
+    commands = [
+        ["channel", "--channel", "dephasing", "--p", "0.3"],
+        ["channel", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8"],
+        ["channel", "--channel", "sgad", "--sgad-alpha", "0.3", "--sgad-beta", "0.2",
+         "--sgad-mu", "0.5", "--sgad-nu", "0.4", "--alpha2-sq", "0.8"],
+        ["channel", "--channel", "pauli", "--p", "0.4", "--q1", "0.3", "--q2", "0.5", "--q3", "0.2"],
+        ["tomography", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8", "--noise",
+         "--shots", "1000", "--seed", "1"],
+        ["reproduce-gad", "--emit-theory", str(tmp_path / "theory.json")],
+        ["prepare", "--theta1", "1.1", "--theta2", "0.7"],
+        ["channel-dump", "--channel", "sgad", "--sgad-alpha", "0.1", "--sgad-beta", "0.3",
+         "--sgad-mu", "0.2", "--sgad-nu", "0.05", "--alpha2-sq", "0.8"],
+        ["evolve", "--circuit", str(circ)],
+    ]
+    texts = []
+    for argv in commands:
+        assert main(argv) == 0, argv
+        texts.append(capsys.readouterr().out)
+    grid = tmp_path / "grid"
+    assert main(["channel", "--channel", "gad", "--alpha2-sq", "0.75", "--grid", "0:1:5",
+                 "--out", str(grid)]) == 0
+    files = [circ, tmp_path / "theory.json", *sorted(grid.iterdir())]
+    assert len(files) == 8
+    texts += [path.read_text(encoding="utf-8") for path in files]
+    for text in texts:
+        assert text == _dumps(json.loads(text))

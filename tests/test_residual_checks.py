@@ -83,3 +83,46 @@ class TestNanResiduals:
         assert not DensityReport(np.nan, 0.0, 0.5).ok()
         assert not DensityReport(0.0, np.nan, 0.5).ok()
         assert not DensityReport(0.0, 0.0, np.nan).ok()
+
+
+def _reference_check(res, tol, message, *, error=InvalidState, first_index=0):
+    """check_residuals with one array path for every residual: the reference
+    the one-comparison pass of a float residual must agree with."""
+    res = np.asarray(res)
+    bad = ~(res <= tol)
+    if not bad.any():
+        return
+    if res.ndim == 0:
+        raise error(message.format(float(res)))
+    i = int(np.argmax(bad))
+    raise error(f"point {first_index + i}: " + message.format(float(res[i])))
+
+
+RESIDUAL_FORMS = {
+    "float": float,
+    "np.float64": np.float64,
+    "int": int,
+    "0-d": np.array,
+    "(1,)": lambda r: np.array([r]),
+    "(B,)": lambda r: np.array([0.0, r, r]),
+}
+PREFIXES = {"(1,)": "point 7: ", "(B,)": "point 8: "}
+
+
+@pytest.mark.parametrize("form, value, want", [
+    (form, value, want)
+    for form in RESIDUAL_FORMS
+    for value, want in ((0.5, None), (1.0, None), (2.0, "residual 2.000e+00"),
+                        (float("nan"), "residual nan"))
+    if not (form == "int" and value != value)
+])
+def test_every_residual_form_passes_and_fails_as_the_reference(form, value, want):
+    res = RESIDUAL_FORMS[form](value)
+    for check in (check_residuals, _reference_check):
+        if want is None:
+            check(res, 1.0, "residual {:.3e}", error=InvalidChannel, first_index=7)
+            continue
+        with pytest.raises(InvalidChannel) as info:
+            check(res, 1.0, "residual {:.3e}", error=InvalidChannel, first_index=7)
+        assert type(info.value) is InvalidChannel
+        assert str(info.value) == PREFIXES.get(form, "") + want
