@@ -22,18 +22,23 @@ displacers act on all modes at once while wave plates can be placed per mode:
 
 No two logical amplitudes ever share a (mode, polarization) slot, so the
 composite is manifestly unitary and the per-mode output polarization vectors
-can be read off directly.
+can be read off directly. As on the bench, a family's layout is fixed and
+only its wave-plate angles are programmed: its recipe (``_RECIPES``) is a
+wiring, each layer's (kind, wires, condition) slots, and an angle table,
+the (theta, phi, lam) of every rotation, shape (3, U) or (3, B, U) for B
+points, whose tag angles all come from one arctan2.
 
 Composition
 -----------
-Every product of placements, whether a whole circuit, one stage, a run of
-lattice layers or a single placement, goes through one kernel: the
-rotations of all G placements come from one ``u3`` call on their stacked
-angles, all G matrices from one scatter into a copy of a zeroed template,
-and the matmul chain runs in layer order. The template and the flat
-positions depend on the wiring alone (register, kinds, wires, conditions
-and layer sizes). They are built, and every wiring check is run, once per
-wiring in a bounded cache that no angle or parameter keys. A circuit too
+Every product, whether a whole circuit, one stage, a single placement or
+a channel lattice, goes through one kernel on a wiring and an angle table:
+one ``u3`` call on the table gives every rotation, one scatter into a copy
+of a zeroed template every placement matrix, and the matmul chain runs in
+layer order. A lattice needs no placement objects; a circuit's placements
+are read into a wiring and a table. The template and the flat positions
+depend on the wiring alone (register, kinds, wires, conditions and layer
+sizes). They are built, and every wiring check is run, on first use, once
+per wiring in a bounded cache that no angle or parameter keys. A circuit too
 long for one scatter of KERNEL_BYTES, over all of its stacked points, goes
 through in consecutive runs of layers; every one-point lattice is one run.
 """
@@ -64,6 +69,7 @@ from .gates import (
     Role,
     U3Params,
     _condition_slots,
+    _principal,
     _scatter_slots,
     _wire_slots,
     cnot_pol_path,
@@ -238,22 +244,42 @@ KERNEL_BYTES = 1 << 18  # most placement-matrix bytes one scatter writes, every 
 
 
 def _compose(register: Register, layers) -> np.ndarray:
-    """Product of the layers' placement matrices, the first layer acting first.
+    """Product of the layers' placement matrices, the first layer acting first:
+    the lattice kernel (``_chain``) on their wiring and their angle table."""
+    slots = [tuple([(p.kind, p.wires, p.condition) for p in layer]) for layer in layers]
+    rotations = [p.params for layer in layers for p in layer if p.params is not None]
+    table = _columns([u.theta for u in rotations] + [u.phi for u in rotations] + [u.lam for u in rotations])
+    table = table.reshape(table.shape[:-1] + (3, -1))  # (..., 3, U)
+    return _chain(register, slots, table if table.ndim == 2 else np.moveaxis(table, -2, 0))
 
-    The lattice kernel: the placement matrices come from ``_placement_stack``
-    and the matmul chain runs in layer order. A circuit whose matrices fill
-    more than KERNEL_BYTES goes through in consecutive runs of layers, so the
-    buffers and the cached templates stay bounded whatever a circuit file or
-    a sweep block holds. Placements with stacked angles, shape (B,), give a
-    stack of products, and their scatter writes B matrices per placement.
+
+def _columns(values) -> np.ndarray:
+    """The values side by side, shape (T,), or (B, T) where any holds B points."""
+    if any(isinstance(v, np.ndarray) and v.ndim for v in values):
+        return np.stack(np.broadcast_arrays(*values), axis=-1)
+    return np.array(values, dtype=float)
+
+
+def _chain(register: Register, layers, angles: np.ndarray) -> np.ndarray:
+    """The lattice kernel: the product of the placement matrices of ``layers``,
+    each layer's (kind, wires, condition) slots, whose rotations take the
+    reduced columns of ``angles``, shape (3, U), in slot order. Stacked
+    angles, (3, B, U), give B products, and their scatter B matrices per
+    placement. Matrices that fill more than KERNEL_BYTES go through in
+    consecutive runs of layers, so the buffers and the cached templates stay
+    bounded whatever a circuit file or a sweep block holds.
     """
     d = 2 ** len(register)
-    points = max([a.size for layer in layers for p in layer if p.params is not None
-                  for a in (p.params.theta, p.params.phi, p.params.lam)
-                  if isinstance(a, np.ndarray)], default=1)
-    out = None
-    for run in _layer_runs(layers, max(1, KERNEL_BYTES // (16 * d * d * points))):
-        mats = _placement_stack(register, run)
+    out, at = None, 0
+    most = max(1, KERNEL_BYTES // (16 * d * d * math.prod(angles.shape[1:-1])))
+    for run in _layer_runs(layers, most):
+        slots = tuple([slot for layer in run for slot in layer])
+        count = sum([kind != "cnot-pol-path" for kind, _, _ in slots])
+        table = angles[..., at:at + count]
+        if np.ndim(out) == 3 and (table == table[:, :1]).all():
+            table = table[:, 0]  # the product stacks the points already, and no angle here varies
+        mats = _placement_stack(register, tuple(map(len, run)), slots, table)
+        at += count
         for g in range(mats.shape[-3]):
             out = mats[..., g, :, :] if out is None else mats[..., g, :, :] @ out
     return np.eye(d, dtype=complex) if out is None else out
@@ -272,20 +298,12 @@ def _layer_runs(layers, most: int):
         yield run
 
 
-def _placement_stack(register: Register, layers) -> np.ndarray:
+def _placement_stack(register: Register, sizes, slots, angles: np.ndarray) -> np.ndarray:
     """The G placement matrices of a run of layers, in order, shape (..., G, d, d):
-    one u3 call on the stacked angles of all rotations and one scatter into
-    a copy of the wiring's template."""
-    placements = [p for layer in layers for p in layer]
-    template, targets, sources = _wiring(
-        register, tuple(map(len, layers)), tuple([(p.kind, p.wires, p.condition) for p in placements])
-    )
-    rotations = [p.params for p in placements if p.params is not None]
-    if rotations:
-        angles = [[u.theta for u in rotations], [u.phi for u in rotations], [u.lam for u in rotations]]
-        if any(isinstance(a, np.ndarray) for column in angles for a in column):
-            angles = [np.stack(np.broadcast_arrays(*column), axis=-1) for column in angles]
-        entries = u3(U3Params(*angles))  # (..., U, 2, 2)
+    one u3 call on its angle table, one scatter into a copy of its template."""
+    template, targets, sources = _wiring(register, sizes, slots)
+    if angles.shape[-1]:
+        entries = u3(angles)  # (..., U, 2, 2)
         stack = entries.shape[:-3]
         flat = np.empty(stack + template.shape, dtype=complex)
         flat[...] = template
@@ -293,7 +311,7 @@ def _placement_stack(register: Register, layers) -> np.ndarray:
     else:
         flat = template.copy()
     d = 2 ** len(register)
-    return flat.reshape(flat.shape[:-1] + (len(placements), d, d))
+    return flat.reshape(flat.shape[:-1] + (len(slots), d, d))
 
 
 def _stage_layers(circuit: CircuitSpec, wanted) -> list:
@@ -522,146 +540,9 @@ def encode_reservoir_state(system_amplitudes) -> PureState:
 _X = U3Params(math.pi, 0.0, math.pi)
 
 
-def _tag_h(stay, move, phase) -> U3Params:
-    """Rotation sending |H> to stay|H> + move e^{i phase}|V>."""
-    return U3Params(2.0 * np.arctan2(move, stay), phase, math.pi)
-
-
-def _tag_v(stay, move, phase) -> U3Params:
-    """Rotation sending |V> to stay|H> + move e^{i phase}|V>."""
-    return U3Params(2.0 * np.arctan2(stay, move), phase - math.pi, math.pi)
-
-
-@dataclass(frozen=True)
-class ModeTransition:
-    """One map row |m> -> stay|m> + move e^{i phase}|partner(m)>."""
-
-    stay: float
-    move: float
-    phase: float = 0.0
-
-
-def _pair_swap_layers(register: Register, transitions: dict[str, ModeTransition]):
-    """Evolve layers for the both-qubit-flip channels (thermal and squeezed damping).
-
-    transitions is keyed by path mode 'se'; partners are 00<->11 and 10<->01.
-    Input polarization: modes 00, 10 arrive H; 01, 11 arrive V.
-    """
-    pol = polarization_wire(register).index
-    s = register[0].index
-    e = register[1].index
-
-    def tag(mode: str) -> GatePlacement:
-        t = transitions[mode]
-        make = _tag_h if mode in ("00", "10") else _tag_v
-        return GatePlacement("path-conditioned-u3", (pol,), make(t.stay, t.move, t.phase), mode)
-
-    layers = [
-        (tag("00"),),
-        (tag("10"),),
-        (tag("01"),),
-        (tag("11"),),
-        (GatePlacement("cnot-pol-path", (pol, s)),),
-        (GatePlacement("cnot-pol-path", (pol, e)),),
-        (GatePlacement("path-conditioned-u3", (pol,), _X, "11"),),
-        (GatePlacement("path-conditioned-u3", (pol,), _X, "01"),),
-    ]
-    return layers
-
-
-def _dephasing_layers(register: Register, p: float):
-    """Evolve layers flipping the environment qubit of the s=1 sector only.
-
-    The V-class modes are parked in H around the single CNOT so the move
-    touches nothing but the tagged transition amplitude.
-    """
-    pol = polarization_wire(register).index
-    e = register[1].index
-    tag = GatePlacement(
-        "path-conditioned-u3", (pol,), _tag_h(np.sqrt(1 - p), np.sqrt(p), 0.0), "10"
-    )
-    park_01 = GatePlacement("path-conditioned-u3", (pol,), _X, "01")
-    park_11 = GatePlacement("path-conditioned-u3", (pol,), _X, "11")
-    layers = [
-        (tag,),
-        (park_01,),
-        (park_11,),
-        (GatePlacement("cnot-pol-path", (pol, e)),),
-        (GatePlacement("path-conditioned-u3", (pol,), _X, "11"),),
-        (GatePlacement("path-conditioned-u3", (pol,), _X, "01"),),
-    ]
-    return layers
-
-
 def _caption_angle(rate: float) -> float:
     """Knob angle theta with rate = cos^2(theta)."""
     return math.acos(min(1.0, math.sqrt(rate)))
-
-
-def _evolve_layers(params):
-    """(register, evolve layers, environment ground weight) of one family's lattice.
-
-    ``params`` is one parameter record or a ParamStack; a stacked field gives
-    stacked angles wherever it enters. The weight is what the preparation
-    (or ``_encode``) puts into the environment's ground mode; the dephasing
-    environment and the Pauli reservoir start in their ground state.
-    """
-    family = params.family if isinstance(params, ParamStack) else type(params)
-    if family is PauliParams:
-        return pauli_register(), _pauli_evolve_layers(params), 1.0
-    register = channel_register()
-    if family is DephasingParams:
-        return register, _dephasing_layers(register, params.p), 1.0
-    if family is GADParams:
-        sp, sq = np.sqrt(params.p), np.sqrt(1 - params.p)
-        return register, _pair_swap_layers(register, {
-            "00": ModeTransition(1.0, 0.0),
-            "10": ModeTransition(sq, sp),
-            "01": ModeTransition(sq, sp),
-            "11": ModeTransition(1.0, 0.0),
-        }), params.alpha2_sq
-    if family is SGADParams:
-        return register, _pair_swap_layers(register, {
-            "00": ModeTransition(np.sqrt(1 - params.alpha), np.sqrt(params.alpha), -params.phi),
-            "10": ModeTransition(np.sqrt(1 - params.beta), np.sqrt(params.beta)),
-            "01": ModeTransition(np.sqrt(1 - params.mu), np.sqrt(params.mu), -params.lam),
-            "11": ModeTransition(np.sqrt(1 - params.nu), np.sqrt(params.nu)),
-        }), params.alpha2_sq
-    raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
-
-
-# Each family's knob angles, in the order its lattice sets them.
-_CAPTION_ANGLES = {
-    DephasingParams: lambda prm: [2.0 * _caption_angle(prm.p)],
-    GADParams: lambda prm: [_caption_angle(prm.p)],
-    SGADParams: lambda prm: [_caption_angle(r) for r in (prm.alpha, prm.beta, prm.mu, prm.nu)],
-    PauliParams: lambda prm: [float(t) for t in pauli_caption_angles(prm.p, prm.q1, prm.q2, prm.q3)],
-}
-
-
-def _lattice_metadata(params: ChannelParams, theta1: float) -> dict:
-    """The metadata a lattice for one parameter record carries: the family,
-    its fields, the preparation angle theta1 and the knob angles."""
-    return {"channel": params.name, **vars(params), "theta1": theta1,
-            "caption_theta": _CAPTION_ANGLES[type(params)](params)}
-
-
-def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2) -> CircuitSpec:
-    """Preparation plus evolve lattice for one of the channels.
-
-    The preparation puts the system qubit (cos theta1/2, sin theta1/2) and the
-    environment (sqrt(alpha2_sq), sqrt(1 - alpha2_sq)) that ``_encode`` gives
-    the evolve stage, with alpha2_sq from the channel's bath weights (ground
-    state for dephasing and for the Pauli reservoir).
-    """
-    register, lattice, alpha2_sq = _evolve_layers(params)
-    if isinstance(params, PauliParams):
-        layers = _pauli_preparation_layers(register, theta1)
-    else:
-        a1, b1 = _qubit_amplitudes("theta1", theta1)
-        layers = _preparation_layers(a1, b1, np.sqrt(alpha2_sq), np.sqrt(1.0 - alpha2_sq), register)
-    stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
-    return CircuitSpec(register, layers + lattice, stages, _lattice_metadata(params, theta1))
 
 
 def pauli_caption_angles(p, q1, q2, q3) -> tuple[float, float, float]:
@@ -675,6 +556,170 @@ def pauli_caption_angles(p, q1, q2, q3) -> tuple[float, float, float]:
 
 def pauli_register() -> Register:
     return make_register(Role.SYSTEM_PATH, Role.RESERVOIR_PATH, Role.RESERVOIR_PATH, Role.POLARIZATION)
+
+
+class _Recipe:
+    """One family's evolve lattice: a fixed wiring that an angle table programs.
+
+    ``steps`` give one placement per layer: ("flip", wire) is the CNOT from
+    polarization onto that path wire; ("tag", modes) and ("x", modes) rotate
+    polarization where the path bits read modes, an x step by the X gate
+    (pi, 0, pi). A tag sends its mode's input to stay|H> + move e^{i phase}|V>
+    with angles (2 atan2(move, stay), phase, pi) on an H input and
+    (2 atan2(stay, move), phase - pi, pi) on a V input; ``program(params,
+    knobs)`` gives every tag's (y, x, phi) of these, each (T,) or (B, T).
+    ``knobs`` maps one record to its knob angles, ``weight`` a record or stack
+    to what the preparation (or ``_encode``) puts into the environment's
+    ground mode, and ``prepare(register, theta1, weight)`` gives the
+    preparation layers.
+    """
+
+    def __init__(self, register: Register, steps, program, knobs, weight, prepare):
+        pol = polarization_wire(register).index
+        self.layers = tuple([(("cnot-pol-path", (pol, at), None) if step == "flip"
+                              else ("path-conditioned-u3", (pol,), at),) for step, at in steps])
+        rotations = [step for step, _ in steps if step != "flip"]
+        self.tags = np.array([u for u, step in enumerate(rotations) if step == "tag"])
+        self.register, self.rotations = register, len(rotations)
+        self.program, self.knobs, self.weight, self.prepare = program, knobs, weight, prepare
+
+
+def _dephasing_program(params, knobs):
+    # mode 10 (H in) keeps sqrt(1 - p) and moves sqrt(p)
+    root = np.sqrt(_columns((params.p, 1 - params.p)))
+    return root[..., :1], root[..., 1:], (0.0,)
+
+
+def _gad_program(params, knobs):
+    # modes 10 (H in) and 01 (V in) keep sqrt(1 - p) and move sqrt(p); 00 and 11 stay
+    p, q = params.p, 1 - params.p
+    root = np.sqrt(_columns((0.0, p, q, 1.0, 1.0, q, p, 0.0)))
+    return root[..., :4], root[..., 4:], (0.0, 0.0, -math.pi, -math.pi)
+
+
+def _sgad_program(params, knobs):
+    # modes 00, 10 (H in) and 01, 11 (V in) move at rates alpha, beta, mu, nu
+    a, b, mu, nu = params.alpha, params.beta, params.mu, params.nu
+    root = np.sqrt(_columns((a, b, 1 - mu, 1 - nu, 1 - a, 1 - b, mu, nu)))
+    return root[..., :4], root[..., 4:], _columns((-params.phi, 0.0, -params.lam - math.pi, -math.pi))
+
+
+def _pauli_program(params, knobs):
+    """Each of the two H-polarized input modes splits into its stay amplitude
+    and three double-flip transitions, one sqrt(p q_i) branch per round;
+    signs and the i factors ride on the tag phases."""
+    t1, t2, t3 = knobs
+    # absolute branch amplitudes from the knob angles
+    m_q1 = np.cos(t1) * np.cos(t2)
+    m_q2 = np.cos(t1) * np.sin(t2) * np.cos(t3)
+    m_q3 = np.cos(t1) * np.sin(t2) * np.sin(t3)
+    moves, stays, remaining = [], [], 1.0
+    for amp in (m_q3, m_q2, m_q1):
+        # once nothing stays, nothing moves; the floor keeps the unused quotient finite
+        move = np.minimum(1.0, np.where(remaining > 1e-15, amp / np.maximum(remaining, 1e-15), 0.0))
+        stay = np.sqrt(np.maximum(0.0, 1.0 - move * move))
+        moves += [move, move]  # modes 000 and 100
+        stays += [stay, stay]
+        remaining = remaining * stay
+    return _columns(moves), _columns(stays), (0.0, math.pi, math.pi / 2, -math.pi / 2, 0.0, 0.0)
+
+
+def _environment_preparation(register: Register, theta1: float, alpha2_sq):
+    a1, b1 = _qubit_amplitudes("theta1", theta1)
+    return _preparation_layers(a1, b1, np.sqrt(alpha2_sq), np.sqrt(1.0 - alpha2_sq), register)
+
+
+_CHANNEL_REGISTER = channel_register()  # s, e, polarization
+_PAIR_SWAP = [("tag", "00"), ("tag", "10"), ("tag", "01"), ("tag", "11"),
+              ("flip", 0), ("flip", 1), ("x", "11"), ("x", "01")]
+_RECIPES = {
+    # flips the environment qubit of the s=1 sector only: the V-class modes are
+    # parked in H around the one CNOT, so it moves nothing but the tagged amplitude
+    DephasingParams: _Recipe(
+        _CHANNEL_REGISTER,
+        [("tag", "10"), ("x", "01"), ("x", "11"), ("flip", 1), ("x", "11"), ("x", "01")],
+        _dephasing_program, lambda prm: [2.0 * _caption_angle(prm.p)], lambda params: 1.0,
+        _environment_preparation),
+    # both qubits flip: partners are 00 <-> 11 and 10 <-> 01
+    GADParams: _Recipe(
+        _CHANNEL_REGISTER, _PAIR_SWAP, _gad_program, lambda prm: [_caption_angle(prm.p)],
+        lambda params: params.alpha2_sq, _environment_preparation),
+    SGADParams: _Recipe(
+        _CHANNEL_REGISTER, _PAIR_SWAP, _sgad_program,
+        lambda prm: [_caption_angle(r) for r in (prm.alpha, prm.beta, prm.mu, prm.nu)],
+        lambda params: params.alpha2_sq, _environment_preparation),
+    # the reservoir starts in its ground state; wires s, r1, r2, polarization
+    PauliParams: _Recipe(
+        pauli_register(),
+        [step for flips, arrivals in (((1, 2), ("011", "111")), ((0, 1), ("110", "010")),
+                                      ((0, 2), ("101", "001")))
+         for step in [("tag", "000"), ("tag", "100"), *(("flip", w) for w in flips),
+                      *(("x", mode) for mode in arrivals)]],
+        _pauli_program,
+        lambda prm: [float(t) for t in pauli_caption_angles(prm.p, prm.q1, prm.q2, prm.q3)],
+        lambda params: 1.0, lambda register, theta1, _: _pauli_preparation_layers(register, theta1)),
+}
+
+
+def _recipe_of(params) -> _Recipe:
+    family = params.family if isinstance(params, ParamStack) else type(params)
+    if family not in _RECIPES:
+        raise InvalidArgument(f"unknown channel parameter type {family.__name__}")
+    return _RECIPES[family]
+
+
+def _angles(recipe: _Recipe, params, knobs=None) -> np.ndarray:
+    """The recipe's angle table at ``params``, finite and reduced: shape (3, U),
+    or (3, B, U) for a stack whose fields vary. ``knobs`` lists each point's
+    knob angles; they are computed when not given."""
+    if knobs is None:
+        points = params.points if isinstance(params, ParamStack) else [params]
+        knobs = [recipe.knobs(p) for p in points]
+    y, x, phi = recipe.program(params, knobs[0] if len(knobs) == 1 else np.array(knobs).T)
+    theta = 2.0 * np.arctan2(y, x)
+    table = np.empty((3,) + np.broadcast(theta, phi).shape[:-1] + (recipe.rotations,))
+    table[0] = table[2] = math.pi  # the X gate, where no tag overwrites it
+    table[1] = 0.0
+    table[0][..., recipe.tags] = theta
+    table[1][..., recipe.tags] = phi
+    return _principal("lattice angle", table)
+
+
+def _evolve_layers(params, knobs=None):
+    """(register, evolve layers, environment ground weight) of one family's lattice.
+
+    ``params`` is one parameter record or a ParamStack, ``knobs`` as
+    ``_angles`` takes them; the placements hold the recipe's angle table, so
+    a stacked field gives stacked angles wherever it enters.
+    """
+    recipe = _recipe_of(params)
+    rotations = map(U3Params, *np.moveaxis(_angles(recipe, params, knobs), -1, 1))
+    layers = [tuple([GatePlacement(kind, wires, None if kind == "cnot-pol-path" else next(rotations),
+                                   condition) for kind, wires, condition in layer])
+              for layer in recipe.layers]
+    return recipe.register, layers, recipe.weight(params)
+
+
+def _lattice_metadata(params: ChannelParams, theta1: float, knobs: list) -> dict:
+    """The metadata a lattice for one parameter record carries: the family,
+    its fields, the preparation angle theta1 and the knob angles."""
+    return {"channel": params.name, **vars(params), "theta1": theta1, "caption_theta": knobs}
+
+
+def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2) -> CircuitSpec:
+    """Preparation plus evolve lattice for one of the channels.
+
+    The preparation puts the system qubit (cos theta1/2, sin theta1/2) and the
+    environment (sqrt(alpha2_sq), sqrt(1 - alpha2_sq)) that ``_encode`` gives
+    the evolve stage, with alpha2_sq from the channel's bath weights (ground
+    state for dephasing and for the Pauli reservoir).
+    """
+    recipe = _recipe_of(params)
+    knobs = recipe.knobs(params)
+    register, lattice, alpha2_sq = _evolve_layers(params, [knobs])
+    layers = recipe.prepare(register, theta1, alpha2_sq)
+    stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
+    return CircuitSpec(register, layers + lattice, stages, _lattice_metadata(params, theta1, knobs))
 
 
 def build_pauli_lattice(
@@ -695,67 +740,27 @@ def _pauli_preparation_layers(register: Register, prep_theta: float):
     ]
 
 
-def _pauli_evolve_layers(params):
-    """Evolve layers of the Pauli lattice.
-
-    Each of the two H-polarized input modes splits into its stay amplitude
-    and three double-flip transitions, one sqrt(p q_i) branch per round;
-    signs and the i factors ride on the tag phases.
-    """
-    t1, t2, t3 = pauli_caption_angles(params.p, params.q1, params.q2, params.q3)
-    register = pauli_register()
-    pol = polarization_wire(register).index
-    s, r1, r2 = (w.index for w in path_wires(register))
-    layers = []
-
-    # absolute branch amplitudes from the knob angles
-    m_q1 = np.cos(t1) * np.cos(t2)
-    m_q2 = np.cos(t1) * np.sin(t2) * np.cos(t3)
-    m_q3 = np.cos(t1) * np.sin(t2) * np.sin(t3)
-
-    rounds = [
-        # (branch amplitude, phase on |000> row, phase on |100> row, flips, arrival modes)
-        (m_q3, 0.0, math.pi, (r1, r2), ("011", "111")),
-        (m_q2, math.pi / 2, -math.pi / 2, (s, r1), ("110", "010")),
-        (m_q1, 0.0, 0.0, (s, r2), ("101", "001")),
-    ]
-    remaining = 1.0
-    for amp, phase0, phase1, flips, arrivals in rounds:
-        # once nothing stays, nothing moves; the floor keeps the unused quotient finite
-        move = np.where(remaining > 1e-15, amp / np.maximum(remaining, 1e-15), 0.0)
-        move = np.minimum(1.0, move)
-        stay = np.sqrt(np.maximum(0.0, 1.0 - move * move))
-        layers.append(
-            (GatePlacement("path-conditioned-u3", (pol,), _tag_h(stay, move, phase0), "000"),)
-        )
-        layers.append(
-            (GatePlacement("path-conditioned-u3", (pol,), _tag_h(stay, move, phase1), "100"),)
-        )
-        for wire in flips:
-            layers.append((GatePlacement("cnot-pol-path", (pol, wire)),))
-        for mode in arrivals:
-            layers.append((GatePlacement("path-conditioned-u3", (pol,), _X, mode),))
-        remaining = remaining * stay
-    return layers
-
-
 # -- batched lattices --------------------------------------------------------------
 
 BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sweep length
 
 
 def lattice_outputs(
-    params: ParamStack, system_input: np.ndarray, *, first_index: int
+    params: ParamStack, system_input: np.ndarray, *, first_index: int, knobs=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Choi matrices (B, 4, 4), reduced outputs (B, 2, 2) on the qubit
     ``system_input`` = (a1, b1) and joint densities (B, d, d) of a stack's B
-    points: one kernel call composes their evolve stages, which act on the two
-    encoded system basis inputs; no preparation is built. ``check_residuals`` checks
-    every point (unitarity, norm, joint and traced density), naming point first_index + i.
+    points: one kernel call composes their evolve stages from the recipe's
+    angle table (``knobs`` as ``_angles`` takes them), and they act on the two
+    encoded system basis inputs; no placement or preparation is built.
+    ``check_residuals`` checks every point (unitarity, norm, joint and traced
+    density), naming point first_index + i.
     """
-    register, layers, alpha2_sq = _evolve_layers(params)
+    recipe = _recipe_of(params)
+    register, alpha2_sq = recipe.register, recipe.weight(params)
     d = 2 ** len(register)
-    u = np.broadcast_to(_compose(register, layers), (len(params), d, d))
+    u = np.broadcast_to(_chain(register, recipe.layers, _angles(recipe, params, knobs)),
+                        (len(params), d, d))
     check_residuals(unitarity_residual(u), structural_atol(),
                     "layer composition unitarity residual {:.3e}", first_index=first_index)
     # row i: U on the encoded |i>
@@ -808,19 +813,21 @@ def channel_sweep(
     stack = ParamStack(points)
     system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
     ops, labels = kraus_stack(stack)
+    recipe = _recipe_of(stack)
     rho_in = np.outer(system_input, system_input).astype(complex)
 
     def blocks():
         for start in range(0, len(stack), BLOCK_SIZE):
             block = stack.points[start:start + BLOCK_SIZE]
+            knobs = [recipe.knobs(p) for p in block]
             lattice_choi, lattice, _ = lattice_outputs(ParamStack(block), system_input,
-                                                       first_index=start)
+                                                       first_index=start, knobs=knobs)
             kraus = apply_operators(rho_in, ops[start:start + BLOCK_SIZE])
             check_densities(kraus, first_index=start)
             kraus_choi = choi(ops[start:start + BLOCK_SIZE])
             deviation = np.maximum(np.max(np.abs(lattice_choi - kraus_choi), axis=(-2, -1)),
                                    np.max(np.abs(lattice - kraus), axis=(-2, -1)))
-            meta = [_lattice_metadata(p, theta1) for p in block]
+            meta = [_lattice_metadata(p, theta1, k) for p, k in zip(block, knobs)]
             yield SweepBlock(start, meta, lattice, kraus, lattice_choi, kraus_choi, deviation,
                              labels)
 

@@ -87,9 +87,15 @@ def finite_values(name: str, value):
             raise InvalidArgument(f"{name} must be finite, got {value}")
         return float(value)
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgument(f"{name} must be finite, got {value}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _principal(name: str, value):
+    """``value``, checked by ``finite_values``, in [0, 2pi): a tiny negative angle
+    reduces to 2pi itself, and the second remainder takes that to 0."""
+    return finite_values(name, value) % TWO_PI % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -107,20 +113,23 @@ class U3Params:
 
     def __post_init__(self):
         for name in ("theta", "phi", "lam"):
-            object.__setattr__(self, name, finite_values(name, getattr(self, name)) % TWO_PI)
+            object.__setattr__(self, name, _principal(name, getattr(self, name)))
 
 
-def u3(params: U3Params) -> np.ndarray:
+def u3(params) -> np.ndarray:
     """2x2 rotation [[cos(t/2), -e^{il} sin(t/2)], [e^{ip} sin(t/2), e^{i(l+p)} cos(t/2)]].
 
-    Array angles give a stack of rotations, shape (B, 2, 2), each bit for bit
-    the rotation its angles give alone.
+    ``params`` is a U3Params or a (3, ...) table of reduced (theta, phi, lam); array
+    angles give a stack, (..., 2, 2), each bit for bit the rotation its angles give alone.
     """
-    c = np.cos(params.theta / 2.0)
-    s = np.sin(params.theta / 2.0)
-    el = np.exp(1j * params.lam)
-    ep = np.exp(1j * params.phi)
-    return matrix_2x2(c, -el * s, ep * s, _product(el, ep) * c)
+    theta, phi, lam = (params.theta, params.phi, params.lam) if isinstance(params, U3Params) else params
+    half = theta / 2.0
+    c, s = np.cos(half), np.sin(half)
+    el, ep = np.exp(1j * lam), np.exp(1j * phi)
+    d = _product(el, ep) * c  # broadcast over all three angles
+    out = np.empty(np.shape(d) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -el * s, ep * s, d
+    return out
 
 
 def _product(x, y):

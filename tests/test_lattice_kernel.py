@@ -412,3 +412,123 @@ def test_composition_keeps_its_unitarity_check(monkeypatch):
     monkeypatch.setattr(circuit_mod, "unitarity_residual", lambda u: 1.0)
     with pytest.raises(InvalidState, match="^layer composition unitarity residual 1.000e"):
         build_channel_lattice(DephasingParams(0.3))
+
+
+# -- recipes as angle tables ------------------------------------------------------
+
+EDGE_P = (0.0, 1e-300, 1e-17, 0.5, 1.0 - 1e-16, 1.0)
+EDGE_PHASE = (0.0, np.pi, -np.pi, 2 * np.pi - 1e-15)
+
+
+def edge_points(family):
+    """Boundary values where square roots vanish, tags clip or phases wrap."""
+    if family == "dephasing":
+        return [DephasingParams(p) for p in EDGE_P]
+    if family == "gad":
+        return [GADParams(p, a) for p in EDGE_P for a in (0.0, 0.4, 1.0)]
+    if family == "sgad":
+        return ([SGADParams(p, 0.3, 1.0 - p, p, 0.7, 1.9, 0.4) for p in EDGE_P]
+                + [SGADParams(0.3, 0.6, 0.2, 0.9, phi, lam, 0.4)
+                   for phi in EDGE_PHASE for lam in EDGE_PHASE])
+    return ([PauliParams(p, 0.3, 0.5, 0.2) for p in EDGE_P]
+            + [PauliParams(0.4, q1, q2, q3) for q1, q2, q3 in
+               ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))])
+
+
+def table_kernel(params):
+    """The lattice kernel on the recipe's wiring and angle table, no placements."""
+    recipe = circuit_mod._recipe_of(params)
+    return circuit_mod._chain(recipe.register, recipe.layers, circuit_mod._angles(recipe, params))
+
+
+class TestAngleTables:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_point_equals_the_placement_product(self, family):
+        rng = np.random.default_rng(21)
+        for params in edge_points(family) + [random_point(rng, family) for _ in range(20)]:
+            register, layers, _ = circuit_mod._evolve_layers(params)
+            want = reference_compose(register, layers)
+            assert_bits(table_kernel(params), want)
+            assert_bits(table_kernel(ParamStack([params])), want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [5, 64])
+    def test_stacks_equal_the_placement_product(self, family, size):
+        rng = np.random.default_rng(22 + size)
+        points = (edge_points(family) + [random_point(rng, family) for _ in range(size)])[:size]
+        block = ParamStack(points)
+        register, layers, _ = circuit_mod._evolve_layers(block)
+        want = reference_compose(register, layers)
+        assert want.shape == (size,) + (2 ** len(register),) * 2
+        assert_bits(table_kernel(block), want)
+        for i, params in enumerate(points):  # each stacked point is its one-point unitary
+            assert_bits(want[i], table_kernel(params))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_table_is_reduced_and_placements_keep_it(self, family):
+        rng = np.random.default_rng(23)
+        block = ParamStack(edge_points(family) + [random_point(rng, family) for _ in range(5)])
+        recipe = circuit_mod._recipe_of(block)
+        angles = circuit_mod._angles(recipe, block)
+        assert angles.shape == (3, len(block), recipe.rotations)
+        assert np.all((angles >= 0) & (angles < 2 * np.pi))
+        _, layers, _ = circuit_mod._evolve_layers(block)
+        rotations = [p.params for layer in layers for p in layer if p.params is not None]
+        for u, column in zip(rotations, np.moveaxis(angles, -1, 0)):
+            assert_bits(np.array([u.theta, u.phi, u.lam]), column)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_lattice_outputs_builds_no_placement_objects(self, family, monkeypatch):
+        rng = np.random.default_rng(24)
+        params = random_point(rng, family)
+        circuit_mod._wiring(*wiring_key(params))  # a first use may build the wiring
+
+        def never(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(GatePlacement, "__post_init__", never)
+        monkeypatch.setattr(U3Params, "__post_init__", never)
+        system_input = circuit_mod._qubit_amplitudes("theta1", 1.1)
+        circuit_mod.lattice_outputs(ParamStack([params]), system_input, first_index=0)
+        for _ in circuit_mod.channel_sweep([params, params], theta1=1.1):
+            pass
+
+    def test_pauli_block_through_lattice_outputs_stays_within_kernel_bytes(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        block = ParamStack([random_point(rng, "pauli") for _ in range(circuit_mod.BLOCK_SIZE)])
+        placement_stack, written = circuit_mod._placement_stack, []
+
+        def recording(*args):
+            mats = placement_stack(*args)
+            written.append(mats.nbytes)
+            return mats
+
+        monkeypatch.setattr(circuit_mod, "_placement_stack", recording)
+        system_input = circuit_mod._qubit_amplitudes("theta1", 1.1)
+        _, _, joint = circuit_mod.lattice_outputs(block, system_input, first_index=0)
+        assert len(joint) == circuit_mod.BLOCK_SIZE
+        assert written and max(written) <= circuit_mod.KERNEL_BYTES
+
+    def test_pauli_knob_angles_once_per_point(self, monkeypatch):
+        points = [PauliParams(p, 0.3, 0.5, 0.2) for p in (0.1, 0.4, 0.8)]
+        calls = []
+        caption_angles = circuit_mod.pauli_caption_angles
+
+        def counting(*args):
+            calls.append(args)
+            return caption_angles(*args)
+
+        monkeypatch.setattr(circuit_mod, "pauli_caption_angles", counting)
+        (block,) = circuit_mod.channel_sweep(points)
+        assert len(calls) == len(points)
+        assert [meta["caption_theta"] for meta in block.params] == [
+            [float(t) for t in caption_angles(p.p, p.q1, p.q2, p.q3)] for p in points]
+        calls.clear()
+        build_channel_lattice(points[0])
+        assert len(calls) == 1
+
+
+def wiring_key(params):
+    recipe = circuit_mod._recipe_of(params)
+    return (recipe.register, tuple(map(len, recipe.layers)),
+            tuple(slot for layer in recipe.layers for slot in layer))
