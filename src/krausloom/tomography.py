@@ -3,13 +3,13 @@
 Settings are pairs of single-qubit rotations applied before projecting on
 |00>; the label states are H, V, D = (H+V)/sqrt2 and R = (H+iV)/sqrt2.
 The settings are fixed, so their (16, 4, 4) projector stack, the
-linear-inversion design matrix and the projectors' real (8, 8) forms are
-built once, read-only, when the module loads; counts and both
-reconstructions read that one stack. Reconstruction offers plain linear
-inversion and maximum likelihood: a BFGS ascent of the Poisson likelihood
-over rho = T T^dagger / Tr(T T^dagger), which is physical at every step,
-stopped once the Frank-Wolfe gap certifies that the likelihood lies within
-``tol`` per shot of its maximum.
+linear-inversion design matrix and the projectors' quadratic forms in a
+Hermitian T are built once, read-only, when the module loads; counts and
+both reconstructions read that one stack. Reconstruction offers plain linear
+inversion and maximum likelihood: a damped Newton ascent of the Poisson
+likelihood over rho = T^2 / Tr(T^2), T = T^dagger, which is physical at every
+step, stopped once the Frank-Wolfe gap certifies that the likelihood lies
+within ``tol`` per shot of its maximum.
 """
 
 from __future__ import annotations
@@ -87,13 +87,20 @@ _PROJECTORS = _read_only(np.array([projector_matrix(s) for s in _SETTINGS]))  # 
 _DESIGN = _read_only(_PROJECTORS.transpose(0, 2, 1).reshape(16, 16))
 
 
-# Real forms of the projectors: with z = [Re T; Im T] (shape (8, 4), one column
-# per column of T), Tr(P_s T T^dagger) = sum over columns of z^T R_s z, where
-# R_s = [[Re P_s, -Im P_s], [Im P_s, Re P_s]]; stacked as (16 * 8, 8).
-_REAL_FORMS = _read_only(
-    np.block([[_PROJECTORS.real, -_PROJECTORS.imag], [_PROJECTORS.imag, _PROJECTORS.real]])
-    .reshape(128, 8)
-)
+# An orthonormal basis of the Hermitian 4x4 matrices, Tr(B_j B_k) = delta_jk: the
+# four diagonal units, then U + U^dagger for U = E_jk / sqrt2 and U = i E_jk / sqrt2, j < k.
+_BASIS = np.zeros((16, 4, 4), dtype=complex)
+_BASIS[range(4), range(4), range(4)] = 1.0
+_BASIS[range(4, 16), [0, 0, 0, 1, 1, 2] * 2, [1, 2, 3, 2, 3, 3] * 2] = (
+    [math.sqrt(0.5)] * 6 + [1j * math.sqrt(0.5)] * 6)
+_BASIS[4:] += _BASIS[4:].conj().transpose(0, 2, 1)
+_BASIS = _read_only(_BASIS.reshape(16, 16))  # row k: B_k flattened
+# With T = sum_k theta_k B_k, Tr(P_s T^2) = theta^T A_s theta, where
+# A_s[j, k] = Re Tr(P_s B_j B_k); symmetrized, shape (16, 16, 16).
+_FORMS = (_DESIGN @ (_BASIS.reshape(16, 1, 4, 4) @ _BASIS.reshape(1, 16, 4, 4))
+          .reshape(256, 16).T).real.reshape(16, 16, 16)
+_FORMS = _read_only((_FORMS + _FORMS.transpose(0, 2, 1)) / 2)
+_DIAGONAL = np.diag_indices(16)
 
 
 def assert_informationally_complete() -> None:
@@ -169,37 +176,39 @@ def simulate_counts(
     ]
 
 
-def _probabilities_from_records(records) -> np.ndarray | None:
-    """Each setting's frequency, in setting order; None when linear inversion
-    has nothing to normalize by."""
+def _records_and_frequencies(records):
+    """The records in setting order, and each setting's frequency; the
+    frequencies are None when linear inversion has nothing to normalize by."""
     recs = sorted(records, key=lambda r: r.setting_index)
     if [r.setting_index for r in recs] != list(range(1, 17)):
         raise InvalidArgument("all 16 settings must be present exactly once")
-    totals = {r.total_shots for r in recs}
-    if len(totals) == 1:
+    if len({r.total_shots for r in recs}) == 1:
         # rows 1..4 project onto an orthonormal basis, so their counts sum to
         # the total intensity; normalize everything against that block
         block = sum(r.counts for r in recs[:4])
-        return np.array([r.counts / block for r in recs]) if block > 0 else None
-    return np.array([r.counts / r.total_shots for r in recs])
+        return recs, (np.array([r.counts / block for r in recs]) if block > 0 else None)
+    return recs, np.array([r.counts / r.total_shots for r in recs])
+
+
+def _invert(freqs: np.ndarray) -> DensityMatrix:
+    rho = np.linalg.solve(_DESIGN, freqs.astype(complex)).reshape(4, 4)
+    rho = (rho + rho.conj().T) / 2
+    return DensityMatrix(rho / np.trace(rho).real, (2, 2), eig_atol=None)
 
 
 def hv_block_empty(records) -> bool:
     """True when every setting has the same total and the H/V block (settings
     1..4) counted nothing, which leaves linear inversion undefined. Tiny shot
     budgets do this; maximum likelihood still runs, from I/4."""
-    return _probabilities_from_records(records) is None
+    return _records_and_frequencies(records)[1] is None
 
 
 def linear_reconstruct(records) -> DensityMatrix:
     """Invert Tr(rho P_s) = prob_s; Hermitized and trace-normalized, PSD not enforced."""
-    probs = _probabilities_from_records(records)
-    if probs is None:
+    freqs = _records_and_frequencies(records)[1]
+    if freqs is None:
         raise InvalidArgument("H/V block counts sum to zero; cannot normalize")
-    rho = np.linalg.solve(_DESIGN, probs.astype(complex)).reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(rho, (2, 2), eig_atol=None)
+    return _invert(freqs)
 
 
 def project_to_psd(m, dims=(2, 2)) -> DensityMatrix:
@@ -228,63 +237,66 @@ class MLReconstruction:
     linear: DensityMatrix | None  # the linear estimate the ascent started from
 
 
-def _likelihood(z: np.ndarray, counts: np.ndarray, shots: np.ndarray):
-    """Log-likelihood of rho = T T^dagger / Tr(T T^dagger), z = [Re T; Im T]
-    flattened, with its gradient in z, the probabilities p_s and the weights
-    g_s = c_s / p_s - N_s of the likelihood's gradient G = sum_s g_s P_s in rho."""
-    rz = (_REAL_FORMS @ z.reshape(8, 4)).reshape(16, 32)
-    norm = z @ z
-    probs = np.maximum(rz @ z / norm, 1e-300)
+def _likelihood(theta: np.ndarray, counts: np.ndarray, shots: np.ndarray):
+    """Log-likelihood of rho = T^2 / Tr(T^2), T = sum_k theta_k B_k, with its
+    gradient in theta (orthogonal to theta), the probabilities p_s, the weights
+    g_s = c_s / p_s - N_s of its gradient G = sum_s g_s P_s in rho, the rows
+    A_s theta and n = theta.theta = Tr(T^2)."""
+    forms_theta = _FORMS @ theta
+    norm = theta @ theta
+    probs = np.maximum(forms_theta @ theta / norm, 1e-300)
     weights = counts / probs - shots
     ll = counts @ np.log(probs) - shots @ probs
-    grad = (2.0 / norm) * (weights @ rz - (weights @ probs) * z)
-    return ll, grad, probs, weights
+    grad = (2.0 / norm) * (weights @ forms_theta - (weights @ probs) * theta)
+    return ll, grad, probs, weights, forms_theta, norm
 
 
-def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """z = [Re T; Im T] flattened, for T = V sqrt(W), so that T T^dagger = V W V^dagger."""
-    t = v * np.sqrt(np.clip(w, 0.0, None))
-    return np.concatenate([t.real, t.imag]).reshape(32)
+def _square_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """theta of the Hermitian square root T = V sqrt(W) V^dagger, so that T^2 = V W V^dagger."""
+    t = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (_BASIS.conj() @ t.reshape(16)).real
 
 
 def _start(linear: DensityMatrix | None) -> np.ndarray:
-    """z of the linear estimate with its negative eigenvalues clipped, mixed
-    with 1e-9 of I/4 so that it is full rank; z of I/4 without an estimate."""
+    """theta of the linear estimate with its negative eigenvalues clipped,
+    mixed with 1e-9 of I/4 so that it is full rank; theta of I/4 without an
+    estimate."""
     if linear is None:
-        return _factor(np.full(4, 0.25), np.eye(4))
+        return _square_root(np.full(4, 0.25), np.eye(4))
     w, v = np.linalg.eigh(linear.matrix)
     w = np.clip(w, 0.0, None)
-    return _factor((1.0 - 1e-9) * w / np.sum(w) + 1e-9 / 4.0, v)
+    return _square_root((1.0 - 1e-9) * w / np.sum(w) + 1e-9 / 4.0, v)
 
 
-def _curvature(z, grad, probs, weights, counts) -> np.ndarray:
-    """M = -Hessian of the likelihood in z, from what ``_likelihood`` returns.
+def _curvature(theta, counts, grad, probs, weights, forms_theta, norm) -> np.ndarray:
+    """M = -Hessian of the likelihood in theta, from what ``_likelihood`` returns.
 
-    With n = z.z, D_s = dp_s/dz = (2/n)(R_s z - p_s z) and g = sum_s w_s D_s,
+    With D_s = dp_s/dtheta = (2/n)(A_s theta - p_s theta) and g = sum_s w_s D_s,
     M = sum_s (c_s / p_s^2) D_s D_s^T
-        - (2/n) [(sum_s w_s R_s) (x) I_4 - (w.p) I - z g^T - g z^T].
+        - (2/n) [sum_s w_s A_s - (w.p) I - theta g^T - g theta^T].
     """
-    norm = z @ z
-    rz = (_REAL_FORMS @ z.reshape(8, 4)).reshape(16, 32)
-    d = (2.0 / norm) * (rz - probs[:, None] * z)
-    forms = np.kron(np.tensordot(weights, _REAL_FORMS.reshape(16, 8, 8), axes=1), np.eye(4))
-    inner = forms - (weights @ probs) * np.eye(32) - np.outer(z, grad) - np.outer(grad, z)
+    d = (2.0 / norm) * (forms_theta - probs[:, None] * theta)
+    outer = theta[:, None] * grad
+    inner = (weights @ _FORMS.reshape(16, 256)).reshape(16, 16) - outer - outer.T
+    inner[_DIAGONAL] -= weights @ probs
     return (d.T * (counts / probs / probs)) @ d - (2.0 / norm) * inner
 
 
-def _inverse_curvature(z, grad, probs, weights, counts) -> np.ndarray:
-    """Inverse of M, shifted by max(0, -lambda_min) + 1e-2 lambda_max to be
-    positive definite: T -> T U leaves rho unchanged, so M is flat along those
-    gauge directions, and it is indefinite away from the maximum. Only the
-    eigenvalues are taken: OpenBLAS hands part of a 32x32 eigh with
-    eigenvectors to a worker thread, and eigvalsh and inv stay on the caller's."""
-    m = _curvature(z, grad, probs, weights, counts)
+def _newton_matrix(theta, counts, grad, probs, weights, forms_theta, norm) -> np.ndarray:
+    """M made positive definite. The likelihood is flat along the scale of T
+    (theta^T M theta = theta.g = 0), so the unit scale direction gets curvature
+    lambda_max(M); then M is shifted by |lambda_min(M)| if M is indefinite.
+    eigvalsh stays on the caller's thread; eigh with eigenvectors does not."""
+    m = _curvature(theta, counts, grad, probs, weights, forms_theta, norm)
     lam = np.linalg.eigvalsh(m)
-    return np.linalg.inv(m + (max(0.0, -lam[0]) + 1e-2 * lam[-1]) * np.eye(32))
+    m += (lam[-1] / norm) * theta[:, None] * theta
+    if lam[0] < 0.0:
+        m[_DIAGONAL] -= lam[0]
+    return m
 
 
-def _density(z: np.ndarray) -> np.ndarray:
-    t = z[:16].reshape(4, 4) + 1j * z[16:].reshape(4, 4)
+def _density(theta: np.ndarray) -> np.ndarray:
+    t = (theta @ _BASIS).reshape(4, 4)
     rho = t @ t.conj().T
     return rho / np.trace(rho).real
 
@@ -316,48 +328,44 @@ def _segment_step(probs: np.ndarray, target: np.ndarray, counts: np.ndarray,
 
 
 def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconstruction:
-    """Maximum-likelihood reconstruction by quasi-Newton ascent, stopped on a
+    """Maximum-likelihood reconstruction by damped Newton ascent, stopped on a
     certified optimality gap.
 
     The objective is the Poisson log-likelihood
     l(rho) = sum_{c_s > 0} c_s log p_s - sum_s N_s p_s, p_s = Tr(rho P_s),
-    over rho = T T^dagger / Tr(T T^dagger) with T a free complex 4x4 matrix
-    (James, Kwiat, Munro & White, PRA 64, 052312 (2001)): every iterate is a
-    density matrix and the ascent over the 32 real entries of T is
-    unconstrained. BFGS with Armijo backtracking climbs from the clipped
-    linear estimate mixed with 1e-9 of the identity, which is full rank, or
-    from I/4 when the H/V block is empty and there is no linear estimate.
-    Its inverse-Hessian estimate starts from the likelihood's own curvature
-    in z, shifted to be positive definite (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., sec. 6.1), and is seeded again that way after
-    each Frank-Wolfe step. ``linear`` in the result is that linear estimate,
-    or None.
+    over rho = T^2 / Tr(T^2), T = T^dagger (James, Kwiat, Munro & White, PRA
+    64, 052312 (2001), with T gauge-fixed to the Hermitian square root): every
+    iterate is a density matrix, and the ascent over the 16 coordinates theta
+    of T is unconstrained. Each step solves with the exact Hessian in theta,
+    made positive definite (``_newton_matrix``), and backtracks by Armijo
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 3), from the
+    clipped linear estimate mixed with 1e-9 of the identity, which is full
+    rank, or from I/4 when the H/V block is empty. ``linear`` in the result
+    is that linear estimate, or None.
 
-    Once |grad_z l| |z| <= tol * N, N the mean of the records' total_shots,
-    the Frank-Wolfe gap Delta = lambda_max(G) - Tr(rho G), with
-    G = sum_s (c_s / p_s - N_s) P_s, bounds the distance to the maximum. The
-    run has converged when Delta <= tol * N; otherwise one line-searched step
-    rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of G
-    leaves the face the ascent stalled on, and BFGS resumes. ``tol`` is a gap
-    per shot. ``iterations`` counts both kinds of step; a run that reaches
-    ``max_iter`` stops with converged=False. The output is strictly physical
-    either way.
+    Once |grad_theta l| |theta| <= tol * N, N the mean total_shots, the
+    Frank-Wolfe gap Delta = lambda_max(G) - Tr(rho G), G = sum_s (c_s / p_s -
+    N_s) P_s, bounds the distance to the maximum. The run has converged when
+    Delta <= tol * N (``tol`` is a gap per shot); otherwise one line-searched
+    step rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of
+    G leaves the face the ascent stalled on. ``iterations`` counts both kinds
+    of step; a run that reaches ``max_iter`` stops with converged=False. The
+    output is strictly physical either way.
     """
-    recs = sorted(records, key=lambda r: r.setting_index)
-    linear = None if hv_block_empty(recs) else linear_reconstruct(recs)
+    recs, freqs = _records_and_frequencies(records)
+    linear = None if freqs is None else _invert(freqs)
     shots = np.array([r.total_shots for r in recs], dtype=float)
     scale = float(np.mean(shots))
     # per shot, so that tol and the line search do not depend on the budget
     counts = np.array([r.counts for r in recs], dtype=float) / scale
     shots = shots / scale
 
-    z = _start(linear)
-    ll, grad, probs, weights = _likelihood(z, counts, shots)
-    inv_hess = _inverse_curvature(z, grad, probs, weights, counts)
-    stalled = False
-    it = 0
+    theta = _start(linear)
+    state = _likelihood(theta, counts, shots)
+    gap, stalled, it = None, False, 0  # gap: the Frank-Wolfe gap at theta, once computed
     while it < max_iter:
-        if stalled or math.sqrt((grad @ grad) * (z @ z)) <= tol:
+        ll, grad, probs, weights, _, norm = state
+        if stalled or math.sqrt((grad @ grad) * norm) <= tol:
             gap, top = _frank_wolfe_gap(probs, weights)
             if gap <= tol:
                 break
@@ -365,36 +373,28 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
             gamma = _segment_step(probs, (_DESIGN @ vertex.reshape(16)).real, counts, shots)
             if gamma == 0.0:
                 break
-            z = _factor(*np.linalg.eigh((1.0 - gamma) * _density(z) + gamma * vertex))
-            ll, grad, probs, weights = _likelihood(z, counts, shots)
-            inv_hess = _inverse_curvature(z, grad, probs, weights, counts)
-            stalled = False
-            it += 1
-            continue
-        step = inv_hess @ grad
-        slope, t = grad @ step, 1.0
-        for _ in range(60):
-            cand = _likelihood(z + t * step, counts, shots)
-            if cand[0] >= ll + 1e-4 * t * slope:
-                break
-            t *= 0.5
+            theta = _square_root(*np.linalg.eigh((1.0 - gamma) * _density(theta) + gamma * vertex))
+            state = _likelihood(theta, counts, shots)
         else:
-            stalled = True
-            continue
-        s, y = t * step, grad - cand[1]
-        sy = s @ y
-        if sy > 0:  # BFGS update of the inverse Hessian
-            hy = inv_hess @ y / sy
-            u = ((1.0 + y @ hy) / sy) * s - hy
-            inv_hess += u[:, None] * s - s[:, None] * hy
-        z = z + s
-        ll, grad, probs, weights = cand
+            step = np.linalg.solve(_newton_matrix(theta, counts, *state[1:]), grad)
+            slope, t = grad @ step, 1.0
+            for _ in range(60):
+                cand = _likelihood(theta + t * step, counts, shots)
+                if cand[0] >= ll + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                stalled = True
+                continue
+            theta, state = theta + t * step, cand
+        gap, stalled = None, False
         it += 1
 
-    gap, _ = _frank_wolfe_gap(probs, weights)
-    # T T^dagger is PSD by construction; validate it once
-    final = DensityMatrix(_density(z), (2, 2), eig_atol=ATOL_ARITHMETIC)
-    return MLReconstruction(final, gap <= tol, it, float(ll * scale), gap * scale, linear)
+    if gap is None:
+        gap, _ = _frank_wolfe_gap(*state[2:4])
+    # T^2 is PSD by construction; validate it once
+    final = DensityMatrix(_density(theta), (2, 2), eig_atol=ATOL_ARITHMETIC)
+    return MLReconstruction(final, gap <= tol, it, float(state[0] * scale), gap * scale, linear)
 
 
 # -- count files -----------------------------------------------------------------
