@@ -22,31 +22,35 @@ displacers act on all modes at once while wave plates can be placed per mode:
 
 No two logical amplitudes ever share a (mode, polarization) slot, so the
 composite is manifestly unitary and the per-mode output polarization vectors
-can be read off directly. As on the bench, a family's layout is fixed and
-only its wave-plate angles are programmed: its recipe (``_RECIPES``) is a
-wiring, each layer's (kind, wires, condition) slots, and an angle table,
-the (theta, phi, lam) of every rotation, shape (3, U) or (3, B, U) for B
-points, whose tag angles all come from one arctan2.
+can be read off directly. As on the bench, a layout is fixed and only its
+wave-plate angles are programmed: a family's recipe (``_RECIPES``) and each
+preparation is a wiring, each layer's (kind, wires, condition) slots, and a
+program for its angle table, the (theta, phi, lam) of every rotation, shape
+(3, U) or (3, B, U) for B points, reduced into [0, 2pi) once.
 
 Composition
 -----------
-Every product, whether a whole circuit, one stage, a single placement or
-a channel lattice, goes through one kernel on a wiring and an angle table:
+A ``CircuitSpec`` is a register, a wiring, one (3, U) angle table and a stage
+tag per layer. Placements (``GatePlacement``) live only at its boundary: the
+public constructor, ``placement_matrix`` and circuit files read them into a
+wiring and a table once, and ``CircuitSpec.layers`` builds them on demand.
+Every product, whether a whole circuit, one stage, a single placement or a
+block of lattices, goes through one kernel on a wiring and an angle table:
 one ``u3`` call on the table gives every rotation, one scatter into a copy
 of a zeroed template every placement matrix, and the matmul chain runs in
-layer order. A lattice needs no placement objects; a circuit's placements
-are read into a wiring and a table. The template and the flat positions
-depend on the wiring alone (register, kinds, wires, conditions and layer
-sizes). They are built, and every wiring check is run, on first use, once
-per wiring in a bounded cache that no angle or parameter keys. A circuit too
-long for one scatter of KERNEL_BYTES, over all of its stacked points, goes
-through in consecutive runs of layers; every one-point lattice is one run.
+layer order. The template and the flat positions depend on the wiring
+alone (register, kinds, wires, conditions and layer sizes). They are built,
+and every wiring check is run, on first use, once per wiring in a bounded
+cache that no angle or parameter keys. A circuit too long for one scatter
+of KERNEL_BYTES, over all of its stacked points, goes through in
+consecutive runs of layers; every one-point lattice is one run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -114,6 +118,8 @@ class GatePlacement:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise InvalidArgument(f"unknown gate kind {self.kind!r}")
+        if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) for w in self.wires):
+            raise TypeError(f"placement wires must be integers, got {list(self.wires)}")
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         if self.kind == "local-u3":
             if len(self.wires) != 1 or self.params is None or self.condition is not None:
@@ -128,25 +134,29 @@ class GatePlacement:
 
 def placement_matrix(placement: GatePlacement, register: Register) -> np.ndarray:
     """The matrix of one placement: the lattice kernel on a one-placement layer."""
-    return _compose(register, [(placement,)])
+    return _chain(register, *_read_layers([(placement,)]))
 
 
-def _acted_wires(kind: str, wires: tuple[int, ...], condition, register: Register) -> set[int]:
-    if kind == "path-conditioned-u3":
-        acted = {wires[0]}
-        for ch, wire in zip(condition, path_wires(register)):
-            if ch != "*":
-                acted.add(wire.index)
-        return acted
-    return set(wires)
+def _read_layers(layers) -> tuple[tuple, np.ndarray]:
+    """The wiring of layers of placements, each layer's (kind, wires,
+    condition) slots, and their (3, U) table of reduced rotation angles."""
+    layers = [tuple(layer) for layer in layers]
+    rotations = [p.params for layer in layers for p in layer if p.params is not None]
+    if any(np.ndim(a) for u in rotations for a in (u.theta, u.phi, u.lam)):
+        raise TypeError("placement angles must be scalars")
+    angles = np.array([[u.theta for u in rotations], [u.phi for u in rotations],
+                       [u.lam for u in rotations]], dtype=float)
+    return tuple([tuple([(p.kind, p.wires, p.condition) for p in layer]) for layer in layers]), angles
 
 
 def _check_disjoint(register: Register, layers) -> None:
     """``layers`` holds each layer's (kind, wires, condition) triples."""
     for layer in layers:
         seen: set[int] = set()
-        for slot in layer:
-            acted = _acted_wires(*slot, register)
+        for kind, wires, condition in layer:
+            acted = set(wires)
+            if kind == "path-conditioned-u3":
+                acted = {wires[0]} | {w.index for ch, w in zip(condition, path_wires(register)) if ch != "*"}
             if acted & seen:
                 raise InvalidArgument("placements within a layer must act on disjoint wires")
             seen |= acted
@@ -203,33 +213,66 @@ def _wiring(register: Register, sizes: tuple[int, ...], slots: tuple):
     return template, targets, sources
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitSpec:
-    """Ordered layers of placements with a stage tag per layer."""
+    """A register, its wiring, one angle table and a stage tag per layer.
+
+    ``wiring`` holds each layer's (kind, wires, condition) slots and
+    ``angles`` the read-only (3, U) table of reduced (theta, phi, lam), one
+    column per rotation slot in order. The constructor reads layers of
+    placements into both, and ``layers`` builds them back. Equality and
+    hashing cover the register, wiring, angles and stages.
+    """
 
     register: Register
-    layers: tuple[tuple[GatePlacement, ...], ...]
+    wiring: tuple
+    angles: np.ndarray
     stages: tuple[str, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
-    unitary: np.ndarray = field(default=None, compare=False, repr=False)  # all layers, read-only
+    metadata: dict
+    unitary: np.ndarray = field(repr=False)  # all layers, read-only
 
     def __init__(self, register, layers, stages, metadata=None):
-        register = tuple(register)
-        layers = tuple(tuple(layer) for layer in layers)
+        self._fill(tuple(register), *_read_layers(layers), stages, metadata)
+
+    @classmethod
+    def _of(cls, register, wiring, angles, stages, metadata) -> "CircuitSpec":
+        """A circuit straight from a wiring and its (3, U) angle table."""
+        circuit = object.__new__(cls)
+        circuit._fill(register, wiring, angles, stages, metadata)
+        return circuit
+
+    def _fill(self, register, wiring, angles, stages, metadata):
         stages = tuple(str(s) for s in stages)
-        if len(layers) != len(stages):
+        if len(wiring) != len(stages):
             raise InvalidArgument("one stage tag per layer required")
         if any(s not in STAGES for s in stages):
             raise InvalidArgument(f"stage tags must be among {STAGES}")
-        object.__setattr__(self, "register", register)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "metadata", dict(metadata or {}))
-        unitary = _compose(register, layers)
+        angles.flags.writeable = False
+        unitary = _chain(register, wiring, angles)
         check_residuals(unitarity_residual(unitary), structural_atol(),
                         "layer composition unitarity residual {:.3e}")
         unitary.flags.writeable = False
-        object.__setattr__(self, "unitary", unitary)
+        for name, value in (("register", register), ("wiring", wiring), ("angles", angles),
+                            ("stages", stages), ("metadata", dict(metadata or {})),
+                            ("unitary", unitary)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, CircuitSpec):
+            return NotImplemented
+        return ((self.register, self.wiring, self.stages) == (other.register, other.wiring, other.stages)
+                and np.array_equal(self.angles, other.angles))
+
+    def __hash__(self):
+        return hash((self.register, self.wiring, self.stages, tuple(self.angles.ravel().tolist())))
+
+    @property
+    def layers(self) -> tuple[tuple[GatePlacement, ...], ...]:
+        """The layers as placements, built on each call, angles as Python floats."""
+        columns = iter(self.angles.T.tolist())
+        return tuple([tuple([GatePlacement(kind, wires, None if kind == "cnot-pol-path"
+                                           else U3Params(*next(columns)), condition)
+                             for kind, wires, condition in layer]) for layer in self.wiring])
 
     @property
     def n_wires(self) -> int:
@@ -241,23 +284,6 @@ class CircuitSpec:
 
 
 KERNEL_BYTES = 1 << 18  # most placement-matrix bytes one scatter writes, every point of a stack
-
-
-def _compose(register: Register, layers) -> np.ndarray:
-    """Product of the layers' placement matrices, the first layer acting first:
-    the lattice kernel (``_chain``) on their wiring and their angle table."""
-    slots = [tuple([(p.kind, p.wires, p.condition) for p in layer]) for layer in layers]
-    rotations = [p.params for layer in layers for p in layer if p.params is not None]
-    table = _columns([u.theta for u in rotations] + [u.phi for u in rotations] + [u.lam for u in rotations])
-    table = table.reshape(table.shape[:-1] + (3, -1))  # (..., 3, U)
-    return _chain(register, slots, table if table.ndim == 2 else np.moveaxis(table, -2, 0))
-
-
-def _columns(values) -> np.ndarray:
-    """The values side by side, shape (T,), or (B, T) where any holds B points."""
-    if any(isinstance(v, np.ndarray) and v.ndim for v in values):
-        return np.stack(np.broadcast_arrays(*values), axis=-1)
-    return np.array(values, dtype=float)
 
 
 def _chain(register: Register, layers, angles: np.ndarray) -> np.ndarray:
@@ -314,8 +340,16 @@ def _placement_stack(register: Register, sizes, slots, angles: np.ndarray) -> np
     return flat.reshape(flat.shape[:-1] + (len(slots), d, d))
 
 
-def _stage_layers(circuit: CircuitSpec, wanted) -> list:
-    return [layer for layer, stage in zip(circuit.layers, circuit.stages) if stage in wanted]
+def _stage_chain(circuit: CircuitSpec, wanted) -> np.ndarray:
+    """The kernel on the layers whose stage is in ``wanted`` and their table columns."""
+    layers, columns, at = [], [], 0
+    for layer, stage in zip(circuit.wiring, circuit.stages):
+        count = sum([kind != "cnot-pol-path" for kind, _, _ in layer])
+        if stage in wanted:
+            layers.append(layer)
+            columns += range(at, at + count)
+        at += count
+    return _chain(circuit.register, layers, circuit.angles[:, columns])
 
 
 def circuit_unitary(circuit: CircuitSpec, through_stage: str | None = None) -> np.ndarray:
@@ -327,18 +361,18 @@ def circuit_unitary(circuit: CircuitSpec, through_stage: str | None = None) -> n
     # stages need not come in order, so a cutoff that drops any layer composes anew
     if all(stage in wanted for stage in circuit.stages):
         return circuit.unitary
-    return _compose(circuit.register, _stage_layers(circuit, wanted))
+    return _stage_chain(circuit, wanted)
 
 
 def stage_unitary(circuit: CircuitSpec, stage: str) -> np.ndarray:
     """Composed unitary of exactly one stage's layers."""
     if stage not in STAGES:
         raise InvalidArgument(f"unknown stage {stage!r}")
-    return _compose(circuit.register, _stage_layers(circuit, (stage,)))
+    return _stage_chain(circuit, (stage,))
 
 
 def evolve(state: PureState, circuit: CircuitSpec, through_stage: str | None = None) -> PureState:
-    """Send a state through the circuit layer by layer."""
+    """Apply the circuit's composed unitary, through ``through_stage``, to a state."""
     if state.dim != circuit.dim:
         raise InvalidArgument(
             f"state dimension {state.dim} does not match circuit dimension {circuit.dim}"
@@ -364,7 +398,6 @@ class ProductStateParams:
     half-angle: amplitudes are cos/sin of theta/2 (native gate convention).
     experimental: system amplitudes cos/sin of theta1, environment weights
     sin/cos of theta2, as the tabletop encoding imposes.
-    An angle may be an array with one value per point of a batch.
     """
 
     theta1: float
@@ -375,6 +408,8 @@ class ProductStateParams:
         if self.convention not in ("half-angle", "experimental"):
             raise InvalidArgument(f"unknown angle convention {self.convention!r}")
         for name in ("theta1", "theta2"):
+            if np.ndim(getattr(self, name)):
+                raise InvalidArgument(f"{name} must be a scalar, got {getattr(self, name)!r}")
             object.__setattr__(self, name, finite_values(name, getattr(self, name)))
 
     def amplitudes(self) -> tuple[float, float, float, float]:
@@ -392,10 +427,6 @@ def channel_register() -> Register:
     return make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
 
 
-# The angle helpers and layer recipes below take floats or arrays over the
-# points of a batch; an array gives a placement with stacked angles.
-
-
 def _finite_multiple(name: str, value: float, scale: int) -> float:
     """``scale * value``; raises unless it is finite, naming the value given."""
     if not math.isfinite(scale * value):
@@ -411,58 +442,41 @@ def _qubit_amplitudes(name: str, theta) -> np.ndarray:
     return np.array([np.cos(half), np.sin(half)])
 
 
-def _col0_u3(c, s) -> U3Params:
-    """Rotation whose first column is the real pair (c, s).
-
-    Exact for c in (-1, 1]; at the c = -1 boundary the principal-range
-    reduction flips the column's global sign. arctan2 keeps a small s that
-    arccos(c) would lose once c rounds to 1.
-    """
-    theta = 2.0 * np.arctan2(np.abs(s), c)
-    phi = np.where(s >= 0, 0.0, math.pi)
-    return U3Params(theta, phi, math.pi)
+_CHANNEL_REGISTER = channel_register()  # s, e, polarization
+# rotate polarization, flip s, rotate per s branch, flip e
+_PREPARATION = ((("local-u3", (2,), None),), (("cnot-pol-path", (2, 0), None),),
+                (("path-conditioned-u3", (2,), "0*"),), (("path-conditioned-u3", (2,), "1*"),),
+                (("cnot-pol-path", (2, 1), None),))
 
 
-def _col1_u3(c, s) -> U3Params:
-    """Rotation whose second column is the real pair (c, s), all signs exact."""
-    theta = 2.0 * np.arctan2(np.abs(c), np.abs(s))
-    lam = np.where(c < 0, 0.0, math.pi)
-    phi = (np.where(s >= 0, 0.0, math.pi) - lam) % (2.0 * math.pi)
-    return U3Params(theta, phi, lam)
-
-
-def _preparation_layers(a1: float, b1: float, a2: float, b2: float, register: Register):
-    """Layers taking |00>|H> to (a1 a2|00> + b1 a2|10>)|H> + (a1 b2|01> + b1 b2|11>)|V>.
+def _preparation_angles(a1, b1, a2, b2) -> np.ndarray:
+    """Angle table of ``_PREPARATION``, which takes |00>|H> to
+    (a1 a2|00> + b1 a2|10>)|H> + (a1 b2|01> + b1 b2|11>)|V>.
 
     The second rotation differs per branch because the first CNOT leaves the
     s=1 branch vertically polarized; both branches must end in a2|H> + b2|V>.
-    The s=1 gate targets the pair the s=0 gate actually realizes, so any
-    boundary sign flip stays a global phase.
+    The first two rotations have first column (c, s) = (a1, b1) and (a2, b2):
+    exact for c in (-1, 1], while at c = -1 the principal-range reduction
+    flips the column's global sign, and arctan2 keeps a small s that
+    arccos(c) would lose once c rounds to 1. The s=1 rotation has as its
+    second column, all signs exact, the first column the s=0 rotation
+    actually realizes, so any boundary sign flip stays a global phase.
     """
-    pol = polarization_wire(register).index
-    s = register[0].index
-    e = register[1].index
-    p_env_h = _col0_u3(a2, b2)
-    realized = u3(p_env_h)[..., :, 0]
-    p_env_v = _col1_u3(realized[..., 0].real, realized[..., 1].real)
-    layers = [
-        (GatePlacement("local-u3", (pol,), _col0_u3(a1, b1)),),
-        (GatePlacement("cnot-pol-path", (pol, s)),),
-        (GatePlacement("path-conditioned-u3", (pol,), p_env_h, "0*"),),
-        (GatePlacement("path-conditioned-u3", (pol,), p_env_v, "1*"),),
-        (GatePlacement("cnot-pol-path", (pol, e)),),
-    ]
-    return layers
+    table = np.empty((3, 3))
+    for k, (c, s) in enumerate(((a1, b1), (a2, b2))):
+        table[:, k] = 2.0 * np.arctan2(np.abs(s), c), np.where(s >= 0, 0.0, math.pi), math.pi
+    table[:, :2] = _principal("preparation angle", table[:, :2])
+    c, s = u3(table[:, 1])[:, 0].real
+    lam = np.where(c < 0, 0.0, math.pi)
+    phi = (np.where(s >= 0, 0.0, math.pi) - lam) % (2.0 * math.pi)
+    table[:, 2] = _principal("preparation angle", (2.0 * np.arctan2(np.abs(c), np.abs(s)), phi, lam))
+    return table
 
 
 def preparation_circuit(params: ProductStateParams) -> CircuitSpec:
-    register = channel_register()
-    a1, b1, a2, b2 = params.amplitudes()
-    layers = _preparation_layers(a1, b1, a2, b2, register)
-    return CircuitSpec(
-        register,
-        layers,
-        ["prepare"] * len(layers),
+    return CircuitSpec._of(
+        _CHANNEL_REGISTER, _PREPARATION, _preparation_angles(*params.amplitudes()),
+        ("prepare",) * len(_PREPARATION),
         {"kind": "prepare", "theta1": params.theta1, "theta2": params.theta2,
          "convention": params.convention},
     )
@@ -537,8 +551,6 @@ def encode_reservoir_state(system_amplitudes) -> PureState:
 
 # -- channel lattices -----------------------------------------------------------
 
-_X = U3Params(math.pi, 0.0, math.pi)
-
 
 def _caption_angle(rate: float) -> float:
     """Knob angle theta with rate = cos^2(theta)."""
@@ -558,6 +570,26 @@ def pauli_register() -> Register:
     return make_register(Role.SYSTEM_PATH, Role.RESERVOIR_PATH, Role.RESERVOIR_PATH, Role.POLARIZATION)
 
 
+# wires s, r1, r2, polarization: rotate polarization, flip s, X back where s = 1
+_PAULI_PREPARATION = ((("local-u3", (3,), None),), (("cnot-pol-path", (3, 0), None),),
+                      (("path-conditioned-u3", (3,), "1**"),))
+
+
+def _pauli_preparation_angles(prep_theta) -> np.ndarray:
+    """Angle table of ``_PAULI_PREPARATION``, which takes |000>|H> to
+    (cos(prep_theta/2)|000> + sin(prep_theta/2)|100>)|H>."""
+    a, b = _qubit_amplitudes("prep_theta", prep_theta)
+    return _principal("preparation angle",
+                      np.array([[2 * math.atan2(b, a), math.pi], [0.0, 0.0], [math.pi, math.pi]]))
+
+
+def _columns(values) -> np.ndarray:
+    """The values side by side, shape (T,), or (B, T) where any holds B points."""
+    if any(isinstance(v, np.ndarray) and v.ndim for v in values):
+        return np.stack(np.broadcast_arrays(*values), axis=-1)
+    return np.array(values, dtype=float)
+
+
 class _Recipe:
     """One family's evolve lattice: a fixed wiring that an angle table programs.
 
@@ -570,18 +602,18 @@ class _Recipe:
     knobs)`` gives every tag's (y, x, phi) of these, each (T,) or (B, T).
     ``knobs`` maps one record to its knob angles, ``weight`` a record or stack
     to what the preparation (or ``_encode``) puts into the environment's
-    ground mode, and ``prepare(register, theta1, weight)`` gives the
-    preparation layers.
+    ground mode, and ``preparation`` is the preparation's wiring and its
+    table program, ``(theta1, weight) -> (3, P)``.
     """
 
-    def __init__(self, register: Register, steps, program, knobs, weight, prepare):
+    def __init__(self, register: Register, steps, program, knobs, weight, preparation):
         pol = polarization_wire(register).index
         self.layers = tuple([(("cnot-pol-path", (pol, at), None) if step == "flip"
                               else ("path-conditioned-u3", (pol,), at),) for step, at in steps])
         rotations = [step for step, _ in steps if step != "flip"]
         self.tags = np.array([u for u, step in enumerate(rotations) if step == "tag"])
         self.register, self.rotations = register, len(rotations)
-        self.program, self.knobs, self.weight, self.prepare = program, knobs, weight, prepare
+        self.program, self.knobs, self.weight, self.preparation = program, knobs, weight, preparation
 
 
 def _dephasing_program(params, knobs):
@@ -624,12 +656,9 @@ def _pauli_program(params, knobs):
     return _columns(moves), _columns(stays), (0.0, math.pi, math.pi / 2, -math.pi / 2, 0.0, 0.0)
 
 
-def _environment_preparation(register: Register, theta1: float, alpha2_sq):
-    a1, b1 = _qubit_amplitudes("theta1", theta1)
-    return _preparation_layers(a1, b1, np.sqrt(alpha2_sq), np.sqrt(1.0 - alpha2_sq), register)
-
-
-_CHANNEL_REGISTER = channel_register()  # s, e, polarization
+# the system qubit theta1 prepares against (sqrt(alpha2_sq), sqrt(1 - alpha2_sq))
+_ENVIRONMENT_PREPARATION = (_PREPARATION, lambda theta1, alpha2_sq: _preparation_angles(
+    *_qubit_amplitudes("theta1", theta1), np.sqrt(alpha2_sq), np.sqrt(1.0 - alpha2_sq)))
 _PAIR_SWAP = [("tag", "00"), ("tag", "10"), ("tag", "01"), ("tag", "11"),
               ("flip", 0), ("flip", 1), ("x", "11"), ("x", "01")]
 _RECIPES = {
@@ -639,15 +668,15 @@ _RECIPES = {
         _CHANNEL_REGISTER,
         [("tag", "10"), ("x", "01"), ("x", "11"), ("flip", 1), ("x", "11"), ("x", "01")],
         _dephasing_program, lambda prm: [2.0 * _caption_angle(prm.p)], lambda params: 1.0,
-        _environment_preparation),
+        _ENVIRONMENT_PREPARATION),
     # both qubits flip: partners are 00 <-> 11 and 10 <-> 01
     GADParams: _Recipe(
         _CHANNEL_REGISTER, _PAIR_SWAP, _gad_program, lambda prm: [_caption_angle(prm.p)],
-        lambda params: params.alpha2_sq, _environment_preparation),
+        lambda params: params.alpha2_sq, _ENVIRONMENT_PREPARATION),
     SGADParams: _Recipe(
         _CHANNEL_REGISTER, _PAIR_SWAP, _sgad_program,
         lambda prm: [_caption_angle(r) for r in (prm.alpha, prm.beta, prm.mu, prm.nu)],
-        lambda params: params.alpha2_sq, _environment_preparation),
+        lambda params: params.alpha2_sq, _ENVIRONMENT_PREPARATION),
     # the reservoir starts in its ground state; wires s, r1, r2, polarization
     PauliParams: _Recipe(
         pauli_register(),
@@ -657,7 +686,7 @@ _RECIPES = {
                       *(("x", mode) for mode in arrivals)]],
         _pauli_program,
         lambda prm: [float(t) for t in pauli_caption_angles(prm.p, prm.q1, prm.q2, prm.q3)],
-        lambda params: 1.0, lambda register, theta1, _: _pauli_preparation_layers(register, theta1)),
+        lambda params: 1.0, (_PAULI_PREPARATION, lambda theta1, _: _pauli_preparation_angles(theta1))),
 }
 
 
@@ -685,21 +714,6 @@ def _angles(recipe: _Recipe, params, knobs=None) -> np.ndarray:
     return _principal("lattice angle", table)
 
 
-def _evolve_layers(params, knobs=None):
-    """(register, evolve layers, environment ground weight) of one family's lattice.
-
-    ``params`` is one parameter record or a ParamStack, ``knobs`` as
-    ``_angles`` takes them; the placements hold the recipe's angle table, so
-    a stacked field gives stacked angles wherever it enters.
-    """
-    recipe = _recipe_of(params)
-    rotations = map(U3Params, *np.moveaxis(_angles(recipe, params, knobs), -1, 1))
-    layers = [tuple([GatePlacement(kind, wires, None if kind == "cnot-pol-path" else next(rotations),
-                                   condition) for kind, wires, condition in layer])
-              for layer in recipe.layers]
-    return recipe.register, layers, recipe.weight(params)
-
-
 def _lattice_metadata(params: ChannelParams, theta1: float, knobs: list) -> dict:
     """The metadata a lattice for one parameter record carries: the family,
     its fields, the preparation angle theta1 and the knob angles."""
@@ -716,10 +730,12 @@ def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2)
     """
     recipe = _recipe_of(params)
     knobs = recipe.knobs(params)
-    register, lattice, alpha2_sq = _evolve_layers(params, [knobs])
-    layers = recipe.prepare(register, theta1, alpha2_sq)
-    stages = ["prepare"] * len(layers) + ["evolve"] * len(lattice)
-    return CircuitSpec(register, layers + lattice, stages, _lattice_metadata(params, theta1, knobs))
+    evolve_angles = _angles(recipe, params, [knobs])
+    wiring, program = recipe.preparation
+    angles = np.concatenate([program(theta1, recipe.weight(params)), evolve_angles], axis=1)
+    stages = ("prepare",) * len(wiring) + ("evolve",) * len(recipe.layers)
+    return CircuitSpec._of(recipe.register, wiring + recipe.layers, angles, stages,
+                           _lattice_metadata(params, theta1, knobs))
 
 
 def build_pauli_lattice(
@@ -727,17 +743,6 @@ def build_pauli_lattice(
 ) -> CircuitSpec:
     """Lattice coupling one system qubit to a 4-level reservoir."""
     return build_channel_lattice(PauliParams(p, q1, q2, q3), theta1=prep_theta)
-
-
-def _pauli_preparation_layers(register: Register, prep_theta: float):
-    """Layers taking |000>|H> to (cos(prep_theta/2)|000> + sin(prep_theta/2)|100>)|H>."""
-    a, b = _qubit_amplitudes("prep_theta", prep_theta)
-    pol = polarization_wire(register).index
-    return [
-        (GatePlacement("local-u3", (pol,), U3Params(2 * math.atan2(b, a), 0.0, math.pi)),),
-        (GatePlacement("cnot-pol-path", (pol, register[0].index)),),
-        (GatePlacement("path-conditioned-u3", (pol,), _X, "1**"),),
-    ]
 
 
 # -- batched lattices --------------------------------------------------------------
@@ -912,17 +917,10 @@ def circuit_to_payload(circuit: CircuitSpec) -> dict:
 def circuit_from_payload(payload: dict) -> CircuitSpec:
     try:
         register = make_register(*payload["register"])
-        layers = []
-        for layer in payload["layers"]:
-            placements = []
-            for entry in layer:
-                params = None
-                if "theta" in entry:
-                    params = U3Params(entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0))
-                placements.append(
-                    GatePlacement(entry["kind"], tuple(entry["wires"]), params, entry.get("condition"))
-                )
-            layers.append(tuple(placements))
+        layers = [[GatePlacement(entry["kind"], tuple(entry["wires"]),
+                                 U3Params(entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0))
+                                 if "theta" in entry else None, entry.get("condition"))
+                   for entry in layer] for layer in payload["layers"]]
         stages = payload.get("stages", ["evolve"] * len(layers))
         return CircuitSpec(register, layers, stages, payload.get("meta", {}))
     except KrausloomError:  # package errors are ValueErrors too; they keep their type

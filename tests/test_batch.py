@@ -148,8 +148,9 @@ def test_fields_that_vary_in_some_operators_only(points):
 def test_lattice_unitaries_match_circuit_unitary():
     points = [SGADParams(0.3 * t, t, 0.8 * t, 0.1 * t, 0.5, 1.1, 0.2 + 0.6 * t)
               for t in np.linspace(0.0, 1.0, 7)]
-    register, layers, _ = circuit._evolve_layers(ParamStack(points[2:7]))
-    u = circuit._compose(register, layers)
+    stack = ParamStack(points[2:7])
+    recipe = circuit._recipe_of(stack)
+    u = circuit._chain(recipe.register, recipe.layers, circuit._angles(recipe, stack))
     assert u.shape == (5, 8, 8)
     for i in range(2, 7):
         # the lattices hold the evolve stage only: its layers as a circuit of their own
@@ -165,7 +166,7 @@ def test_sweep_builds_no_preparation(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the sweep built a preparation")
 
-    for name in ("ProductStateParams", "_preparation_layers", "_pauli_preparation_layers"):
+    for name in ("ProductStateParams", "_preparation_angles", "_pauli_preparation_angles"):
         monkeypatch.setattr(circuit, name, never)
     for _, points in _channel_grid():
         for block in channel_sweep(points, theta1=0.9):
@@ -176,8 +177,10 @@ def test_encoded_inputs_are_the_one_point_encoders():
     # the stacked inputs at each point are encode_joint_state (encode_reservoir_state
     # for Pauli) of |0> and |1>, bit for bit
     for _, points in _channel_grid():
-        register, _, alpha2_sq = circuit._evolve_layers(ParamStack(points))
-        inputs = circuit._encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register))
+        stack = ParamStack(points)
+        recipe = circuit._recipe_of(stack)
+        inputs = circuit._encode(np.eye(2), np.reshape(recipe.weight(stack), (-1, 1)),
+                                 len(recipe.register))
         for params, pair in zip(points, np.broadcast_to(inputs, (len(points),) + inputs.shape[-2:])):
             for e, got in zip(np.eye(2), pair):
                 if isinstance(params, PauliParams):

@@ -39,7 +39,7 @@ from krausloom.circuit import (
     REFERENCE_GAD_MATRIX,
 )
 from krausloom.errors import InvalidArgument
-from krausloom.qmath import PureState, fidelity, partial_trace, unitarity_residual
+from krausloom.qmath import PureState, fidelity, partial_trace, save_json, unitarity_residual
 
 
 def eq7_amplitudes(a1, b1, a2, b2):
@@ -112,6 +112,12 @@ class TestPrepareProductState:
     def test_unknown_convention_rejected(self):
         with pytest.raises(InvalidArgument):
             ProductStateParams(0.1, 0.1, "degrees")
+
+    @pytest.mark.parametrize("field", ["theta1", "theta2"])
+    def test_array_angle_rejected(self, field):
+        angles = {"theta1": 0.3, "theta2": 0.3, field: np.array([0.1, 0.2])}
+        with pytest.raises(InvalidArgument, match=f"^{field} must be a scalar"):
+            prepare_product_state(ProductStateParams(**angles))
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,6 +614,30 @@ class TestCircuitSerialization:
         again = circuit_from_payload(circuit_to_payload(lattice))
         np.testing.assert_allclose(circuit_unitary(again), circuit_unitary(lattice), atol=1e-12)
         assert again.stages == lattice.stages
+
+    @pytest.mark.parametrize("build", [
+        lambda rng: preparation_circuit(ProductStateParams(*rng.uniform(-7, 7, size=2))),
+        lambda rng: preparation_circuit(ProductStateParams(*rng.uniform(-7, 7, size=2), "experimental")),
+        lambda rng: build_channel_lattice(DephasingParams(rng.uniform()), theta1=rng.uniform(-7, 7)),
+        lambda rng: build_channel_lattice(GADParams(*rng.uniform(size=2)), theta1=rng.uniform(-7, 7)),
+        lambda rng: build_channel_lattice(SGADParams(*rng.uniform(size=4), *rng.uniform(0, 7, size=2),
+                                                     rng.uniform()), theta1=rng.uniform(-7, 7)),
+        lambda rng: build_channel_lattice(PauliParams(rng.uniform(), 0.2, 0.3, 0.5),
+                                          theta1=rng.uniform(-7, 7)),
+    ], ids=["prepare-half-angle", "prepare-experimental", "dephasing", "gad", "sgad", "pauli"])
+    def test_file_round_trip_is_bit_for_bit(self, build, tmp_path):
+        rng = np.random.default_rng(31)
+        for k in range(10):
+            circuit = build(rng)
+            payload = circuit_to_payload(circuit)
+            again = circuit_from_payload(payload)
+            texts = []
+            for name, p in (("first", payload), ("again", circuit_to_payload(again))):
+                save_json(p, str(tmp_path / f"{name}{k}.json"))
+                texts.append((tmp_path / f"{name}{k}.json").read_text())
+            assert texts[0] == texts[1]
+            assert again == circuit
+            assert again.unitary.tobytes() == circuit.unitary.tobytes()
 
     def test_bad_payload_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -253,7 +253,16 @@ class TestEvolveCommand:
         ([[{"kind": "path-conditioned-u3", "wires": [0], "condition": "*1",
             "theta": 0.5, "phi": 0.0, "lambda": 0.0}]],
          "error: path-conditioned-u3 must target the polarization wire, got wire 0\n"),
-    ], ids=["negative-cnot-wire", "rotation-off-polarization"])
+        # a fractional or boolean wire once truncated to wire 1, and a list angle
+        # built a stacked unitary
+        ([[{"kind": "local-u3", "wires": [1.5], "theta": 0.3, "phi": 0.0, "lambda": 0.0}]],
+         "error: bad circuit payload: placement wires must be integers, got [1.5]\n"),
+        ([[{"kind": "cnot-pol-path", "wires": [2, True]}]],
+         "error: bad circuit payload: placement wires must be integers, got [2, True]\n"),
+        ([[{"kind": "local-u3", "wires": [2], "theta": [1.0, 2.0], "phi": 0.0, "lambda": 0.0}]],
+         "error: bad circuit payload: placement angles must be scalars\n"),
+    ], ids=["negative-cnot-wire", "rotation-off-polarization", "fractional-wire", "boolean-wire",
+            "list-angle"])
     def test_wires_the_composition_ignores_exit_2(self, tmp_path, capsys, layers, message):
         circ = tmp_path / "c.json"
         circ.write_text(json.dumps({
@@ -377,7 +386,7 @@ def test_lattice_states_build_no_preparation(monkeypatch, capsys, argv):
     def never(*args, **kwargs):
         raise AssertionError("a preparation was built")
 
-    for name in ("ProductStateParams", "_preparation_layers", "_pauli_preparation_layers"):
+    for name in ("ProductStateParams", "_preparation_angles", "_pauli_preparation_angles"):
         monkeypatch.setattr(circuit_mod, name, never)
     assert run(*argv) == 0, capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""The lattice kernel (``circuit._compose``) against the per-placement product.
+"""The lattice kernel (``circuit._chain``) against the per-placement product.
 
 The reference builds every placement matrix on its own, with ``embed``,
 ``controlled_on_path`` and ``cnot_pol_path``, and multiplies them in layer
@@ -78,6 +78,23 @@ def reference_compose(register, layers):
     return np.eye(2 ** len(register), dtype=complex) if out is None else out
 
 
+def evolve_placements(params):
+    """(register, evolve layers, environment ground weight) of one family's
+    lattice, its placements holding the recipe's angle table: a stacked field
+    gives stacked angles wherever it enters."""
+    recipe = circuit_mod._recipe_of(params)
+    rotations = map(U3Params, *np.moveaxis(circuit_mod._angles(recipe, params), -1, 1))
+    layers = [tuple(GatePlacement(kind, wires, None if kind == "cnot-pol-path" else next(rotations),
+                                  condition) for kind, wires, condition in layer)
+              for layer in recipe.layers]
+    return recipe.register, layers, recipe.weight(params)
+
+
+def kernel(register, layers):
+    """The kernel on layers of placements, read into a wiring and a table."""
+    return circuit_mod._chain(register, *circuit_mod._read_layers(layers))
+
+
 def assert_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -147,7 +164,7 @@ class TestAgainstPerPlacementProduct:
         for angles in [circuit_mod.REFERENCE_GAD_ANGLES] + list(rng.uniform(0, np.pi, size=(20, 3))):
             t1, t2, t3 = (float(a) for a in angles)
             params = GADParams(np.sin(2 * t3) ** 2, np.sin(2 * t2) ** 2)
-            register, layers, alpha2_sq = circuit_mod._evolve_layers(params)
+            register, layers, alpha2_sq = evolve_placements(params)
             u = reference_compose(register, layers)
             cols = circuit_mod._encode(np.eye(2), alpha2_sq, len(register)) @ u.T
             psi = PureState(np.array([np.cos(2 * t1), np.sin(2 * t1)]) @ cols, (2, 2, 2))
@@ -161,24 +178,22 @@ class TestAgainstPerPlacementProduct:
         theta1 = rng.uniform(0, np.pi)
         start, stop = 2, 2 + size
         block = ParamStack(points[start:stop])
-        register, layers, alpha2_sq = circuit_mod._evolve_layers(block)
+        register, layers, alpha2_sq = evolve_placements(block)
+        recipe = circuit_mod._recipe_of(block)
+        angles = circuit_mod._angles(recipe, block)
         d = 2 ** len(register)
-
-        def is_stacked(placement):
-            u = placement.params
-            return u is not None and any(np.ndim(a) for a in (u.theta, u.phi, u.lam))
-
-        stacked = [layer for layer in layers if any(is_stacked(p) for p in layer)]
         # one point collapses every field to a float, so nothing stacks
-        assert bool(stacked) == (size > 1)
-        # the kernel on every stacked layer, and on the whole block lattice at once
-        for layer in stacked:
-            got = circuit_mod._compose(register, [layer])
-            assert got.shape == (size, d, d)
+        assert angles.ndim == (3 if size > 1 else 2)
+        # the kernel on every layer of the table, and on the whole block lattice at once
+        at = 0
+        for wiring, layer in zip(recipe.layers, layers):
+            count = sum(kind != "cnot-pol-path" for kind, _, _ in wiring)
+            got = circuit_mod._chain(register, [wiring], angles[..., at:at + count])
+            at += count
             assert_bits(got, reference_compose(register, [layer]))
         u = reference_compose(register, layers)
         assert u.shape == ((size, d, d) if size > 1 else (d, d))
-        assert_bits(circuit_mod._compose(register, layers), u)
+        assert_bits(circuit_mod._chain(register, recipe.layers, angles), u)
         # the block's outputs come from those unitaries, composed in one run
         system_input = circuit_mod._qubit_amplitudes("theta1", theta1)
         inputs = circuit_mod._encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register))
@@ -215,10 +230,10 @@ class TestAgainstPerPlacementProduct:
         payload["stages"] = ["evolve"] * len(payload["layers"])
         circ = circuit_from_payload(payload)
         most = circuit_mod.KERNEL_BYTES // (16 * circ.dim**2)
-        runs = list(circuit_mod._layer_runs(circ.layers, most))
+        runs = list(circuit_mod._layer_runs(circ.wiring, most))
         assert len(runs) > 2
         assert all(sum(map(len, run)) <= most for run in runs)
-        assert [layer for run in runs for layer in run] == list(circ.layers)
+        assert [layer for run in runs for layer in run] == list(circ.wiring)
         assert_bits(circ.unitary, reference_compose(circ.register, circ.layers))
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -226,7 +241,7 @@ class TestAgainstPerPlacementProduct:
         # a block of BLOCK_SIZE points holds BLOCK_SIZE matrices per placement
         rng = np.random.default_rng(18)
         block = ParamStack([random_point(rng, family) for _ in range(circuit_mod.BLOCK_SIZE)])
-        register, layers, _ = circuit_mod._evolve_layers(block)
+        register, layers, _ = evolve_placements(block)
         placement_stack, written = circuit_mod._placement_stack, []
 
         def recording(*args):
@@ -235,7 +250,7 @@ class TestAgainstPerPlacementProduct:
             return mats
 
         monkeypatch.setattr(circuit_mod, "_placement_stack", recording)
-        assert_bits(circuit_mod._compose(register, layers), reference_compose(register, layers))
+        assert_bits(table_kernel(block), reference_compose(register, layers))
         assert written and max(written) <= circuit_mod.KERNEL_BYTES
 
     def test_placement_matrix_is_the_one_placement_case(self):
@@ -322,7 +337,7 @@ class TestInvalidWirings:
         with pytest.raises(KrausloomError) as want:
             reference_compose(REG, layers)
         for build in (lambda: CircuitSpec(REG, layers, ["evolve"] * len(layers)),
-                      lambda: circuit_mod._compose(REG, layers)):
+                      lambda: kernel(REG, layers)):
             with pytest.raises(KrausloomError) as got:
                 build()
             assert type(got.value) is type(want.value)
@@ -363,7 +378,7 @@ class TestInvalidWirings:
         # polarization wire, and controlled_on_path ignores the wires entry
         reference_compose(REG, layers)
         for build in (lambda: CircuitSpec(REG, layers, ["evolve"] * len(layers)),
-                      lambda: circuit_mod._compose(REG, layers)):
+                      lambda: kernel(REG, layers)):
             with pytest.raises(KrausloomError) as got:
                 build()
             assert (type(got.value), str(got.value)) == (error, message)
@@ -391,8 +406,8 @@ class TestWiringCache:
 
     def test_constants_are_read_only(self):
         lattice = build_channel_lattice(GADParams(0.3, 0.6))
-        sizes = tuple(len(layer) for layer in lattice.layers)
-        slots = tuple((p.kind, p.wires, p.condition) for layer in lattice.layers for p in layer)
+        sizes = tuple(len(layer) for layer in lattice.wiring)
+        slots = tuple(slot for layer in lattice.wiring for slot in layer)
         for arr in circuit_mod._wiring(lattice.register, sizes, slots):
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -446,7 +461,7 @@ class TestAngleTables:
     def test_one_point_equals_the_placement_product(self, family):
         rng = np.random.default_rng(21)
         for params in edge_points(family) + [random_point(rng, family) for _ in range(20)]:
-            register, layers, _ = circuit_mod._evolve_layers(params)
+            register, layers, _ = evolve_placements(params)
             want = reference_compose(register, layers)
             assert_bits(table_kernel(params), want)
             assert_bits(table_kernel(ParamStack([params])), want)
@@ -457,7 +472,7 @@ class TestAngleTables:
         rng = np.random.default_rng(22 + size)
         points = (edge_points(family) + [random_point(rng, family) for _ in range(size)])[:size]
         block = ParamStack(points)
-        register, layers, _ = circuit_mod._evolve_layers(block)
+        register, layers, _ = evolve_placements(block)
         want = reference_compose(register, layers)
         assert want.shape == (size,) + (2 ** len(register),) * 2
         assert_bits(table_kernel(block), want)
@@ -472,10 +487,14 @@ class TestAngleTables:
         angles = circuit_mod._angles(recipe, block)
         assert angles.shape == (3, len(block), recipe.rotations)
         assert np.all((angles >= 0) & (angles < 2 * np.pi))
-        _, layers, _ = circuit_mod._evolve_layers(block)
-        rotations = [p.params for layer in layers for p in layer if p.params is not None]
-        for u, column in zip(rotations, np.moveaxis(angles, -1, 0)):
-            assert_bits(np.array([u.theta, u.phi, u.lam]), column)
+        for params in block.points[:8]:
+            # a lattice's table ends in the recipe's, and its placements hold every column
+            lattice = build_channel_lattice(params, theta1=1.1)
+            assert_bits(lattice.angles[:, -recipe.rotations:], circuit_mod._angles(recipe, params))
+            rotations = [p.params for layer in lattice.layers for p in layer if p.params is not None]
+            assert len(rotations) == lattice.angles.shape[1]
+            for u, column in zip(rotations, lattice.angles.T):
+                assert_bits(np.array([u.theta, u.phi, u.lam]), column)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_lattice_outputs_builds_no_placement_objects(self, family, monkeypatch):
@@ -486,12 +505,15 @@ class TestAngleTables:
         def never(self):
             raise AssertionError(f"built a {type(self).__name__}")
 
+        # nor does a lattice or a preparation built as a CircuitSpec
         monkeypatch.setattr(GatePlacement, "__post_init__", never)
         monkeypatch.setattr(U3Params, "__post_init__", never)
         system_input = circuit_mod._qubit_amplitudes("theta1", 1.1)
         circuit_mod.lattice_outputs(ParamStack([params]), system_input, first_index=0)
         for _ in circuit_mod.channel_sweep([params, params], theta1=1.1):
             pass
+        build_channel_lattice(params, theta1=1.1)
+        preparation_circuit(ProductStateParams(1.1, 0.4))
 
     def test_pauli_block_through_lattice_outputs_stays_within_kernel_bytes(self, monkeypatch):
         rng = np.random.default_rng(25)
