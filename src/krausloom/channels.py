@@ -283,7 +283,7 @@ def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:
     """
     build, labels = _FAMILY_OPS[stack.family]
     ops = build(stack)
-    ops = np.broadcast_to(ops, (len(stack),) + ops.shape[-3:])
+    ops = ops[None] if len(stack) == 1 else np.broadcast_to(ops, (len(stack),) + ops.shape[-3:])
     check_residuals(completeness_residual(ops), structural_atol(),
                     "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel)
     return ops, labels

@@ -87,9 +87,11 @@ from .qmath import (
     ATOL_ARITHMETIC,
     DensityMatrix,
     PureState,
-    check_densities,
+    _check_rows,
+    _density_rows,
     check_residuals,
     dagger,
+    density_residuals,
     partial_trace,
     structural_atol,
     unitarity_residual,
@@ -758,38 +760,56 @@ def lattice_outputs(
     points: one kernel call composes their evolve stages from the recipe's
     angle table (``knobs`` as ``_angles`` takes them), and they act on the two
     encoded system basis inputs; no placement or preparation is built.
-    ``check_residuals`` checks every point (unitarity, norm, joint and traced
-    density), naming point first_index + i.
+
+    Each point is measured once into a residual record, one row per check:
+    unitarity, norm, the joint density's hermiticity, trace and -lambda_min,
+    and the reduced output's hermiticity and trace. The record is compared
+    with its tolerances once; a failure names the first failing point,
+    first_index + i, of the first failing row.
     """
+    return lattice_block(params, system_input, None, first_index=first_index, knobs=knobs)[:3]
+
+
+def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_index: int,
+                  knobs=None):
+    """``lattice_outputs`` and its checked (K, B) residual record. Given the
+    block's Kraus outputs ``kraus`` (B, 2, 2), the record ends in their
+    hermiticity, trace and -lambda_min rows (K = 10), measured in one pass
+    with the reduced outputs; without them K = 7."""
     recipe = _recipe_of(params)
     register, alpha2_sq = recipe.register, recipe.weight(params)
     d = 2 ** len(register)
-    u = np.broadcast_to(_chain(register, recipe.layers, _angles(recipe, params, knobs)),
-                        (len(params), d, d))
-    check_residuals(unitarity_residual(u), structural_atol(),
-                    "layer composition unitarity residual {:.3e}", first_index=first_index)
+    u = _chain(register, recipe.layers, _angles(recipe, params, knobs))
+    u = u[None] if len(params) == 1 else np.broadcast_to(u, (len(params), d, d))
     # row i: U on the encoded |i>
     cols = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register)) @ u.swapaxes(-1, -2)
     psi = system_input @ cols
-    check_residuals(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), ATOL_ARITHMETIC,
-                    "state norm deviates from 1 by {:.3e}", first_index=first_index)
     joint = psi[:, :, None] * psi[:, None, :].conj()
-    check_densities(joint, first_index=first_index)
     # the system wire first, the rest traced out; E(|i><j|)[a, b] is
     # sum_r out_i[a, r] out_j[b, r]^*, so J = M M^dagger with rows (i, a)
     amps = psi.reshape(len(psi), 2, -1)
     rho = amps @ dagger(amps)
-    check_densities(rho, eig_atol=None, first_index=first_index)
+    b = len(rho)
+    herm, tdev, lo = density_residuals(rho if kraus is None else np.concatenate([rho, kraus]),
+                                       eig=kraus is not None)
+    rows = [(unitarity_residual(u), structural_atol(), "layer composition unitarity residual {:.3e}"),
+            (np.abs(np.linalg.norm(psi, axis=-1) - 1.0), ATOL_ARITHMETIC,
+             "state norm deviates from 1 by {:.3e}"),
+            *_density_rows(*density_residuals(joint)),
+            *_density_rows(herm[:b], tdev[:b], None, None)]
+    if kraus is not None:
+        rows += _density_rows(herm[b:], tdev[b:], lo[b:])
+    residuals = _check_rows(rows, first_index=first_index)
     m = cols.reshape(len(cols), 4, -1)
-    return m @ dagger(m), rho, joint
+    return m @ dagger(m), rho, joint, residuals
 
 
 def lattice_state(params: ChannelParams, *, theta1: float = math.pi / 2) -> DensityMatrix:
-    """``lattice_outputs`` at one point: its joint density on the qubit theta1 prepares."""
+    """``lattice_outputs`` at one point: its joint density on the qubit theta1
+    prepares, already checked there."""
     joint = lattice_outputs(ParamStack([params]), _qubit_amplitudes("theta1", theta1),
                             first_index=0)[2][0]
-    # lattice_outputs ran the eigenvalue check; one qubit per wire
-    return DensityMatrix(joint, (2,) * (len(joint).bit_length() - 1), eig_atol=None)
+    return DensityMatrix._of(joint, (2,) * (len(joint).bit_length() - 1))  # one qubit per wire
 
 
 @dataclass(frozen=True)
@@ -804,6 +824,7 @@ class SweepBlock:
     kraus_choi: np.ndarray  # (b, 4, 4) Choi matrices of the Kraus sets
     deviation: np.ndarray  # (b,) largest entrywise gap, Choi matrices and outputs alike
     labels: tuple[str, ...]  # the Kraus operators' labels
+    residuals: np.ndarray  # (10, b) checked: lattice_outputs' 7 rows, then the Kraus outputs'
 
 
 def channel_sweep(
@@ -813,7 +834,9 @@ def channel_sweep(
     time: their Choi matrices, and their outputs on the qubit theta1 prepares.
 
     Every point is validated, and its Kraus completeness checked, before this
-    returns; each block's ParamStack then runs through ``lattice_outputs``.
+    returns. Each block then measures its points into one residual record,
+    checked once and carried as ``residuals``: the rows of ``lattice_outputs``,
+    then the Kraus outputs' hermiticity, trace and -lambda_min.
     """
     stack = ParamStack(points)
     system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
@@ -824,17 +847,18 @@ def channel_sweep(
     def blocks():
         for start in range(0, len(stack), BLOCK_SIZE):
             block = stack.points[start:start + BLOCK_SIZE]
+            block_ops = ops[start:start + BLOCK_SIZE]
             knobs = [recipe.knobs(p) for p in block]
-            lattice_choi, lattice, _ = lattice_outputs(ParamStack(block), system_input,
-                                                       first_index=start, knobs=knobs)
-            kraus = apply_operators(rho_in, ops[start:start + BLOCK_SIZE])
-            check_densities(kraus, first_index=start)
-            kraus_choi = choi(ops[start:start + BLOCK_SIZE])
+            kraus = apply_operators(rho_in, block_ops)
+            lattice_choi, lattice, _, residuals = lattice_block(
+                stack if len(block) == len(stack) else ParamStack(block), system_input, kraus,
+                first_index=start, knobs=knobs)
+            kraus_choi = choi(block_ops)
             deviation = np.maximum(np.max(np.abs(lattice_choi - kraus_choi), axis=(-2, -1)),
                                    np.max(np.abs(lattice - kraus), axis=(-2, -1)))
             meta = [_lattice_metadata(p, theta1, k) for p, k in zip(block, knobs)]
             yield SweepBlock(start, meta, lattice, kraus, lattice_choi, kraus_choi, deviation,
-                             labels)
+                             labels, residuals)
 
     return blocks()
 
@@ -914,12 +938,22 @@ def circuit_to_payload(circuit: CircuitSpec) -> dict:
     }
 
 
+def _file_rotation(entry: dict) -> U3Params:
+    """The rotation of a circuit-file entry. Its angles must be JSON numbers: a
+    string or boolean is rejected here, a list by the table read (not scalar)."""
+    angles = (entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0))
+    for value in angles:
+        if isinstance(value, bool) or not isinstance(value, (numbers.Real, list)):
+            raise TypeError(f"placement angles must be real numbers, got {value!r}")
+    return U3Params(*angles)
+
+
 def circuit_from_payload(payload: dict) -> CircuitSpec:
     try:
         register = make_register(*payload["register"])
         layers = [[GatePlacement(entry["kind"], tuple(entry["wires"]),
-                                 U3Params(entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0))
-                                 if "theta" in entry else None, entry.get("condition"))
+                                 _file_rotation(entry) if "theta" in entry else None,
+                                 entry.get("condition"))
                    for entry in layer] for layer in payload["layers"]]
         stages = payload.get("stages", ["evolve"] * len(layers))
         return CircuitSpec(register, layers, stages, payload.get("meta", {}))

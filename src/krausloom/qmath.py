@@ -103,6 +103,14 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _of(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
+        """A density matrix already checked, e.g. one of a checked stack."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        object.__setattr__(rho, "dims", dims)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -133,13 +141,19 @@ def density_residuals(mats, *, eig: bool = True):
     """(hermiticity residual, trace deviation, minimum eigenvalue) of one
     square matrix, or arrays of them over a stack of shape (B, d, d).
 
-    The eigenvalue is None when ``eig`` is false.
+    The eigenvalue is None when ``eig`` is false, and nan where LAPACK
+    refuses a matrix that is not finite; its hermiticity residual is nan then.
     """
     mats = np.asarray(mats, dtype=complex)
     adj = dagger(mats)
     herm = np.abs(mats - adj).max(axis=(-2, -1))
     tdev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
-    lo = np.linalg.eigvalsh((mats + adj) / 2).min(axis=-1) if eig else None
+    if not eig:
+        return herm, tdev, None
+    try:
+        lo = np.linalg.eigvalsh((mats + adj) / 2).min(axis=-1)
+    except np.linalg.LinAlgError:
+        lo = np.full(np.shape(herm), np.nan)
     return herm, tdev, lo
 
 
@@ -168,20 +182,40 @@ def check_residuals(res, tol: float, message: str, *, error=InvalidState,
     raise error(f"point {first_index + i}: " + message.format(float(res[i])))
 
 
+def _check_rows(rows, *, first_index: int = 0) -> np.ndarray:
+    """Check (residual, tolerance, message) rows, each over the same B points,
+    and return their (K, B) record. The record is compared with its tolerance
+    column once; only when a residual fails are the rows walked through
+    ``check_residuals`` in order, so the first failing row names its first
+    failing point."""
+    record = np.array([res for res, _, _ in rows])
+    if not _within_tolerance(record, np.array([tol for _, tol, _ in rows])[:, None]).all():
+        for res, tol, message in rows:
+            check_residuals(res, tol, message, first_index=first_index)
+    return record
+
+
+_HERMITICITY = f"hermiticity residual {{:.3e}} exceeds {ATOL_STRUCTURAL:.1e}"
+_TRACE = "trace deviates from 1 by {:.3e}"
+
+
+def _density_rows(herm, tdev, lo, eig_atol: float | None = ATOL_SPECTRAL) -> list:
+    """The (residual, tolerance, message) rows of a ``density_residuals``
+    triple, in the order they are checked: hermiticity and trace to
+    ATOL_STRUCTURAL, then -lo to eig_atol unless that is None."""
+    rows = [(herm, ATOL_STRUCTURAL, _HERMITICITY), (tdev, ATOL_STRUCTURAL, _TRACE)]
+    if eig_atol is not None:  # -lo is above eig_atol, so "-{}" prints lo itself
+        rows.append((-lo, eig_atol, f"minimum eigenvalue -{{:.3e}} below -{eig_atol:.1e}"))
+    return rows
+
+
 def check_densities(mats, *, eig_atol: float | None = ATOL_SPECTRAL, first_index: int = 0) -> None:
     """Raise InvalidState unless every matrix of ``mats``, one or a stack, is a
-    density matrix: Hermitian and of unit trace to ATOL_STRUCTURAL, and no
-    eigenvalue below -eig_atol (``None`` skips that). ``check_residuals`` tests
-    one invariant at a time, in that order, over the whole stack."""
-    herm, tdev, lo = density_residuals(mats, eig=eig_atol is not None)
-    check_residuals(herm, ATOL_STRUCTURAL,
-                    f"hermiticity residual {{:.3e}} exceeds {ATOL_STRUCTURAL:.1e}",
-                    first_index=first_index)
-    check_residuals(tdev, ATOL_STRUCTURAL, "trace deviates from 1 by {:.3e}",
-                    first_index=first_index)
-    if eig_atol is not None:  # -lo is above eig_atol, so "-{}" prints lo itself
-        check_residuals(-lo, eig_atol, f"minimum eigenvalue -{{:.3e}} below -{eig_atol:.1e}",
-                        first_index=first_index)
+    density matrix: each row of ``_density_rows`` goes through
+    ``check_residuals``, one invariant at a time over the whole stack."""
+    for res, tol, message in _density_rows(*density_residuals(mats, eig=eig_atol is not None),
+                                          eig_atol):
+        check_residuals(res, tol, message, first_index=first_index)
 
 
 def validate_density(rho) -> DensityReport:

@@ -261,8 +261,13 @@ class TestEvolveCommand:
          "error: bad circuit payload: placement wires must be integers, got [2, True]\n"),
         ([[{"kind": "local-u3", "wires": [2], "theta": [1.0, 2.0], "phi": 0.0, "lambda": 0.0}]],
          "error: bad circuit payload: placement angles must be scalars\n"),
+        # a string or boolean angle once ran as the number it converts to
+        ([[{"kind": "local-u3", "wires": [2], "theta": "1.0", "phi": 0.0, "lambda": 0.0}]],
+         "error: bad circuit payload: placement angles must be real numbers, got '1.0'\n"),
+        ([[{"kind": "local-u3", "wires": [2], "theta": True, "phi": 0.0, "lambda": 0.0}]],
+         "error: bad circuit payload: placement angles must be real numbers, got True\n"),
     ], ids=["negative-cnot-wire", "rotation-off-polarization", "fractional-wire", "boolean-wire",
-            "list-angle"])
+            "list-angle", "string-angle", "boolean-angle"])
     def test_wires_the_composition_ignores_exit_2(self, tmp_path, capsys, layers, message):
         circ = tmp_path / "c.json"
         circ.write_text(json.dumps({
