@@ -85,6 +85,7 @@ from .gates import (
 )
 from .qmath import (
     ATOL_ARITHMETIC,
+    ATOL_SPECTRAL,
     DensityMatrix,
     PureState,
     _check_rows,
@@ -911,8 +912,7 @@ def gad_experiment(theta1: float, theta2: float, theta3: float) -> DensityMatrix
     t1, t2, t3 = (_finite_multiple(name, v, scale) for name, v, scale in  # math.sin(inf) raises
                   (("theta1", theta1, 4), ("theta2", theta2, 2), ("theta3", theta3, 2)))
     params = GADParams(math.sin(t3) ** 2, math.sin(t2) ** 2)
-    joint = partial_trace(lattice_state(params, theta1=t1), (0, 1))
-    return DensityMatrix(joint.matrix, joint.dims)
+    return partial_trace(lattice_state(params, theta1=t1), (0, 1), eig_atol=ATOL_SPECTRAL)
 
 
 # -- circuit-spec files ----------------------------------------------------------

@@ -34,6 +34,7 @@ from . import tomography as tomo_mod
 from .errors import InternalConsistencyError, InvalidArgument, KrausloomError
 from .qmath import (
     ATOL_ARITHMETIC,
+    PSD_TOL_MEASURED,
     _json_text,
     check_residuals,
     density_to_payload,
@@ -260,6 +261,9 @@ def cmd_tomography(args) -> dict:
     ml = tomo_mod.ml_reconstruct(records)
     # None when a tiny budget left the H/V block, and linear inversion, empty
     linear = ml.linear
+    # linear inversion is not PSD by design; its fidelity clips, never rejects
+    fid_linear, fid_ml = (None, fidelity(ml.rho, truth)) if linear is None else fidelity(
+        [linear, ml.rho], truth, psd_tol=(math.inf, PSD_TOL_MEASURED))
     payload = {
         "command": "tomography",
         "shots": shots,
@@ -276,9 +280,8 @@ def cmd_tomography(args) -> dict:
         "ml_converged": ml.converged,
         "ml_iterations": ml.iterations,
         "ml_optimality_gap": ml.optimality_gap,
-        # linear inversion is not PSD by design; its fidelity clips, never rejects
-        "fidelity_linear": None if linear is None else fidelity(linear, truth, psd_tol=math.inf),
-        "fidelity_ml": fidelity(ml.rho, truth),
+        "fidelity_linear": fid_linear,
+        "fidelity_ml": fid_ml,
     }
     if args.counts_out:
         tomo_mod.save_counts(records, args.counts_out)

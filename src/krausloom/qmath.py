@@ -246,8 +246,11 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep`` (original order kept)."""
+def partial_trace(rho: DensityMatrix, keep: Iterable[int], *,
+                  eig_atol: float | None = None) -> DensityMatrix:
+    """Trace out every subsystem not listed in ``keep`` (original order kept).
+    The result is checked as ``DensityMatrix(..., eig_atol=eig_atol)``: by
+    default without its eigenvalues, which a checked input already bounds."""
     keep = tuple(int(k) for k in keep)
     n = len(rho.dims)
     if len(keep) == 0:
@@ -264,34 +267,49 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         del dims[idx]
     d = math.prod(dims)
     out = arr.reshape(d, d)
-    return DensityMatrix(out, dims, eig_atol=None)
+    return DensityMatrix(out, dims, eig_atol=eig_atol)
 
 
-def fidelity(rho, sigma, *, psd_tol: float = PSD_TOL_MEASURED) -> float:
+def fidelity(rho, sigma, *, psd_tol: float | Sequence[float] = PSD_TOL_MEASURED):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
 
-    Accepts DensityMatrix or bare Hermitian arrays. Eigenvalues slightly
-    below zero (down to ``-psd_tol``) are clipped; anything lower raises.
+    Accepts DensityMatrix or bare Hermitian arrays. ``rho`` is one matrix, for
+    one float, or a sequence or (k, d, d) stack of them, for a list of k
+    floats, each bit for bit the float of its own call; ``psd_tol`` is then
+    one value for all or one per rho. The rhos share one stacked ``eigh`` and
+    sigma's eigenvalue check runs once. Eigenvalues slightly below zero (down
+    to ``-psd_tol``) are clipped; anything lower raises, rho by rho, each
+    rho's check before sigma's, as the single calls in turn would.
     The trace runs over the support of rho: with rho = W W^dagger, W built
     from the eigenvalues of rho above rounding level (d * eps * ||rho||),
     F = (Tr sqrt(W^dagger sigma W))^2, and the eigenvalues of W^dagger sigma W
     are kept by the same rule. A rounding-level eigenvalue (~1e-17) of either
     would otherwise add its square root (~3e-9) to the trace.
     """
-    a = _as_matrix(rho)
+    single = isinstance(rho, (DensityMatrix, PureState)) or np.ndim(rho) == 2
+    a = _as_matrix(rho)[None] if single else np.array([_as_matrix(r) for r in rho])
     b = _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise InvalidArgument(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    for name, lo in (("rho", w[0]), ("sigma", np.linalg.eigvalsh((b + b.conj().T) / 2)[0])):
-        check_residuals(-lo, psd_tol, f"{name} has eigenvalue -{{:.3e}} below -{psd_tol:.1e}")
-    rounding = a.shape[0] * np.finfo(float).eps  # per unit of the largest |eigenvalue|
-    support = w > rounding * np.abs(w).max()
-    root = v[:, support] * np.sqrt(w[support])
-    inner = root.conj().T @ b @ root
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)  # empty when rho is 0
-    lam = lam[lam > rounding * np.abs(lam).max(initial=0.0)]
-    return min(float(np.sum(np.sqrt(lam)) ** 2), 1.0)
+    if a.shape[1:] != b.shape:
+        raise InvalidArgument(f"dimension mismatch: {a.shape[1:]} vs {b.shape}")
+    tols = [psd_tol] * len(a) if isinstance(psd_tol, (int, float)) else list(psd_tol)
+    if len(tols) != len(a):
+        raise InvalidArgument(f"{len(tols)} psd_tol values for {len(a)} matrices")
+    w, v = np.linalg.eigh((a + a.conj().swapaxes(1, 2)) / 2)
+    rounding = b.shape[0] * np.finfo(float).eps  # per unit of the largest |eigenvalue|
+    out, sigma_lo = [], None
+    for k, tol in enumerate(tols):
+        wk, vk = w[k], v[k]  # indexing; iterating over an ndarray costs microseconds
+        check_residuals(-wk[0], tol, f"rho has eigenvalue -{{:.3e}} below -{tol:.1e}")
+        if sigma_lo is None:  # measured once, after the first rho's check as in a single call
+            sigma_lo = np.linalg.eigvalsh((b + b.conj().T) / 2)[0]
+        check_residuals(-sigma_lo, tol, f"sigma has eigenvalue -{{:.3e}} below -{tol:.1e}")
+        support = wk > rounding * np.abs(wk).max()
+        root = vk[:, support] * np.sqrt(wk[support])
+        inner = root.conj().T @ b @ root
+        lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)  # empty when rho is 0
+        lam = lam[lam > rounding * np.abs(lam).max(initial=0.0)]
+        out.append(min(float(np.sum(np.sqrt(lam)) ** 2), 1.0))
+    return out[0] if single else out
 
 
 def unitarity_residual(u: np.ndarray):

@@ -9,7 +9,9 @@ both reconstructions read that one stack. Reconstruction offers plain linear
 inversion and maximum likelihood: a damped Newton ascent of the Poisson
 likelihood over rho = T^2 / Tr(T^2), T = T^dagger, which is physical at every
 step, stopped once the Frank-Wolfe gap certifies that the likelihood lies
-within ``tol`` per shot of its maximum.
+within ``tol`` per shot of its maximum. The likelihood does not depend on the
+scale of T, so each Newton step is taken on the tangent space orthogonal to
+it: one 16x16 solve, with no eigenvalue shift.
 """
 
 from __future__ import annotations
@@ -282,10 +284,27 @@ def _curvature(theta, counts, grad, probs, weights, forms_theta, norm) -> np.nda
     return (d.T * (counts / probs / probs)) @ d - (2.0 / norm) * inner
 
 
+def _tangent_matrix(theta, counts, grad, probs, weights, forms_theta, norm) -> np.ndarray:
+    """A = M - (theta g^T + g theta^T)/n + (c/n) theta theta^T, c the mean
+    diagonal of the tangent block.
+
+    The likelihood is flat along the scale of T, so M theta = g and theta.g = 0:
+    on theta-perp, A is P M P with P = I - theta theta^T / n, and A theta = c theta.
+    For g orthogonal to theta, A s = g therefore gives s orthogonal to theta, the
+    exact Newton step on the tangent space (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds (2008), ch. 6), whatever c > 0 is.
+    """
+    m = _curvature(theta, counts, grad, probs, weights, forms_theta, norm)
+    outer = theta[:, None] * grad
+    m -= (outer + outer.T) / norm
+    m += (m.trace() / (16 * norm)) * theta[:, None] * theta
+    return m
+
+
 def _newton_matrix(theta, counts, grad, probs, weights, forms_theta, norm) -> np.ndarray:
-    """M made positive definite. The likelihood is flat along the scale of T
-    (theta^T M theta = theta.g = 0), so the unit scale direction gets curvature
-    lambda_max(M); then M is shifted by |lambda_min(M)| if M is indefinite.
+    """M made positive definite, the safeguard for a tangent step that does not
+    ascend. The unit scale direction gets curvature lambda_max(M); then M is
+    shifted by |lambda_min(M)| if M is indefinite, which it is whenever g != 0.
     eigvalsh stays on the caller's thread; eigh with eigenvectors does not."""
     m = _curvature(theta, counts, grad, probs, weights, forms_theta, norm)
     lam = np.linalg.eigvalsh(m)
@@ -336,9 +355,11 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     over rho = T^2 / Tr(T^2), T = T^dagger (James, Kwiat, Munro & White, PRA
     64, 052312 (2001), with T gauge-fixed to the Hermitian square root): every
     iterate is a density matrix, and the ascent over the 16 coordinates theta
-    of T is unconstrained. Each step solves with the exact Hessian in theta,
-    made positive definite (``_newton_matrix``), and backtracks by Armijo
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 3), from the
+    of T is unconstrained. Each step is the exact Newton step on the tangent
+    space orthogonal to theta (``_tangent_matrix``), one solve; when it does not
+    ascend, the step solves with the exact Hessian made positive definite
+    (``_newton_matrix``) instead. Steps backtrack by Armijo (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., ch. 3), from the
     clipped linear estimate mixed with 1e-9 of the identity, which is full
     rank, or from I/4 when the H/V block is empty. ``linear`` in the result
     is that linear estimate, or None.
@@ -376,7 +397,9 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
             theta = _square_root(*np.linalg.eigh((1.0 - gamma) * _density(theta) + gamma * vertex))
             state = _likelihood(theta, counts, shots)
         else:
-            step = np.linalg.solve(_newton_matrix(theta, counts, *state[1:]), grad)
+            step = np.linalg.solve(_tangent_matrix(theta, counts, *state[1:]), grad)
+            if not grad @ step > 0.0:  # not an ascent: M is indefinite on the tangent space
+                step = np.linalg.solve(_newton_matrix(theta, counts, *state[1:]), grad)
             slope, t = grad @ step, 1.0
             for _ in range(60):
                 cand = _likelihood(theta + t * step, counts, shots)

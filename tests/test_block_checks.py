@@ -249,3 +249,11 @@ def test_lattice_state_measures_nothing_after_lattice_outputs(monkeypatch):
     circuit.lattice_state(GADParams(0.3, 0.8), theta1=1.1)
     after = calls.events[calls.events.index("lattice_outputs") + 1:]
     assert "density_residuals" not in after and "eigvalsh" not in after
+
+
+def test_reproduce_gad_measures_its_traced_density_once(monkeypatch, capsys):
+    # two block passes for the lattice, one for the traced joint density with
+    # its eigenvalues; hermiticity and trace are not measured a second time
+    calls = _Calls(monkeypatch)
+    assert main(["reproduce-gad"]) == 0
+    assert calls.events.count("density_residuals") == 3

@@ -168,6 +168,84 @@ class TestFidelity:
         assert fidelity(np.zeros((2, 2)), I2 / 2) == 0.0
 
 
+class TestStackedFidelity:
+    """fidelity of a sequence or stack of rhos against one sigma: one stacked
+    eigh for the rhos, sigma's check once, and each value bit for bit that of
+    its own call."""
+
+    @staticmethod
+    def rhos(rng):
+        """Random full-rank, rank-1, rank-2 and zero 4x4 rhos."""
+        out = [random_density(rng).matrix]
+        for rank in (1, 2):
+            w = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            out.append(w @ w.conj().T / np.linalg.norm(w) ** 2)
+        return out + [np.zeros((4, 4))]
+
+    def test_each_value_is_its_single_call(self, rng):
+        for _ in range(10):
+            rhos = self.rhos(rng)
+            for sigma in (random_density(rng).matrix, rhos[1], rhos[2]):
+                for a in rhos:
+                    for b in rhos:
+                        got = fidelity([a, b], sigma, psd_tol=(1e-6, math.inf))
+                        assert got == [fidelity(a, sigma, psd_tol=1e-6),
+                                       fidelity(b, sigma, psd_tol=math.inf)]
+                assert fidelity(np.array(rhos), sigma) == [fidelity(r, sigma) for r in rhos]
+
+    def test_density_matrices_in_a_sequence(self, rng):
+        a, b, sigma = random_density(rng), random_pure(rng).density(), random_density(rng)
+        assert fidelity((a, b), sigma) == [fidelity(a, sigma), fidelity(b, sigma)]
+
+    def test_a_failing_rho_raises_as_it_does_alone(self, rng):
+        good, sigma = random_density(rng).matrix, random_density(rng).matrix
+        bad = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(InvalidState) as alone:
+            fidelity(bad, sigma)
+        for rhos, tols in (([good, bad], 1e-6), ([bad, good], (1e-6, math.inf))):
+            with pytest.raises(InvalidState) as stacked:
+                fidelity(rhos, sigma, psd_tol=tols)
+            assert str(stacked.value) == str(alone.value)
+        assert fidelity([bad, good], sigma, psd_tol=(1.0, 1e-6))[1] == fidelity(good, sigma)
+
+    def test_a_failing_sigma_raises_as_the_first_single_call(self, rng):
+        good = random_density(rng).matrix
+        with pytest.raises(InvalidState) as alone:
+            fidelity(good, np.diag([1.5, -0.5, 0.0, 0.0]), psd_tol=1e-3)
+        with pytest.raises(InvalidState) as stacked:
+            fidelity([good, good], np.diag([1.5, -0.5, 0.0, 0.0]), psd_tol=(1e-3, 1e-6))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_one_tolerance_per_rho(self, rng):
+        with pytest.raises(InvalidArgument):
+            fidelity([I2 / 2, I2 / 2], I2 / 2, psd_tol=(1e-6,))
+
+    def test_a_tomography_op_takes_its_fidelities_in_four_lapack_calls(self, monkeypatch, capsys):
+        from krausloom import cli
+
+        calls, in_fidelity = [], []
+        for name in ("eigh", "eigvalsh", "solve", "svd", "cholesky", "inv"):
+            def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def counted_fidelity(*args, _call=cli.fidelity, **kwargs):
+            start = len(calls)
+            try:
+                return _call(*args, **kwargs)
+            finally:
+                in_fidelity.extend(calls[start:])
+        monkeypatch.setattr(cli, "fidelity", counted_fidelity)
+
+        assert cli.main(["tomography", "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8",
+                         "--noise", "--shots", "1000", "--seed", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fidelity_linear"] is not None and payload["fidelity_ml"] > 0.9
+        # one stacked eigh of both estimates, sigma's check, one inner eigvalsh each
+        assert sorted(in_fidelity) == ["eigh", "eigvalsh", "eigvalsh", "eigvalsh"]
+
+
 class TestDagger:
     def test_identity(self):
         np.testing.assert_array_equal(dagger(I2), I2)

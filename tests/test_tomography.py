@@ -462,6 +462,67 @@ class TestNewtonKernel:
             grad = tomo_mod._likelihood(theta, counts, shots)[1]
             assert abs(grad @ theta) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(theta)
 
+    def test_tangent_step_is_the_newton_step_on_the_tangent_space(self, rng, per_shot):
+        counts, shots = per_shot
+        for _ in range(5):
+            theta = rng.normal(size=16)  # a full-rank T: an interior rho
+            state = tomo_mod._likelihood(theta, counts, shots)
+            grad, norm = state[1], state[-1]
+            step = np.linalg.solve(tomo_mod._tangent_matrix(theta, counts, *state[1:]), grad)
+            proj = np.eye(16) - np.outer(theta, theta) / norm
+            m = tomo_mod._curvature(theta, counts, *state[1:])
+            assert abs(theta @ step) <= 1e-10 * np.linalg.norm(theta) * np.linalg.norm(step)
+            assert (np.linalg.norm(proj @ m @ proj @ step - grad)
+                    <= 1e-10 * np.linalg.norm(proj @ m @ proj) * np.linalg.norm(step))
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, calls, change=None):
+        """Count calls of ``module.name`` under ``calls[name]``; ``change`` may
+        rewrite the result of the n-th call, change(n, result)."""
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            result = original(*args, **kwargs)
+            return result if change is None else change(calls[name], result)
+        monkeypatch.setattr(module, name, counted)
+
+    def test_a_step_forced_through_the_safeguard_still_converges(self, monkeypatch):
+        records = simulate_counts(prepare_product_state(ProductStateParams(1.1, 0.7)).density(),
+                                  shots=10000, noise=True, seed=3)
+        calls = {}
+        # the second tangent matrix is negated, so its step descends
+        self.count_calls(monkeypatch, tomo_mod, "_tangent_matrix", calls,
+                         lambda n, m: -m if n == 2 else m)
+        self.count_calls(monkeypatch, tomo_mod, "_newton_matrix", calls)
+        ml = ml_reconstruct(records, tol=ML_TOL)
+        assert calls["_newton_matrix"] >= 1
+        assert ml.converged and ml.iterations < 600
+        assert frank_wolfe_gap(ml.rho.matrix, records) <= ML_TOL * 10000
+
+    def test_one_solve_per_newton_step_and_eigvalsh_only_to_validate(self, monkeypatch, rng):
+        steps = safeguards = 0
+        for shots in (10**3, 10**4, 10**5):
+            for k in range(8):
+                truth = random_pure(rng).density() if k % 2 else random_density(rng)
+                records = simulate_counts(truth, shots=shots, noise=True, seed=k)
+                calls = {}
+                with monkeypatch.context() as patch:
+                    for name in ("solve", "eigvalsh"):
+                        self.count_calls(patch, np.linalg, name, calls)
+                    self.count_calls(patch, tomo_mod, "_segment_step", calls)
+                    self.count_calls(patch, tomo_mod, "_newton_matrix", calls)
+                    ml = ml_reconstruct(records, tol=ML_TOL)
+                assert ml.converged
+                newton = ml.iterations - calls.get("_segment_step", 0)
+                safeguard = calls.get("_newton_matrix", 0)
+                # the linear inversion, one solve per step, one more per safeguard step
+                assert calls["solve"] == 1 + newton + safeguard
+                # the final DensityMatrix validation, one more per safeguard step
+                assert calls["eigvalsh"] == 1 + safeguard
+                steps, safeguards = steps + newton, safeguards + safeguard
+        assert safeguards <= steps / 20
+
     def test_state_round_trips_through_its_square_root(self, rng):
         states = [random_density(rng).matrix for _ in range(5)]
         states += [random_pure(rng).density().matrix for _ in range(5)]
