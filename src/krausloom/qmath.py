@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState
+from .errors import InvalidArgument, InvalidState, KrausloomError
 
 # Tolerance tiers. Arithmetic: values that should be exact up to rounding.
 # Structural: matrix-shaped invariants (hermiticity, completeness, unitarity).
@@ -51,6 +52,15 @@ def _as_matrix(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
+def _subsystem_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints; each must be a positive integer, not a bool."""
+    dims = tuple(dims)
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
+               for d in dims):
+        raise InvalidState(f"dims must be positive integers, got {list(dims)}")
+    return tuple(int(d) for d in dims)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over a product of subsystems."""
@@ -60,7 +70,7 @@ class PureState:
 
     def __init__(self, amplitudes, dims: Sequence[int]):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in dims)
+        dims = _subsystem_dims(dims)
         if not np.all(np.isfinite(amps)):
             raise InvalidState("state amplitudes must be finite")
         if math.prod(dims) != amps.size:
@@ -92,7 +102,7 @@ class DensityMatrix:
 
     def __init__(self, matrix, dims: Sequence[int], *, eig_atol: float | None = ATOL_SPECTRAL):
         mat = np.asarray(matrix, dtype=complex)
-        dims = tuple(int(d) for d in dims)
+        dims = _subsystem_dims(dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidState(f"density matrix must be square, got shape {mat.shape}")
         if math.prod(dims) != mat.shape[0]:
@@ -333,13 +343,22 @@ def matrix_to_payload(matrix: np.ndarray, dims: Sequence[int]) -> dict:
     return {"dims": list(dims), "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
-def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:
+def _from_payload(payload: dict, what: str, build):
+    """``build(re + 1j * im, dims)`` of a payload. A package error keeps its
+    type; a missing key, or entries numpy cannot read as one real array, is
+    InvalidArgument("bad <what> payload: ...")."""
     try:
-        mat = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        dims = payload["dims"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgument(f"bad density payload: {exc}") from exc
-    return DensityMatrix(mat, dims, **tol_kwargs)
+        values = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
+        return build(values, payload["dims"])
+    except KrausloomError:  # package errors are ValueErrors too; they keep their type
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgument(f"bad {what} payload: {exc}") from exc
+
+
+def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:
+    return _from_payload(payload, "density",
+                         lambda mat, dims: DensityMatrix(mat, dims, **tol_kwargs))
 
 
 def state_to_payload(psi: PureState) -> dict:
@@ -351,12 +370,7 @@ def state_to_payload(psi: PureState) -> dict:
 
 
 def state_from_payload(payload: dict) -> PureState:
-    try:
-        amps = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        dims = payload["dims"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgument(f"bad state payload: {exc}") from exc
-    return PureState(amps, dims)
+    return _from_payload(payload, "state", PureState)
 
 
 def write_atomic(path: str, text: str) -> None:

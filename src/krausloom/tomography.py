@@ -11,7 +11,8 @@ likelihood over rho = T^2 / Tr(T^2), T = T^dagger, which is physical at every
 step, stopped once the Frank-Wolfe gap certifies that the likelihood lies
 within ``tol`` per shot of its maximum. The likelihood does not depend on the
 scale of T, so each Newton step is taken on the tangent space orthogonal to
-it: one 16x16 solve, with no eigenvalue shift.
+it: one 16x16 solve, with no eigenvalue shift. Where that step does not
+ascend, the Frank-Wolfe step toward the gradient's top eigenvector replaces it.
 """
 
 from __future__ import annotations
@@ -301,19 +302,6 @@ def _tangent_matrix(theta, counts, grad, probs, weights, forms_theta, norm) -> n
     return m
 
 
-def _newton_matrix(theta, counts, grad, probs, weights, forms_theta, norm) -> np.ndarray:
-    """M made positive definite, the safeguard for a tangent step that does not
-    ascend. The unit scale direction gets curvature lambda_max(M); then M is
-    shifted by |lambda_min(M)| if M is indefinite, which it is whenever g != 0.
-    eigvalsh stays on the caller's thread; eigh with eigenvectors does not."""
-    m = _curvature(theta, counts, grad, probs, weights, forms_theta, norm)
-    lam = np.linalg.eigvalsh(m)
-    m += (lam[-1] / norm) * theta[:, None] * theta
-    if lam[0] < 0.0:
-        m[_DIAGONAL] -= lam[0]
-    return m
-
-
 def _density(theta: np.ndarray) -> np.ndarray:
     t = (theta @ _BASIS).reshape(4, 4)
     rho = t @ t.conj().T
@@ -356,22 +344,21 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     64, 052312 (2001), with T gauge-fixed to the Hermitian square root): every
     iterate is a density matrix, and the ascent over the 16 coordinates theta
     of T is unconstrained. Each step is the exact Newton step on the tangent
-    space orthogonal to theta (``_tangent_matrix``), one solve; when it does not
-    ascend, the step solves with the exact Hessian made positive definite
-    (``_newton_matrix``) instead. Steps backtrack by Armijo (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., ch. 3), from the
+    space orthogonal to theta (``_tangent_matrix``), one solve, backtracked by
+    Armijo (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 3), from the
     clipped linear estimate mixed with 1e-9 of the identity, which is full
     rank, or from I/4 when the H/V block is empty. ``linear`` in the result
     is that linear estimate, or None.
 
-    Once |grad_theta l| |theta| <= tol * N, N the mean total_shots, the
-    Frank-Wolfe gap Delta = lambda_max(G) - Tr(rho G), G = sum_s (c_s / p_s -
-    N_s) P_s, bounds the distance to the maximum. The run has converged when
-    Delta <= tol * N (``tol`` is a gap per shot); otherwise one line-searched
-    step rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of
-    G leaves the face the ascent stalled on. ``iterations`` counts both kinds
-    of step; a run that reaches ``max_iter`` stops with converged=False. The
-    output is strictly physical either way.
+    Once |grad_theta l| |theta| <= tol * N, N the mean total_shots, or once a
+    Newton step does not ascend or finds no Armijo point, the Frank-Wolfe gap
+    Delta = lambda_max(G) - Tr(rho G), G = sum_s (c_s / p_s - N_s) P_s, bounds
+    the distance to the maximum. The run has converged when Delta <= tol * N
+    (``tol`` is a gap per shot); otherwise one line-searched step
+    rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of G
+    (Jaggi, ICML 2013) leaves the face the ascent stalled on. ``iterations``
+    counts both kinds of step; a run that reaches ``max_iter`` stops with
+    converged=False. The output is strictly physical either way.
     """
     recs, freqs = _records_and_frequencies(records)
     linear = None if freqs is None else _invert(freqs)
@@ -398,9 +385,10 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
             state = _likelihood(theta, counts, shots)
         else:
             step = np.linalg.solve(_tangent_matrix(theta, counts, *state[1:]), grad)
-            if not grad @ step > 0.0:  # not an ascent: M is indefinite on the tangent space
-                step = np.linalg.solve(_newton_matrix(theta, counts, *state[1:]), grad)
             slope, t = grad @ step, 1.0
+            if not slope > 0.0:  # not an ascent: M is indefinite on the tangent space
+                stalled = True
+                continue
             for _ in range(60):
                 cand = _likelihood(theta + t * step, counts, shots)
                 if cand[0] >= ll + 1e-4 * t * slope:
@@ -438,9 +426,10 @@ def load_counts(path: str) -> list[CountRecord]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise InvalidArgument(f"{path}:{line_no}: expected index,label,counts,total_shots")
-            idx, label, counts, total = parts
-            records.append(CountRecord(int(idx), label, None, int(counts), int(total)))
+            try:  # four fields, and integers but for the label
+                idx, label, counts, total = line.split(",")
+                records.append(CountRecord(int(idx), label, None, int(counts), int(total)))
+            except ValueError as exc:
+                raise InvalidArgument(
+                    f"{path}:{line_no}: expected index,label,counts,total_shots ({exc})") from exc
     return records

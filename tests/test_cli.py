@@ -277,6 +277,40 @@ class TestEvolveCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message
 
+    _ONE = [1.0] + [0.0] * 7
+
+    # each of these once exited 3 with a bare numpy or int() error, or 0 with
+    # the dims as given or truncated
+    @pytest.mark.parametrize("state, message", [
+        ({"dims": [2, 2, 2], "re": ["x"] + [0.0] * 7, "im": [0.0] * 8},
+         "error: bad state payload: could not convert string to float: 'x'\n"),
+        ({"dims": [2, 2, 2], "re": _ONE, "im": [0.0] * 4},
+         "error: bad state payload: operands could not be broadcast together"),
+        ({"dims": [2, 2, 2], "re": [[1.0, 0.0], [0.0]], "im": [0.0] * 8},
+         "error: bad state payload: setting an array element with a sequence"),
+        ({"dims": ["x"], "re": _ONE, "im": [0.0] * 8},
+         "error: dims must be positive integers, got ['x']\n"),
+        ({"dims": 8, "re": _ONE, "im": [0.0] * 8},
+         "error: bad state payload: 'int' object is not iterable\n"),
+        ({"dims": [-2, -4], "re": _ONE, "im": [0.0] * 8},
+         "error: dims must be positive integers, got [-2, -4]\n"),
+        ({"dims": [2.5, 2, 2], "re": _ONE, "im": [0.0] * 8},
+         "error: dims must be positive integers, got [2.5, 2, 2]\n"),
+    ], ids=["string-amplitude", "re-im-lengths", "ragged-re", "string-dim", "scalar-dims",
+            "negative-dims", "fractional-dim"])
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, state, message):
+        from krausloom.channels import GADParams
+        from krausloom.circuit import build_channel_lattice, circuit_to_payload
+        from krausloom.qmath import save_json
+
+        circ, path = tmp_path / "circ.json", tmp_path / "state.json"
+        save_json(circuit_to_payload(build_channel_lattice(GADParams(0.3, 0.8))), str(circ))
+        path.write_text(json.dumps(state))
+        assert run("evolve", "--circuit", str(circ), "--state", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
 
 class TestTomographyCommand:
     def test_noiseless_run_recovers_truth(self, tmp_path):

@@ -1,6 +1,7 @@
 """The CLI's exit-code contract over generated command lines and --config files.
 
-Every example must end in 0, 2, 3 or 4 without a traceback. The strategies
+Every example must end in 0, 2, 3 or 4 without a traceback, and none may
+end in an ``internal error:``. The strategies
 keep each run small: grid counts of at most 12 points (or far beyond the
 grid limit, which is refused before anything is allocated), and every path
 lies under the test's own tmp_path.
@@ -132,3 +133,4 @@ def test_every_command_line_keeps_the_exit_code_contract(tmp_path, capsys, argv,
     out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4), (argv, err)
     assert "Traceback" not in out and "Traceback" not in err, argv
+    assert "internal error:" not in err, (argv, err)

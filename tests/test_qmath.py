@@ -350,6 +350,35 @@ class TestSerialization:
         with pytest.raises(InvalidArgument):
             density_from_payload({"re": [[1]]})
 
+    @pytest.mark.parametrize("payload", [
+        {"dims": [2], "re": [[1.0, "x"], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        {"dims": [2], "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        {"dims": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    ], ids=["string-entry", "ragged-row", "scalar-dims"])
+    def test_unreadable_density_payload_is_invalid_argument(self, payload):
+        with pytest.raises(InvalidArgument, match="^bad density payload: "):
+            density_from_payload(payload)
+
+    def test_payload_dims_keep_their_invalid_state(self):
+        with pytest.raises(InvalidState, match="dims must be positive integers"):
+            state_from_payload({"dims": [-2, -4], "re": [1.0] + [0.0] * 7, "im": [0.0] * 8})
+
+
+class TestDims:
+    @pytest.mark.parametrize("dims", [[-2, -4], [2.5, 2, 2], [True, 2], [0, 2], ["2", 2],
+                                      [2.0, 2, 2]],
+                             ids=["negative", "fractional", "bool", "zero", "string", "float"])
+    def test_each_dim_is_a_positive_integer(self, dims):
+        # checked before the sizes, so one 8-dim input serves every case
+        with pytest.raises(InvalidState, match="dims must be positive integers"):
+            PureState(np.eye(8)[0], dims)
+        with pytest.raises(InvalidState, match="dims must be positive integers"):
+            DensityMatrix(np.eye(8) / 8, dims)
+
+    def test_numpy_integers_are_dims(self):
+        rho = DensityMatrix(np.eye(4) / 4, np.array([2, 2]))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
 
 class TestAtomicWrite:
     def test_save_json_bytes(self, tmp_path):
