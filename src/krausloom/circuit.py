@@ -67,7 +67,7 @@ from .channels import (
     choi,
     kraus_stack,
 )
-from .errors import InvalidArgument, InvalidWiring, KrausloomError
+from .errors import InvalidArgument, InvalidWiring
 from .gates import (
     Register,
     Role,
@@ -90,6 +90,8 @@ from .qmath import (
     PureState,
     _check_rows,
     _density_rows,
+    _read_payload,
+    _real,
     check_residuals,
     dagger,
     density_residuals,
@@ -376,9 +378,9 @@ def stage_unitary(circuit: CircuitSpec, stage: str) -> np.ndarray:
 
 def evolve(state: PureState, circuit: CircuitSpec, through_stage: str | None = None) -> PureState:
     """Apply the circuit's composed unitary, through ``through_stage``, to a state."""
-    if state.dim != circuit.dim:
+    if state.dims != (2,) * circuit.n_wires:
         raise InvalidArgument(
-            f"state dimension {state.dim} does not match circuit dimension {circuit.dim}"
+            f"state dims {state.dims} do not match the circuit register's {(2,) * circuit.n_wires}"
         )
     vec = circuit_unitary(circuit, through_stage) @ state.amplitudes
     return PureState(vec, state.dims)
@@ -938,29 +940,18 @@ def circuit_to_payload(circuit: CircuitSpec) -> dict:
     }
 
 
-def _file_rotation(entry: dict) -> U3Params:
-    """The rotation of a circuit-file entry. Its angles must be JSON numbers: a
-    string or boolean is rejected here, a list by the table read (not scalar)."""
-    angles = (entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0))
-    for value in angles:
-        if isinstance(value, bool) or not isinstance(value, (numbers.Real, list)):
-            raise TypeError(f"placement angles must be real numbers, got {value!r}")
-    return U3Params(*angles)
+def _read_circuit(payload: dict) -> CircuitSpec:
+    register = make_register(*payload["register"])
+    layers = [[GatePlacement(entry["kind"], tuple(entry["wires"]), U3Params(*_real(
+        "placement angles", [entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0)]))
+        if "theta" in entry else None, entry.get("condition"))
+        for entry in layer] for layer in payload["layers"]]
+    stages = payload.get("stages", ["evolve"] * len(layers))
+    return CircuitSpec(register, layers, stages, payload.get("meta", {}))
 
 
 def circuit_from_payload(payload: dict) -> CircuitSpec:
-    try:
-        register = make_register(*payload["register"])
-        layers = [[GatePlacement(entry["kind"], tuple(entry["wires"]),
-                                 _file_rotation(entry) if "theta" in entry else None,
-                                 entry.get("condition"))
-                   for entry in layer] for layer in payload["layers"]]
-        stages = payload.get("stages", ["evolve"] * len(layers))
-        return CircuitSpec(register, layers, stages, payload.get("meta", {}))
-    except KrausloomError:  # package errors are ValueErrors too; they keep their type
-        raise
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: e.g. an unknown role name
-        raise InvalidArgument(f"bad circuit payload: {exc}") from exc
+    return _read_payload(payload, "circuit", _read_circuit)
 
 
 def traced_joint_state(state: PureState) -> DensityMatrix:

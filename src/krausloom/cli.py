@@ -220,7 +220,7 @@ def _read_json(flag: str, path: str):
     """The json in the file ``flag`` names; text that is not json is a bad argument."""
     try:
         return load_json(path)
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, bytes not UTF-8, deep nesting
         raise KrausloomError(f"{flag} {path} is not valid json: {exc}") from exc
 
 

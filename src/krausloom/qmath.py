@@ -343,22 +343,34 @@ def matrix_to_payload(matrix: np.ndarray, dims: Sequence[int]) -> dict:
     return {"dims": list(dims), "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
-def _from_payload(payload: dict, what: str, build):
-    """``build(re + 1j * im, dims)`` of a payload. A package error keeps its
-    type; a missing key, or entries numpy cannot read as one real array, is
-    InvalidArgument("bad <what> payload: ...")."""
+def _real(name: str, value):
+    """The one rule for a number in an input file: a JSON number, or nested lists
+    of them, as floats. Any other value raises TypeError naming ``name``."""
+    if isinstance(value, list):
+        return [_real(name, v) for v in value]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be real numbers, got {value!r}")
+    return float(value)
+
+
+def _read_payload(payload: dict, what: str, build):
+    """``build(payload)``. A package error keeps its type; a missing key or a value
+    that cannot be read is InvalidArgument("bad <what> payload: ...")."""
     try:
-        values = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        return build(values, payload["dims"])
+        return build(payload)
     except KrausloomError:  # package errors are ValueErrors too; they keep their type
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidArgument(f"bad {what} payload: {exc}") from exc
 
 
+def _entries(payload: dict) -> np.ndarray:
+    return np.asarray(_real("re", payload["re"])) + 1j * np.asarray(_real("im", payload["im"]))
+
+
 def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:
-    return _from_payload(payload, "density",
-                         lambda mat, dims: DensityMatrix(mat, dims, **tol_kwargs))
+    return _read_payload(payload, "density",
+                         lambda p: DensityMatrix(_entries(p), p["dims"], **tol_kwargs))
 
 
 def state_to_payload(psi: PureState) -> dict:
@@ -370,7 +382,7 @@ def state_to_payload(psi: PureState) -> dict:
 
 
 def state_from_payload(payload: dict) -> PureState:
-    return _from_payload(payload, "state", PureState)
+    return _read_payload(payload, "state", lambda p: PureState(_entries(p), p["dims"]))
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -18,6 +18,7 @@ ascend, the Frank-Wolfe step toward the gradient's top eigenvector replaces it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,8 @@ def simulate_counts(
     """
     if shots <= 0:
         raise InvalidArgument(f"shots must be positive, got {shots}")
+    if shots > sys.float_info.max:  # each count is a probability times shots, in floats
+        raise InvalidArgument(f"shots must be at most {sys.float_info.max:.3e}")
     if noise and seed is not None and seed < 0:
         raise InvalidArgument(f"seed must be non-negative, got {seed}")
     branches = _branch_probabilities(rho)
@@ -428,8 +431,12 @@ def load_counts(path: str) -> list[CountRecord]:
                 continue
             try:  # four fields, and integers but for the label
                 idx, label, counts, total = line.split(",")
-                records.append(CountRecord(int(idx), label, None, int(counts), int(total)))
+                record = CountRecord(int(idx), label, None, int(counts), int(total))
             except ValueError as exc:
                 raise InvalidArgument(
                     f"{path}:{line_no}: expected index,label,counts,total_shots ({exc})") from exc
+            if record.counts < 0 or record.total_shots < 1:  # a count above its total is legal
+                raise InvalidArgument(f"{path}:{line_no}: counts must be >= 0 and total_shots >= 1, "
+                                      f"got {record.counts} and {record.total_shots}")
+            records.append(record)
     return records

@@ -241,6 +241,29 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {bad} is not valid json") and err.count("\n") == 1
 
+    # a number nested deeper than numpy's 64 dimensions is a bad payload, and
+    # nesting beyond the recursion limit once ended in an internal RecursionError
+    @pytest.mark.parametrize("depth", [500, 5000])
+    @pytest.mark.parametrize("flag", ["--circuit", "--state"])
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys, flag, depth):
+        from krausloom.channels import GADParams
+        from krausloom.circuit import build_channel_lattice, circuit_to_payload
+        from krausloom.qmath import save_json
+
+        circ, bad = tmp_path / "circ.json", tmp_path / "bad.json"
+        save_json(circuit_to_payload(build_channel_lattice(GADParams(0.3, 0.8))), str(circ))
+        nested = "[" * depth + "1.0" + "]" * depth
+        if flag == "--state":
+            bad.write_text('{"dims": [2, 2, 2], "re": ' + nested + ', "im": [0, 0, 0, 0, 0, 0, 0, 0]}')
+        else:
+            bad.write_text('{"register": ["system-path", "environment-path", "polarization"], '
+                           '"layers": [[{"kind": "local-u3", "wires": [2], "theta": ' + nested + '}]]}')
+        files = {"--circuit": str(circ), flag: str(bad)}
+        assert run("evolve", *(a for kv in files.items() for a in kv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
     @pytest.mark.parametrize("layers, message", [
         # register[-1] is the polarization wire, and a path-conditioned rotation
@@ -266,8 +289,11 @@ class TestEvolveCommand:
          "error: bad circuit payload: placement angles must be real numbers, got '1.0'\n"),
         ([[{"kind": "local-u3", "wires": [2], "theta": True, "phi": 0.0, "lambda": 0.0}]],
          "error: bad circuit payload: placement angles must be real numbers, got True\n"),
+        # an integer beyond float range once ended in an internal OverflowError
+        ([[{"kind": "local-u3", "wires": [2], "theta": 10**400, "phi": 0.0, "lambda": 0.0}]],
+         "error: bad circuit payload: int too large to convert to float\n"),
     ], ids=["negative-cnot-wire", "rotation-off-polarization", "fractional-wire", "boolean-wire",
-            "list-angle", "string-angle", "boolean-angle"])
+            "list-angle", "string-angle", "boolean-angle", "400-digit-angle"])
     def test_wires_the_composition_ignores_exit_2(self, tmp_path, capsys, layers, message):
         circ = tmp_path / "c.json"
         circ.write_text(json.dumps({
@@ -280,10 +306,11 @@ class TestEvolveCommand:
     _ONE = [1.0] + [0.0] * 7
 
     # each of these once exited 3 with a bare numpy or int() error, or 0 with
-    # the dims as given or truncated
+    # the dims as given or truncated, or with a string, a boolean or a register
+    # of other dims run as if it were valid
     @pytest.mark.parametrize("state, message", [
         ({"dims": [2, 2, 2], "re": ["x"] + [0.0] * 7, "im": [0.0] * 8},
-         "error: bad state payload: could not convert string to float: 'x'\n"),
+         "error: bad state payload: re must be real numbers, got 'x'\n"),
         ({"dims": [2, 2, 2], "re": _ONE, "im": [0.0] * 4},
          "error: bad state payload: operands could not be broadcast together"),
         ({"dims": [2, 2, 2], "re": [[1.0, 0.0], [0.0]], "im": [0.0] * 8},
@@ -296,8 +323,21 @@ class TestEvolveCommand:
          "error: dims must be positive integers, got [-2, -4]\n"),
         ({"dims": [2.5, 2, 2], "re": _ONE, "im": [0.0] * 8},
          "error: dims must be positive integers, got [2.5, 2, 2]\n"),
+        ({"dims": [4, 2], "re": _ONE, "im": [0.0] * 8},
+         "error: state dims (4, 2) do not match the circuit register's (2, 2, 2)\n"),
+        ({"dims": [8], "re": _ONE, "im": [0.0] * 8},
+         "error: state dims (8,) do not match the circuit register's (2, 2, 2)\n"),
+        ({"dims": [2, 2, 2], "re": ["1.0"] + [0] * 7, "im": [0] * 8},
+         "error: bad state payload: re must be real numbers, got '1.0'\n"),
+        ({"dims": [2, 2, 2], "re": [True] + [0] * 7, "im": [0] * 8},
+         "error: bad state payload: re must be real numbers, got True\n"),
+        ({"dims": [2, 2, 2], "re": _ONE, "im": [False] + [0] * 7},
+         "error: bad state payload: im must be real numbers, got False\n"),
+        ({"dims": [2, 2, 2], "re": [10**400] + [0] * 7, "im": [0] * 8},
+         "error: bad state payload: int too large to convert to float\n"),
     ], ids=["string-amplitude", "re-im-lengths", "ragged-re", "string-dim", "scalar-dims",
-            "negative-dims", "fractional-dim"])
+            "negative-dims", "fractional-dim", "dims-4-2", "dims-8", "numeric-string-amplitude",
+            "boolean-amplitude", "boolean-imaginary-part", "400-digit-amplitude"])
     def test_malformed_state_file_exits_2(self, tmp_path, capsys, state, message):
         from krausloom.channels import GADParams
         from krausloom.circuit import build_channel_lattice, circuit_to_payload
@@ -355,6 +395,26 @@ class TestTomographyCommand:
 
     def test_noise_requires_shots(self):
         assert run("tomography", "--noise") == 2
+
+    # a count is a probability times shots in floats, so shots beyond float range
+    # once ended in an internal OverflowError, from the flag and from --config
+    @pytest.mark.parametrize("noise", [(), ("--noise", "--seed", "1")], ids=["noiseless", "noise"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_shots_beyond_float_range_exit_2(self, tmp_path, capsys, noise, via_config):
+        shots = str(10**400)
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"shots": 10**400}))
+            code = run("--config", str(cfg), "tomography", *noise)
+        else:
+            code = run("tomography", "--shots", shots, *noise)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: shots must be at most 1.798e+308\n"
+
+    def test_shots_within_float_range_still_run(self, capsys):
+        assert run("tomography", "--shots", "100000000000000000000") == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 10**20
 
     def test_one_shot_run_with_an_empty_hv_block(self, capsys):
         # seed 1 at one shot leaves settings 1..4 without counts, so linear

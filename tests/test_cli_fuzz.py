@@ -16,7 +16,8 @@ from krausloom.cli import main
 
 FLOATS = st.sampled_from(["0", "0.25", "0.5", "1", "1.5", "-0.5", "3.14159", "1e308",
                           "-1e-300", "nan", "inf", "-inf", "x", ""])
-INTS = st.sampled_from(["0", "1", "3", "1000", "-5", "100000000000000000000", "2.5", "ten"])
+INTS = st.sampled_from(["0", "1", "3", "1000", "-5", "100000000000000000000", "2.5", "ten",
+                       str(10**400)])
 CHANNELS = st.sampled_from(["dephasing", "gad", "sgad", "pauli", "depolarizing"])
 GRID_COUNTS = st.one_of(st.integers(-2, 12).map(str),
                         st.sampled_from(["x", "1.5", "100000000000", "100000000000000"]))

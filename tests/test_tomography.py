@@ -566,3 +566,22 @@ class TestCountFiles:
         path.write_text("# index,label,counts,total_shots\n1,HH,12,100\n2,HV,twelve,100\n")
         with pytest.raises(InvalidArgument, match=f"^{re.escape(str(path))}:3: "):
             load_counts(str(path))
+
+    # a negative count once loaded and reconstructed as converged, and a zero
+    # total ended in a bare ZeroDivisionError in ml_reconstruct
+    @pytest.mark.parametrize("line, message", [
+        ("2,HV,-5,100", "counts must be >= 0 and total_shots >= 1, got -5 and 100"),
+        ("2,HV,0,0", "counts must be >= 0 and total_shots >= 1, got 0 and 0"),
+        ("2,HV,3,-100", "counts must be >= 0 and total_shots >= 1, got 3 and -100"),
+    ], ids=["negative-count", "zero-total", "negative-total"])
+    def test_impossible_counts_name_their_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# index,label,counts,total_shots\n1,HH,12,100\n{line}\n")
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(str(path))}:3: {message}$"):
+            load_counts(str(path))
+
+    def test_counts_above_the_total_still_load(self, tmp_path):
+        # a Poisson draw can exceed the nominal total
+        path = tmp_path / "counts.csv"
+        path.write_text("1,HH,105,100\n")
+        assert load_counts(str(path))[0].counts == 105
