@@ -31,10 +31,12 @@ program for its angle table, the (theta, phi, lam) of every rotation, shape
 Composition
 -----------
 A ``CircuitSpec`` is a register, a wiring, one (3, U) angle table and a stage
-tag per layer. Placements (``GatePlacement``) live only at its boundary: the
-public constructor, ``placement_matrix`` and circuit files read them into a
-wiring and a table once, and ``CircuitSpec.layers`` builds them on demand.
-Every product, whether a whole circuit, one stage, a single placement or a
+tag per layer, for ``evolve`` and circuit files; the computing paths
+(``prepare_product_state``, ``lattice_block``) build none. Placements
+(``GatePlacement``) live only at its boundary: the public constructor,
+``placement_matrix`` and circuit files read them into a wiring and a table
+once, and ``CircuitSpec.layers`` builds them on demand. Every product,
+whether a whole circuit, one stage, a single placement, a preparation or a
 block of lattices, goes through one kernel on a wiring and an angle table:
 one ``u3`` call on the table gives every rotation, one scatter into a copy
 of a zeroed template every placement matrix, and the matmul chain runs in
@@ -86,6 +88,8 @@ from .gates import (
 from .qmath import (
     ATOL_ARITHMETIC,
     ATOL_SPECTRAL,
+    _NORM,
+    _UNITARITY,
     DensityMatrix,
     PureState,
     _check_rows,
@@ -254,8 +258,7 @@ class CircuitSpec:
             raise InvalidArgument(f"stage tags must be among {STAGES}")
         angles.flags.writeable = False
         unitary = _chain(register, wiring, angles)
-        check_residuals(unitarity_residual(unitary), structural_atol(),
-                        "layer composition unitarity residual {:.3e}")
+        check_residuals(unitarity_residual(unitary), structural_atol(), _UNITARITY)
         unitary.flags.writeable = False
         for name, value in (("register", register), ("wiring", wiring), ("angles", angles),
                             ("stages", stages), ("metadata", dict(metadata or {})),
@@ -420,12 +423,8 @@ class ProductStateParams:
     def amplitudes(self) -> tuple[float, float, float, float]:
         """(a1, b1, a2, b2) with a^2 + b^2 = 1 for each pair."""
         if self.convention == "half-angle":
-            a1, b1 = np.cos(self.theta1 / 2), np.sin(self.theta1 / 2)
-            a2, b2 = np.cos(self.theta2 / 2), np.sin(self.theta2 / 2)
-        else:
-            a1, b1 = np.cos(self.theta1), np.sin(self.theta1)
-            a2, b2 = np.sin(self.theta2), np.cos(self.theta2)
-        return a1, b1, a2, b2
+            return (*_qubit_amplitudes("theta1", self.theta1), *_qubit_amplitudes("theta2", self.theta2))
+        return np.cos(self.theta1), np.sin(self.theta1), np.sin(self.theta2), np.cos(self.theta2)
 
 
 def channel_register() -> Register:
@@ -488,9 +487,11 @@ def preparation_circuit(params: ProductStateParams) -> CircuitSpec:
 
 
 def prepare_product_state(params: ProductStateParams) -> PureState:
-    """Run the preparation stage on the initial photon."""
-    circuit = preparation_circuit(params)
-    return evolve(initial_state(circuit), circuit, "prepare")
+    """The preparation on the initial photon |00>|H>: column 0 of the kernel's
+    product on ``_PREPARATION``, checked for unitarity as a ``CircuitSpec`` is."""
+    unitary = _chain(_CHANNEL_REGISTER, _PREPARATION, _preparation_angles(*params.amplitudes()))
+    check_residuals(unitarity_residual(unitary), structural_atol(), _UNITARITY)
+    return PureState(unitary[:, 0], (2, 2, 2))
 
 
 def thermal_weights(
@@ -755,30 +756,20 @@ def build_pauli_lattice(
 BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sweep length
 
 
-def lattice_outputs(
-    params: ParamStack, system_input: np.ndarray, *, first_index: int, knobs=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Choi matrices (B, 4, 4), reduced outputs (B, 2, 2) on the qubit
-    ``system_input`` = (a1, b1) and joint densities (B, d, d) of a stack's B
-    points: one kernel call composes their evolve stages from the recipe's
-    angle table (``knobs`` as ``_angles`` takes them), and they act on the two
-    encoded system basis inputs; no placement or preparation is built.
-
-    Each point is measured once into a residual record, one row per check:
-    unitarity, norm, the joint density's hermiticity, trace and -lambda_min,
-    and the reduced output's hermiticity and trace. The record is compared
-    with its tolerances once; a failure names the first failing point,
-    first_index + i, of the first failing row.
-    """
-    return lattice_block(params, system_input, None, first_index=first_index, knobs=knobs)[:3]
-
-
 def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_index: int,
                   knobs=None):
-    """``lattice_outputs`` and its checked (K, B) residual record. Given the
-    block's Kraus outputs ``kraus`` (B, 2, 2), the record ends in their
-    hermiticity, trace and -lambda_min rows (K = 10), measured in one pass
-    with the reduced outputs; without them K = 7."""
+    """The one evaluator of a channel lattice: for a stack's B points, Choi
+    matrices (B, 4, 4), reduced outputs (B, 2, 2) on the qubit ``system_input``
+    = (a1, b1), joint densities (B, d, d) and their checked (K, B) residual
+    record. One kernel call composes their evolve stages (``knobs`` as
+    ``_angles`` takes them) and applies them to the two encoded system basis
+    inputs; no placement or preparation is built. The record holds one row per
+    check: unitarity, norm, the joint density's hermiticity, trace and
+    -lambda_min, the reduced output's hermiticity and trace (K = 7), then,
+    given the block's Kraus outputs ``kraus`` (B, 2, 2) in place of None, their
+    hermiticity, trace and -lambda_min, measured in one pass with the reduced
+    outputs (K = 10). It is compared with its tolerances once; a failure names
+    the first failing point, first_index + i, of the first failing row."""
     recipe = _recipe_of(params)
     register, alpha2_sq = recipe.register, recipe.weight(params)
     d = 2 ** len(register)
@@ -795,9 +786,8 @@ def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_
     b = len(rho)
     herm, tdev, lo = density_residuals(rho if kraus is None else np.concatenate([rho, kraus]),
                                        eig=kraus is not None)
-    rows = [(unitarity_residual(u), structural_atol(), "layer composition unitarity residual {:.3e}"),
-            (np.abs(np.linalg.norm(psi, axis=-1) - 1.0), ATOL_ARITHMETIC,
-             "state norm deviates from 1 by {:.3e}"),
+    rows = [(unitarity_residual(u), structural_atol(), _UNITARITY),
+            (np.abs(np.linalg.norm(psi, axis=-1) - 1.0), ATOL_ARITHMETIC, _NORM),
             *_density_rows(*density_residuals(joint)),
             *_density_rows(herm[:b], tdev[:b], None, None)]
     if kraus is not None:
@@ -808,10 +798,10 @@ def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_
 
 
 def lattice_state(params: ChannelParams, *, theta1: float = math.pi / 2) -> DensityMatrix:
-    """``lattice_outputs`` at one point: its joint density on the qubit theta1
-    prepares, already checked there."""
-    joint = lattice_outputs(ParamStack([params]), _qubit_amplitudes("theta1", theta1),
-                            first_index=0)[2][0]
+    """``lattice_block`` at one point, without Kraus outputs: its joint density
+    on the qubit theta1 prepares, already checked there."""
+    joint = lattice_block(ParamStack([params]), _qubit_amplitudes("theta1", theta1), None,
+                          first_index=0)[2][0]
     return DensityMatrix._of(joint, (2,) * (len(joint).bit_length() - 1))  # one qubit per wire
 
 
@@ -827,7 +817,7 @@ class SweepBlock:
     kraus_choi: np.ndarray  # (b, 4, 4) Choi matrices of the Kraus sets
     deviation: np.ndarray  # (b,) largest entrywise gap, Choi matrices and outputs alike
     labels: tuple[str, ...]  # the Kraus operators' labels
-    residuals: np.ndarray  # (10, b) checked: lattice_outputs' 7 rows, then the Kraus outputs'
+    residuals: np.ndarray  # (10, b) checked: the lattice's 7 rows, then the Kraus outputs'
 
 
 def channel_sweep(
@@ -837,9 +827,10 @@ def channel_sweep(
     time: their Choi matrices, and their outputs on the qubit theta1 prepares.
 
     Every point is validated, and its Kraus completeness checked, before this
-    returns. Each block then measures its points into one residual record,
-    checked once and carried as ``residuals``: the rows of ``lattice_outputs``,
-    then the Kraus outputs' hermiticity, trace and -lambda_min.
+    returns. Each block is one ``lattice_block`` call given the block's Kraus
+    outputs, so its one residual record, checked once and carried as
+    ``residuals``, holds the lattice's 7 rows, then the Kraus outputs'
+    hermiticity, trace and -lambda_min.
     """
     stack = ParamStack(points)
     system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)

@@ -75,8 +75,7 @@ class PureState:
             raise InvalidState("state amplitudes must be finite")
         if math.prod(dims) != amps.size:
             raise InvalidState(f"dims {dims} do not multiply to vector length {amps.size}")
-        check_residuals(abs(float(np.linalg.norm(amps)) - 1.0), ATOL_ARITHMETIC,
-                        "state norm deviates from 1 by {:.3e}")
+        check_residuals(abs(float(np.linalg.norm(amps)) - 1.0), ATOL_ARITHMETIC, _NORM)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
@@ -205,6 +204,8 @@ def _check_rows(rows, *, first_index: int = 0) -> np.ndarray:
     return record
 
 
+_UNITARITY = "layer composition unitarity residual {:.3e}"
+_NORM = "state norm deviates from 1 by {:.3e}"
 _HERMITICITY = f"hermiticity residual {{:.3e}} exceeds {ATOL_STRUCTURAL:.1e}"
 _TRACE = "trace deviates from 1 by {:.3e}"
 
@@ -365,7 +366,9 @@ def _read_payload(payload: dict, what: str, build):
 
 
 def _entries(payload: dict) -> np.ndarray:
-    return np.asarray(_real("re", payload["re"])) + 1j * np.asarray(_real("im", payload["im"]))
+    re, im = np.asarray(_real("re", payload["re"])), np.asarray(_real("im", payload["im"]))
+    with np.errstate(invalid="ignore"):  # an infinite im reads as nan + inf j, refused as not finite
+        return re + 1j * im
 
 
 def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:

@@ -18,7 +18,6 @@ ascend, the Frank-Wolfe step toward the gradient's top eigenvector replaces it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +116,9 @@ def assert_informationally_complete() -> None:
 assert_informationally_complete()
 
 
+# The largest shot budget. ML multiplies its likelihood and gap per shot by the
+# mean total; up to 1e305 both products stay finite while below 1.7e3 per shot.
+SHOTS_MAX = 10**305
 # numpy's Poisson sampler rejects means above int64 max - 10 sqrt(int64 max)
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -160,8 +162,8 @@ def simulate_counts(
     """
     if shots <= 0:
         raise InvalidArgument(f"shots must be positive, got {shots}")
-    if shots > sys.float_info.max:  # each count is a probability times shots, in floats
-        raise InvalidArgument(f"shots must be at most {sys.float_info.max:.3e}")
+    if shots > SHOTS_MAX:
+        raise InvalidArgument(f"shots must be at most {SHOTS_MAX:.0e}")
     if noise and seed is not None and seed < 0:
         raise InvalidArgument(f"seed must be non-negative, got {seed}")
     branches = _branch_probabilities(rho)
@@ -361,9 +363,12 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of G
     (Jaggi, ICML 2013) leaves the face the ascent stalled on. ``iterations``
     counts both kinds of step; a run that reaches ``max_iter`` stops with
-    converged=False. The output is strictly physical either way.
+    converged=False. The output is strictly physical either way. A total above
+    SHOTS_MAX raises InvalidArgument.
     """
     recs, freqs = _records_and_frequencies(records)
+    if max(r.total_shots for r in recs) > SHOTS_MAX:
+        raise InvalidArgument(f"total_shots must be at most {SHOTS_MAX:.0e}")
     linear = None if freqs is None else _invert(freqs)
     shots = np.array([r.total_shots for r in recs], dtype=float)
     scale = float(np.mean(shots))

@@ -22,7 +22,8 @@ SYSTEM_INPUT = circuit._qubit_amplitudes("theta1", math.pi / 2)
 
 def _reference():
     """The block's reduced outputs and joint densities, unfaulted."""
-    _, reduced, joint = circuit.lattice_outputs(ParamStack(POINTS), SYSTEM_INPUT, first_index=0)
+    _, reduced, joint = circuit.lattice_block(ParamStack(POINTS), SYSTEM_INPUT, None,
+                                              first_index=0)[:3]
     return reduced.copy(), joint.copy()
 
 
@@ -185,7 +186,7 @@ def test_lattice_outputs_checks_its_rows_alone(monkeypatch, row):
     injected = _Faults(monkeypatch)
     injected.inject(row, 1)
     with pytest.raises(InvalidState) as info:
-        circuit.lattice_outputs(ParamStack(POINTS), SYSTEM_INPUT, first_index=4)
+        circuit.lattice_block(ParamStack(POINTS), SYSTEM_INPUT, None, first_index=4)[:3]
     assert str(info.value) == f"point 5: {MESSAGES[row]}"
 
 
@@ -207,11 +208,11 @@ def test_a_block_carries_its_record_row_by_row():
 
 class _Calls:
     """Counts ``density_residuals`` passes and ``eigvalsh`` calls, and notes
-    when ``lattice_outputs`` returns."""
+    when ``lattice_block`` returns."""
 
     def __init__(self, monkeypatch):
         self.events = []
-        measure, eigvalsh, outputs = qmath.density_residuals, np.linalg.eigvalsh, circuit.lattice_outputs
+        measure, eigvalsh, outputs = qmath.density_residuals, np.linalg.eigvalsh, circuit.lattice_block
 
         def counted_measure(*args, **kwargs):
             self.events.append("density_residuals")
@@ -223,13 +224,13 @@ class _Calls:
 
         def noted_outputs(*args, **kwargs):
             result = outputs(*args, **kwargs)
-            self.events.append("lattice_outputs")
+            self.events.append("lattice_block")
             return result
 
         monkeypatch.setattr(qmath, "density_residuals", counted_measure)
         monkeypatch.setattr(circuit, "density_residuals", counted_measure, raising=False)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(circuit, "lattice_outputs", noted_outputs)
+        monkeypatch.setattr(circuit, "lattice_block", noted_outputs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,7 +248,7 @@ def test_a_channel_point_measures_each_density_once(monkeypatch, capsys, argv):
 def test_lattice_state_measures_nothing_after_lattice_outputs(monkeypatch):
     calls = _Calls(monkeypatch)
     circuit.lattice_state(GADParams(0.3, 0.8), theta1=1.1)
-    after = calls.events[calls.events.index("lattice_outputs") + 1:]
+    after = calls.events[calls.events.index("lattice_block") + 1:]
     assert "density_residuals" not in after and "eigvalsh" not in after
 
 

@@ -29,7 +29,7 @@ def test_a_kraus_set_off_by_1e_6_exits_3(monkeypatch, capsys):
 
 
 def test_a_scaled_encoding_fails_the_norm_check(monkeypatch):
-    """Kills the lattice output norm bound 1e-12 -> 1e-3 in lattice_outputs."""
+    """Kills the lattice output norm bound 1e-12 -> 1e-3 in lattice_block."""
     encode = circuit._encode
     monkeypatch.setattr(circuit, "_encode", lambda *args: (1 + 1e-9) * encode(*args))
     with pytest.raises(InvalidState, match=r"^point 0: state norm deviates from 1 by 1\.000e-09$"):

@@ -38,7 +38,8 @@ from krausloom.circuit import (
     REFERENCE_GAD_ANGLES,
     REFERENCE_GAD_MATRIX,
 )
-from krausloom.errors import InvalidArgument
+from krausloom import circuit as circuit_mod
+from krausloom.errors import InvalidArgument, InvalidState
 from krausloom.qmath import PureState, fidelity, partial_trace, save_json, unitarity_residual
 
 
@@ -112,6 +113,20 @@ class TestPrepareProductState:
     def test_unknown_convention_rejected(self):
         with pytest.raises(InvalidArgument):
             ProductStateParams(0.1, 0.1, "degrees")
+
+    # the product state runs on the lattice kernel with no CircuitSpec: a fault
+    # in the kernel's product fails the checks a CircuitSpec and evolve ran,
+    # with their messages
+    @pytest.mark.parametrize("scale,message", [
+        (1.1, "layer composition unitarity residual 5.940e-01"),
+        (1 + 1e-11, "state norm deviates from 1 by 1.000e-11"),
+    ], ids=["unitarity", "norm"])
+    def test_kernel_faults_fail_the_circuit_checks(self, monkeypatch, scale, message):
+        chain = circuit_mod._chain
+        monkeypatch.setattr(circuit_mod, "_chain", lambda *args: scale * chain(*args))
+        with pytest.raises(InvalidState) as info:
+            prepare_product_state(ProductStateParams(1.1, 0.7))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("field", ["theta1", "theta2"])
     def test_array_angle_rejected(self, field):

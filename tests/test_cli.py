@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -410,11 +411,34 @@ class TestTomographyCommand:
             code = run("tomography", "--shots", shots, *noise)
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: shots must be at most 1.798e+308\n"
+        assert captured.out == "" and captured.err == "error: shots must be at most 1e+305\n"
 
     def test_shots_within_float_range_still_run(self, capsys):
         assert run("tomography", "--shots", "100000000000000000000") == 0
         assert json.loads(capsys.readouterr().out)["shots"] == 10**20
+
+    # the largest float as shots once ran to "ml_optimality_gap": NaN beside
+    # "ml_converged": true, after numpy overflow warnings: the mean of the 16
+    # totals overflowed, and the gap per shot was scaled back by inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise", [(), ("--noise", "--seed", "1")], ids=["noiseless", "noise"])
+    def test_shots_above_the_largest_budget_exit_2(self, capsys, noise):
+        assert run("tomography", "--shots", str(int(sys.float_info.max)), *noise) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: shots must be at most 1e+305\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shots", [10**300, 10**305])
+    @pytest.mark.parametrize("source", [(), ("--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.8")],
+                             ids=["product", "gad"])
+    def test_the_largest_budgets_run_to_finite_payloads(self, capsys, shots, source):
+        assert run("tomography", "--shots", str(shots), *source) == 0
+
+        def nonfinite(text):
+            raise AssertionError(f"{text} in the payload")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=nonfinite)
+        assert payload["ml_converged"] is True and payload["ml_optimality_gap"] <= 1e-7 * shots
 
     def test_one_shot_run_with_an_empty_hv_block(self, capsys):
         # seed 1 at one shot leaves settings 1..4 without counts, so linear
@@ -481,13 +505,36 @@ class TestReproduceGad:
     ("reproduce-gad",),
 ])
 def test_lattice_states_build_no_preparation(monkeypatch, capsys, argv):
-    # tomography and reproduce-gad take the lattice's state from lattice_outputs
+    # tomography and reproduce-gad take the lattice's state from lattice_block
     def never(*args, **kwargs):
         raise AssertionError("a preparation was built")
 
     for name in ("ProductStateParams", "_preparation_angles", "_pauli_preparation_angles"):
         monkeypatch.setattr(circuit_mod, name, never)
     assert run(*argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("convention", ["half-angle", "experimental"])
+@pytest.mark.parametrize("argv", [
+    ("prepare",),
+    ("tomography", "--shots", "1000"),
+    ("tomography", "--noise", "--shots", "1000", "--seed", "1"),
+], ids=["prepare", "tomography", "tomography-noise"])
+def test_product_states_build_no_circuit(monkeypatch, capsys, argv, convention):
+    # the product state is the preparation's table on the lattice kernel: no
+    # CircuitSpec is built, and no state goes through initial_state or evolve
+    argv = (*argv, "--theta1", "1.1", "--theta2", "0.7", "--convention", convention)
+    assert run(*argv) == 0
+    want = capsys.readouterr().out
+
+    def never(*args, **kwargs):
+        raise AssertionError("a circuit was built or run")
+
+    monkeypatch.setattr(circuit_mod.CircuitSpec, "_fill", never)
+    for name in ("initial_state", "evolve"):
+        monkeypatch.setattr(circuit_mod, name, never)
+    assert run(*argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,9 @@ from krausloom.errors import InvalidArgument, InvalidState
 from krausloom.qmath import DensityMatrix, PureState, density_from_payload, density_to_payload
 from krausloom.qmath import state_to_payload
 from krausloom.tomography import load_counts, save_counts, simulate_counts
+
+# a value a reader refuses must not warn on its way there either
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CIRCUIT = circuit_to_payload(build_channel_lattice(GADParams(0.3, 0.8), theta1=1.1))
 STATE = state_to_payload(PureState(np.array([0.6, 0, 0, 0.48j, 0, 0, 0, -0.64]), (2, 2, 2)))

@@ -199,7 +199,7 @@ class TestAgainstPerPlacementProduct:
         inputs = circuit_mod._encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register))
         cols = np.broadcast_to(inputs, (size, 2, d)) @ np.broadcast_to(u, (size, d, d)).swapaxes(-1, -2)
         psi = system_input @ cols
-        _, _, joint = circuit_mod.lattice_outputs(block, system_input, first_index=start)
+        _, _, joint = circuit_mod.lattice_block(block, system_input, None, first_index=start)[:3]
         assert_bits(joint, psi[:, :, None] * psi[:, None, :].conj())
 
     def test_random_circuit_files(self, tmp_path):
@@ -509,7 +509,7 @@ class TestAngleTables:
         monkeypatch.setattr(GatePlacement, "__post_init__", never)
         monkeypatch.setattr(U3Params, "__post_init__", never)
         system_input = circuit_mod._qubit_amplitudes("theta1", 1.1)
-        circuit_mod.lattice_outputs(ParamStack([params]), system_input, first_index=0)
+        circuit_mod.lattice_block(ParamStack([params]), system_input, None, first_index=0)[:3]
         for _ in circuit_mod.channel_sweep([params, params], theta1=1.1):
             pass
         build_channel_lattice(params, theta1=1.1)
@@ -527,7 +527,7 @@ class TestAngleTables:
 
         monkeypatch.setattr(circuit_mod, "_placement_stack", recording)
         system_input = circuit_mod._qubit_amplitudes("theta1", 1.1)
-        _, _, joint = circuit_mod.lattice_outputs(block, system_input, first_index=0)
+        _, _, joint = circuit_mod.lattice_block(block, system_input, None, first_index=0)[:3]
         assert len(joint) == circuit_mod.BLOCK_SIZE
         assert written and max(written) <= circuit_mod.KERNEL_BYTES
 

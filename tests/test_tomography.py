@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +292,26 @@ class TestMLReconstruct:
                    for s in settings_table()]
         assert hv_block_empty(records)
         assert ml_reconstruct(records).linear is None
+
+    @staticmethod
+    def _records_at(total):
+        """Exact counts of a mixed product state at ``total`` shots per setting."""
+        truth = traced_joint_state(prepare_product_state(ProductStateParams(1.1, 0.7)))
+        return [CountRecord(r.setting_index, r.label, None, round(r.expected_probability * total),
+                            total) for r in simulate_counts(truth, shots=1000)]
+
+    # at the largest float, the mean of the 16 totals overflowed: the gap came out NaN
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_totals_above_the_largest_budget_are_refused(self):
+        records = self._records_at(int(sys.float_info.max))
+        with pytest.raises(InvalidArgument, match=r"^total_shots must be at most 1e\+305$"):
+            ml_reconstruct(records)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_largest_budget_gives_a_finite_gap(self):
+        ml = ml_reconstruct(self._records_at(tomo_mod.SHOTS_MAX))
+        assert ml.converged and math.isfinite(ml.optimality_gap)
+        assert math.isfinite(ml.log_likelihood)
 
 
 ML_TOL = 1e-7  # the optimality gap per shot that ml_reconstruct certifies
