@@ -17,13 +17,7 @@ import sys
 import numpy as np
 
 from krausloom.qmath import DensityMatrix, fidelity, write_atomic
-from krausloom.tomography import (
-    hv_block_empty,
-    linear_reconstruct,
-    ml_reconstruct,
-    project_to_psd,
-    simulate_counts,
-)
+from krausloom.tomography import ml_reconstruct, project_to_psd, simulate_counts
 
 
 def random_pure(rng):
@@ -50,9 +44,9 @@ def main():
         for k in range(args.ensemble):
             truth = random_pure(rng)
             records = simulate_counts(truth, shots=shots, noise=True, seed=args.seed * 1000 + k)
-            if not hv_block_empty(records):
-                lin_fids.append(fidelity(project_to_psd(linear_reconstruct(records)), truth))
             ml = ml_reconstruct(records)
+            if ml.linear is not None:  # None when the H/V block counted nothing
+                lin_fids.append(fidelity(project_to_psd(ml.linear), truth))
             ml_fids.append(fidelity(ml.rho, truth))
             mls.append(ml)
         writer.writerow(

@@ -19,11 +19,7 @@ from .channels import (
     channel_kraus,
     choi,
     completeness_residual,
-    dephasing_kraus,
-    gad_kraus,
     kraus_apply,
-    pauli_kraus,
-    sgad_kraus,
 )
 from .circuit import (
     REFERENCE_GAD_ANGLES,
@@ -33,7 +29,6 @@ from .circuit import (
     GatePlacement,
     ProductStateParams,
     build_channel_lattice,
-    build_pauli_lattice,
     circuit_from_payload,
     circuit_to_payload,
     circuit_unitary,

@@ -1,10 +1,13 @@
-"""Kraus-formalism engine: channel constructors, application, Choi matrices.
+"""Kraus-formalism engine: channel records, Kraus sets, application, Choi matrices.
 
-The four channel families map onto the interferometer lattices in
-``circuit``; here they live as operator sets acting on a single qubit.
-Channels are compared by their Choi matrices (``choi``), never by operator
-lists, since the operator representation is basis dependent; the lattices
-are certified against their Kraus sets the same way.
+Each channel family is declared once, on its parameter record
+(``FAMILIES``), whose docstring describes the channel. ``channel_kraus``
+gives a record's operator set acting on a single qubit, and ``kraus_stack``
+those of every point of a ``ParamStack``; the interferometer lattices in
+``circuit`` read the same records. Channels are compared by their Choi
+matrices (``choi``), never by operator lists, since the operator
+representation is basis dependent; the lattices are certified against their
+Kraus sets the same way.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ def _check_prob(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class DephasingParams:
+    """Phase damping: coherences decay with probability p, populations fixed."""
+
     name: ClassVar[str] = "dephasing"
     p: float
 
@@ -38,6 +43,12 @@ class DephasingParams:
 
 @dataclass(frozen=True)
 class GADParams:
+    """Amplitude damping against a thermal bath with ground population alpha2_sq.
+
+    Four Kraus operators; the bath weights enter as sqrt prefactors so the raw
+    list satisfies completeness on its own.
+    """
+
     name: ClassVar[str] = "gad"
     p: float
     alpha2_sq: float
@@ -49,6 +60,12 @@ class GADParams:
 
 @dataclass(frozen=True)
 class SGADParams:
+    """Damping against a squeezed thermal bath with ground population alpha2_sq.
+
+    Each mode pair gets its own transition rate (alpha, beta, mu, nu) and the
+    upward transitions carry phases e^{-i phi}, e^{-i lam}; any finite phase.
+    """
+
     name: ClassVar[str] = "sgad"
     alpha: float
     beta: float
@@ -67,6 +84,8 @@ class SGADParams:
 
 @dataclass(frozen=True)
 class PauliParams:
+    """Probabilistic Pauli noise: (1-p) rho + p sum_i q_i sigma_i rho sigma_i."""
+
     name: ClassVar[str] = "pauli"
     p: float
     q1: float
@@ -93,8 +112,8 @@ class ParamStack:
 
     Each field of the family's parameter record becomes an attribute holding
     an array with one value per point, or a plain float where every point
-    agrees, so the lattice recipes and Kraus constructors that read a single
-    record read a stack the same way.
+    agrees, so the lattice recipes and Kraus operator builders that read a
+    single record read a stack the same way.
     """
 
     def __init__(self, points: Sequence[ChannelParams]):
@@ -235,44 +254,12 @@ _FAMILY_OPS = {
 }
 
 
-def _kraus_set(params: ChannelParams) -> KrausSet:
-    build, labels = _FAMILY_OPS[type(params)]
-    return KrausSet(build(params), labels)
-
-
-def dephasing_kraus(p: float) -> KrausSet:
-    """Phase damping: coherences decay with probability p, populations fixed."""
-    return _kraus_set(DephasingParams(p))
-
-
-def gad_kraus(p: float, alpha2_sq: float) -> KrausSet:
-    """Amplitude damping against a thermal bath with ground population alpha2_sq.
-
-    Four operators; the bath weights enter as sqrt prefactors so the raw list
-    satisfies completeness on its own.
-    """
-    return _kraus_set(GADParams(p, alpha2_sq))
-
-
-def sgad_kraus(params: SGADParams) -> KrausSet:
-    """Damping against a squeezed thermal bath.
-
-    Each mode pair gets its own transition rate (alpha, beta, mu, nu) and the
-    upward transitions carry phases e^{-i phi}, e^{-i lam}.
-    """
-    return _kraus_set(params)
-
-
-def pauli_kraus(p: float, q1: float, q2: float, q3: float) -> KrausSet:
-    """Probabilistic Pauli noise: (1-p) rho + p sum_i q_i sigma_i rho sigma_i."""
-    return _kraus_set(PauliParams(p, q1, q2, q3))
-
-
 def channel_kraus(params: ChannelParams) -> KrausSet:
-    """Dispatch a parameter record to its constructor."""
+    """The Kraus set of a parameter record, checked for completeness."""
     if type(params) not in _FAMILY_OPS:
         raise InvalidArgument(f"unknown channel parameter type {type(params).__name__}")
-    return _kraus_set(params)
+    build, labels = _FAMILY_OPS[type(params)]
+    return KrausSet(build(params), labels)
 
 
 def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:

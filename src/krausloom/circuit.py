@@ -23,10 +23,13 @@ displacers act on all modes at once while wave plates can be placed per mode:
 No two logical amplitudes ever share a (mode, polarization) slot, so the
 composite is manifestly unitary and the per-mode output polarization vectors
 can be read off directly. As on the bench, a layout is fixed and only its
-wave-plate angles are programmed: a family's recipe (``_RECIPES``) and each
-preparation is a wiring, each layer's (kind, wires, condition) slots, and a
-program for its angle table, the (theta, phi, lam) of every rotation, shape
-(3, U) or (3, B, U) for B points, reduced into [0, 2pi) once.
+wave-plate angles are programmed: a family's recipe (``_RECIPES``, keyed by
+its parameter record's class) and each preparation is a wiring, each layer's
+(kind, wires, condition) slots, and a program for its angle table, the
+(theta, phi, lam) of every rotation, shape (3, U) or (3, B, U) for B points,
+reduced into [0, 2pi) once. Every lattice entry point takes the record
+itself: ``build_channel_lattice(record, theta1=...)``, ``lattice_state``,
+``lattice_block`` on a ``ParamStack`` and ``channel_sweep``.
 
 Composition
 -----------
@@ -71,6 +74,7 @@ from .channels import (
 )
 from .errors import InvalidArgument, InvalidWiring
 from .gates import (
+    TWO_PI,
     Register,
     Role,
     U3Params,
@@ -427,10 +431,6 @@ class ProductStateParams:
         return np.cos(self.theta1), np.sin(self.theta1), np.sin(self.theta2), np.cos(self.theta2)
 
 
-def channel_register() -> Register:
-    return make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
-
-
 def _finite_multiple(name: str, value: float, scale: int) -> float:
     """``scale * value``; raises unless it is finite, naming the value given."""
     if not math.isfinite(scale * value):
@@ -446,7 +446,7 @@ def _qubit_amplitudes(name: str, theta) -> np.ndarray:
     return np.array([np.cos(half), np.sin(half)])
 
 
-_CHANNEL_REGISTER = channel_register()  # s, e, polarization
+_CHANNEL_REGISTER = make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
 # rotate polarization, flip s, rotate per s branch, flip e
 _PREPARATION = ((("local-u3", (2,), None),), (("cnot-pol-path", (2, 0), None),),
                 (("path-conditioned-u3", (2,), "0*"),), (("path-conditioned-u3", (2,), "1*"),),
@@ -572,19 +572,15 @@ def pauli_caption_angles(p, q1, q2, q3) -> tuple[float, float, float]:
     return (t1, t2, t3)
 
 
-def pauli_register() -> Register:
-    return make_register(Role.SYSTEM_PATH, Role.RESERVOIR_PATH, Role.RESERVOIR_PATH, Role.POLARIZATION)
-
-
 # wires s, r1, r2, polarization: rotate polarization, flip s, X back where s = 1
 _PAULI_PREPARATION = ((("local-u3", (3,), None),), (("cnot-pol-path", (3, 0), None),),
                       (("path-conditioned-u3", (3,), "1**"),))
 
 
-def _pauli_preparation_angles(prep_theta) -> np.ndarray:
+def _pauli_preparation_angles(theta1) -> np.ndarray:
     """Angle table of ``_PAULI_PREPARATION``, which takes |000>|H> to
-    (cos(prep_theta/2)|000> + sin(prep_theta/2)|100>)|H>."""
-    a, b = _qubit_amplitudes("prep_theta", prep_theta)
+    (cos(theta1/2)|000> + sin(theta1/2)|100>)|H>."""
+    a, b = _qubit_amplitudes("theta1", theta1)
     return _principal("preparation angle",
                       np.array([[2 * math.atan2(b, a), math.pi], [0.0, 0.0], [math.pi, math.pi]]))
 
@@ -635,11 +631,21 @@ def _gad_program(params, knobs):
     return root[..., :4], root[..., 4:], (0.0, 0.0, -math.pi, -math.pi)
 
 
+def _phase(x):
+    """x, or where |x| > 2pi the angle in [-pi, pi] of equal sine and cosine: the
+    Kraus operators' exp(-1j x) reduces x exactly, as a remainder by the
+    rounded 2pi would not."""
+    if isinstance(x, float) and abs(x) <= TWO_PI:  # a record's field, or a stack's shared one
+        return x
+    return np.where(np.abs(x) > TWO_PI, np.arctan2(np.sin(x), np.cos(x)), x)
+
+
 def _sgad_program(params, knobs):
     # modes 00, 10 (H in) and 01, 11 (V in) move at rates alpha, beta, mu, nu
     a, b, mu, nu = params.alpha, params.beta, params.mu, params.nu
     root = np.sqrt(_columns((a, b, 1 - mu, 1 - nu, 1 - a, 1 - b, mu, nu)))
-    return root[..., :4], root[..., 4:], _columns((-params.phi, 0.0, -params.lam - math.pi, -math.pi))
+    phi, lam = _phase(params.phi), _phase(params.lam)
+    return root[..., :4], root[..., 4:], _columns((-phi, 0.0, -lam - math.pi, -math.pi))
 
 
 def _pauli_program(params, knobs):
@@ -685,7 +691,7 @@ _RECIPES = {
         lambda params: params.alpha2_sq, _ENVIRONMENT_PREPARATION),
     # the reservoir starts in its ground state; wires s, r1, r2, polarization
     PauliParams: _Recipe(
-        pauli_register(),
+        make_register(Role.SYSTEM_PATH, Role.RESERVOIR_PATH, Role.RESERVOIR_PATH, Role.POLARIZATION),
         [step for flips, arrivals in (((1, 2), ("011", "111")), ((0, 1), ("110", "010")),
                                       ((0, 2), ("101", "001")))
          for step in [("tag", "000"), ("tag", "100"), *(("flip", w) for w in flips),
@@ -727,7 +733,8 @@ def _lattice_metadata(params: ChannelParams, theta1: float, knobs: list) -> dict
 
 
 def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2) -> CircuitSpec:
-    """Preparation plus evolve lattice for one of the channels.
+    """Preparation plus evolve lattice of a channel's parameter record; the
+    Pauli lattice couples the system qubit to a 4-level reservoir.
 
     The preparation puts the system qubit (cos theta1/2, sin theta1/2) and the
     environment (sqrt(alpha2_sq), sqrt(1 - alpha2_sq)) that ``_encode`` gives
@@ -742,13 +749,6 @@ def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2)
     stages = ("prepare",) * len(wiring) + ("evolve",) * len(recipe.layers)
     return CircuitSpec._of(recipe.register, wiring + recipe.layers, angles, stages,
                            _lattice_metadata(params, theta1, knobs))
-
-
-def build_pauli_lattice(
-    p: float, q1: float, q2: float, q3: float, *, prep_theta: float = math.pi / 2
-) -> CircuitSpec:
-    """Lattice coupling one system qubit to a 4-level reservoir."""
-    return build_channel_lattice(PauliParams(p, q1, q2, q3), theta1=prep_theta)
 
 
 # -- batched lattices --------------------------------------------------------------

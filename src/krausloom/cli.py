@@ -193,6 +193,8 @@ def _run_channel_grid(args):
         raise KrausloomError(f"bad --grid spec {args.grid!r}; expected start:stop:count") from exc
     if count > GRID_MAX_POINTS:
         raise InvalidArgument(f"grid count {count} exceeds the limit of {GRID_MAX_POINTS} points")
+    if not all(map(math.isfinite, (start, stop, stop - start))):
+        raise InvalidArgument(f"grid start {start}, stop {stop} and their span must be finite")
     family = _channel_family(args)
     _require("p" in {f.name for f in dataclasses.fields(family)},
              f"--grid sweeps --p; use explicit runs for {family.name}")

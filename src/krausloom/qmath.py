@@ -340,7 +340,8 @@ def density_to_payload(rho: DensityMatrix) -> dict:
 
 
 def matrix_to_payload(matrix: np.ndarray, dims: Sequence[int]) -> dict:
-    """The density payload of a matrix already checked, e.g. one of a checked stack."""
+    """The payload of a matrix or an amplitude vector already checked, e.g. one
+    of a checked stack."""
     return {"dims": list(dims), "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
@@ -377,11 +378,7 @@ def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:
 
 
 def state_to_payload(psi: PureState) -> dict:
-    return {
-        "dims": list(psi.dims),
-        "re": psi.amplitudes.real.tolist(),
-        "im": psi.amplitudes.imag.tolist(),
-    }
+    return matrix_to_payload(psi.amplitudes, psi.dims)
 
 
 def state_from_payload(payload: dict) -> PureState:

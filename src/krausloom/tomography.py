@@ -119,6 +119,9 @@ assert_informationally_complete()
 # The largest shot budget. ML multiplies its likelihood and gap per shot by the
 # mean total; up to 1e305 both products stay finite while below 1.7e3 per shot.
 SHOTS_MAX = 10**305
+# A count may exceed its total, as a Poisson draw may, but by at most this
+# factor: ML's counts per shot then stay small enough for its weights c_s / p_s.
+COUNTS_PER_SHOT_MAX = 1000
 # numpy's Poisson sampler rejects means above int64 max - 10 sqrt(int64 max)
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -172,7 +175,7 @@ def simulate_counts(
         means = branches * shots
         if means.max() > _POISSON_MEAN_MAX:
             raise InvalidArgument(
-                f"shots {shots} is too large for a Poisson draw (largest mean "
+                f"shots {shots:.3e} is too large for a Poisson draw (largest mean "
                 f"{means.max():.3e}, limit {_POISSON_MEAN_MAX:.3e})"
             )
         counts = np.random.default_rng(seed).poisson(means).sum(axis=1)
@@ -364,11 +367,17 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     (Jaggi, ICML 2013) leaves the face the ascent stalled on. ``iterations``
     counts both kinds of step; a run that reaches ``max_iter`` stops with
     converged=False. The output is strictly physical either way. A total above
-    SHOTS_MAX raises InvalidArgument.
+    SHOTS_MAX, or a count above SHOTS_MAX or above COUNTS_PER_SHOT_MAX times its
+    total, raises InvalidArgument naming the record.
     """
     recs, freqs = _records_and_frequencies(records)
     if max(r.total_shots for r in recs) > SHOTS_MAX:
         raise InvalidArgument(f"total_shots must be at most {SHOTS_MAX:.0e}")
+    for r in recs:
+        if not r.counts <= min(SHOTS_MAX, COUNTS_PER_SHOT_MAX * r.total_shots):
+            raise InvalidArgument(
+                f"setting {r.setting_index} ({r.label}): counts must be at most {COUNTS_PER_SHOT_MAX} "
+                f"times total_shots ({r.total_shots:.3g}) and at most {SHOTS_MAX:.0e}")
     linear = None if freqs is None else _invert(freqs)
     shots = np.array([r.total_shots for r in recs], dtype=float)
     scale = float(np.mean(shots))

@@ -17,17 +17,13 @@ from krausloom.channels import (
     channel_action_distance,
     channel_kraus,
     completeness_residual,
-    gad_kraus,
     kraus_apply,
-    pauli_kraus,
-    sgad_kraus,
 )
 from krausloom.circuit import (
     REFERENCE_GAD_ANGLES,
     REFERENCE_GAD_FIDELITY_BAND,
     REFERENCE_GAD_MATRIX,
     build_channel_lattice,
-    build_pauli_lattice,
     encode_joint_state,
     encode_reservoir_state,
     evolve,
@@ -99,7 +95,7 @@ def test_criterion_2_lattice_kraus_equivalence():
     for name, family in _channel_grid():
         for params in family:
             if isinstance(params, PauliParams):
-                lattice = build_pauli_lattice(params.p, params.q1, params.q2, params.q3)
+                lattice = build_channel_lattice(params)
                 embed_state = encode_reservoir_state
             else:
                 lattice = build_channel_lattice(params)
@@ -131,7 +127,7 @@ def test_criterion_3_cptp_property_suite():
     grid = np.linspace(0, 1, 11)
     for p in grid:
         for a2 in grid:
-            worst_residual = max(worst_residual, completeness_residual(gad_kraus(p, a2)))
+            worst_residual = max(worst_residual, completeness_residual(channel_kraus(GADParams(p, a2))))
 
     rng = np.random.default_rng(3)
     worst_trace, worst_eig, worst_herm = 0.0, 0.0, 0.0
@@ -256,13 +252,13 @@ def test_criterion_6_depolarizing_shrink():
     rng = np.random.default_rng(6)
     worst = 0.0
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        k = pauli_kraus(p, 1 / 3, 1 / 3, 1 / 3)
+        k = channel_kraus(PauliParams(p, 1 / 3, 1 / 3, 1 / 3))
         for _ in range(20):
             rho = _random_density(rng, 2)
             r_in = np.array(bloch_vector(rho))
             r_out = np.array(bloch_vector(kraus_apply(rho, k)))
             worst = max(worst, float(np.max(np.abs(r_out - (1 - 4 * p / 3) * r_in))))
-    k34 = pauli_kraus(0.75, 1 / 3, 1 / 3, 1 / 3)
+    k34 = channel_kraus(PauliParams(0.75, 1 / 3, 1 / 3, 1 / 3))
     worst_mixed = 0.0
     for _ in range(20):
         q = _random_qubit(rng)
@@ -311,7 +307,7 @@ def test_criterion_7_reservoir_channel_closed_form():
         q = rng.uniform(0.01, 1, size=3)
         q = q / q.sum()
         p = rng.uniform()
-        k = pauli_kraus(p, *q)
+        k = channel_kraus(PauliParams(p, *q))
         rho_in = np.outer([alpha, beta], [alpha, beta])
         out = kraus_apply(rho_in.astype(complex), k)
         want = _pauli_closed_form(alpha, beta, p, *q)
@@ -323,6 +319,6 @@ def test_criterion_8_sgad_reduces_to_gad():
     worst = 0.0
     for p in np.linspace(0, 1, 11):
         for a2sq in (0.35, 0.7):
-            reduced = sgad_kraus(SGADParams(0.0, p, p, 0.0, 0.0, 0.0, a2sq))
-            worst = max(worst, channel_action_distance(reduced, gad_kraus(p, a2sq)))
+            reduced = channel_kraus(SGADParams(0.0, p, p, 0.0, 0.0, 0.0, a2sq))
+            worst = max(worst, channel_action_distance(reduced, channel_kraus(GADParams(p, a2sq))))
     _verdict(8, worst < 1e-10, f"channel action distance {worst:.2e} < 1e-10 over the p grid")

@@ -18,7 +18,7 @@ from krausloom.circuit import (
     CircuitSpec,
     ProductStateParams,
     build_channel_lattice,
-    build_pauli_lattice,
+    channel_sweep,
     circuit_from_payload,
     circuit_to_payload,
     circuit_unitary,
@@ -27,6 +27,7 @@ from krausloom.circuit import (
     evolve,
     gad_experiment,
     initial_state,
+    lattice_state,
     output_mode_decomposition,
     pauli_caption_angles,
     prepare_product_state,
@@ -210,7 +211,7 @@ class TestEvolve:
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
-        lattice = build_pauli_lattice(0.5, 1 / 3, 1 / 3, 1 / 3)
+        lattice = build_channel_lattice(PauliParams(0.5, 1 / 3, 1 / 3, 1 / 3))
         with pytest.raises(InvalidArgument):
             evolve(PureState([1, 0], (2,)), lattice)
 
@@ -364,6 +365,22 @@ class TestLatticeKrausConsistency:
             rho_kraus = kraus_apply(np.outer(q, q.conj()), kset)
             np.testing.assert_allclose(rho_lattice.matrix, rho_kraus, atol=1e-9)
 
+    # the lattice reduced -phi and -lam - pi by the rounded 2pi: at phi = 1e12
+    # its system state was 3.4e-6 from the Kraus output
+    @pytest.mark.parametrize("phi, lam", [(1e12, 0.3), (0.3, -1e12), (1e12, 1e12), (-1e200, 1e300)])
+    def test_sgad_phases_far_beyond_2pi(self, phi, lam):
+        params = SGADParams(0.2, 0.3, 0.4, 0.5, phi, lam, 0.6)
+        system = partial_trace(lattice_state(params, theta1=1.1), (0,))
+        q = np.array([np.cos(0.55), np.sin(0.55)], dtype=complex)
+        want = kraus_apply(np.outer(q, q), channel_kraus(params))
+        np.testing.assert_allclose(system.matrix, want, rtol=0, atol=1e-15)
+
+    def test_sgad_sweep_over_phase_scales(self):
+        phases = [sign * 10.0**e for e in range(-3, 301, 4) for sign in (1, -1)]
+        points = [SGADParams(0.2, 0.3, 0.4, 0.5, x, -x / 3, 0.6) for x in phases]
+        worst = max(float(np.max(block.deviation)) for block in channel_sweep(points, theta1=0.9))
+        assert worst < 1e-15
+
     def test_extracted_kraus_match_constructor(self):
         params = GADParams(0.38, 0.77)
         lattice = build_channel_lattice(params)
@@ -444,14 +461,14 @@ class TestLatticeKrausConsistency:
 
 class TestPauliLattice:
     def test_zero_error_probability_is_identity(self, rng):
-        lattice = build_pauli_lattice(0.0, 0.3, 0.4, 0.3)
+        lattice = build_channel_lattice(PauliParams(0.0, 0.3, 0.4, 0.3))
         u = stage_unitary(lattice, "evolve")
         for q in (random_qubit(rng), random_qubit(rng)):
             enc = encode_reservoir_state(q)
             np.testing.assert_allclose(u @ enc.amplitudes, enc.amplitudes, atol=1e-12)
 
     def test_deterministic_double_flip(self):
-        lattice = build_pauli_lattice(1.0, 1.0, 0.0, 0.0)
+        lattice = build_channel_lattice(PauliParams(1.0, 1.0, 0.0, 0.0))
         u = stage_unitary(lattice, "evolve")
         src = np.zeros(16, dtype=complex)
         src[0b0000] = 1.0  # |000>|H>
@@ -464,14 +481,14 @@ class TestPauliLattice:
 
     def test_isotropic_case_erases_plus_state(self):
         # Bloch shrink factor 1 - 4p/3 vanishes at p = 3/4
-        lattice = build_pauli_lattice(0.75, 1 / 3, 1 / 3, 1 / 3, prep_theta=np.pi / 2)
+        lattice = build_channel_lattice(PauliParams(0.75, 1 / 3, 1 / 3, 1 / 3), theta1=np.pi / 2)
         out = evolve(initial_state(lattice), lattice)
         rho_sys = traced_system_state(out)
         np.testing.assert_allclose(rho_sys.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_lattice_matches_kraus_engine(self, rng):
         p, q1, q2, q3 = 0.58, 0.5, 0.2, 0.3
-        lattice = build_pauli_lattice(p, q1, q2, q3)
+        lattice = build_channel_lattice(PauliParams(p, q1, q2, q3))
         u = stage_unitary(lattice, "evolve")
         kset = channel_kraus(PauliParams(p, q1, q2, q3))
         for _ in range(10):
@@ -492,18 +509,9 @@ class TestPauliLattice:
         for angle in (t1, t2, t3):
             assert 0 <= angle <= np.pi / 2
 
-    def test_is_the_channel_lattice_of_its_parameters(self):
-        for args, prep_theta in [((0.58, 0.5, 0.2, 0.3), 0.7), ((1.0, 0.0, 0.0, 1.0), np.pi / 2),
-                                 ((0.0, 1 / 3, 1 / 3, 1 / 3), -2.0)]:
-            got = build_pauli_lattice(*args, prep_theta=prep_theta)
-            want = build_channel_lattice(PauliParams(*args), theta1=prep_theta)
-            assert got == want
-            assert got.metadata == want.metadata
-            assert got.unitary.tobytes() == want.unitary.tobytes()
-
     def test_weight_normalization_enforced(self):
         with pytest.raises(InvalidArgument):
-            build_pauli_lattice(0.5, 0.6, 0.3, 0.3)
+            build_channel_lattice(PauliParams(0.5, 0.6, 0.3, 0.3))
 
 
 def gad_closed_form(theta1, theta2, theta3):

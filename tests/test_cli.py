@@ -147,6 +147,30 @@ class TestChannel:
                    "--out", str(out)) == 2
         assert not out.exists()
 
+    # -phi and -lam - pi were reduced by the rounded 2pi, which drifts about
+    # 2e-18 |phi| from the Kraus operators' exp(-1j phi): at 1e15 the two
+    # channels deviated by 1.9e-3 and the command exited 3
+    @pytest.mark.parametrize("phase", ["1e15", "-1e15"])
+    def test_sgad_phases_far_beyond_2pi_agree(self, capsys, phase):
+        assert run("channel", "--channel", "sgad", "--sgad-alpha", "0.1", "--sgad-beta", "0.1",
+                   "--sgad-mu", "0.1", "--sgad-nu", "0.1", "--alpha2-sq", "0.5",
+                   f"--sgad-phi={phase}", f"--sgad-lambda={phase}") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_deviation"] < 1e-15
+        assert payload["params"]["phi"] == payload["params"]["lam"] == float(phase)
+
+    # np.linspace printed a RuntimeWarning before the exit-2 line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec", ["0:inf:5", "-1e308:1e308:3", "nan:1:5"])
+    def test_grid_bounds_beyond_float_range_exit_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "gad", "--alpha2-sq", "0.75", f"--grid={spec}",
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: grid start ")
+        assert captured.err.endswith(" must be finite\n") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_grid_consistency_failure_names_point(self, tmp_path, monkeypatch, capsys):
         from krausloom import cli
 
@@ -412,6 +436,13 @@ class TestTomographyCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: shots must be at most 1e+305\n"
+
+    # the Poisson-limit message printed all 301 digits of the budget
+    def test_a_budget_above_the_poisson_limit_prints_one_short_line(self, capsys):
+        assert run("tomography", "--noise", "--shots", str(10**300), "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err) < 120
+        assert captured.err.startswith("error: shots 1.000e+300 is too large for a Poisson draw")
 
     def test_shots_within_float_range_still_run(self, capsys):
         assert run("tomography", "--shots", "100000000000000000000") == 0

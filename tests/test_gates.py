@@ -6,7 +6,7 @@ import pytest
 from krausloom import circuit as circuit_mod
 from krausloom import gates as gates_mod
 from krausloom.channels import DephasingParams, GADParams, PauliParams, SGADParams
-from krausloom.circuit import build_channel_lattice, build_pauli_lattice, channel_sweep
+from krausloom.circuit import build_channel_lattice, channel_sweep
 from krausloom.errors import InvalidArgument, InvalidWiring
 from krausloom.gates import (
     Role,
@@ -332,10 +332,7 @@ def _random_point(rng):
 def _run_point(params, theta1):
     for _ in channel_sweep([params], theta1=theta1):
         pass
-    if isinstance(params, PauliParams):
-        build_pauli_lattice(params.p, params.q1, params.q2, params.q3, prep_theta=theta1)
-    else:
-        build_channel_lattice(params, theta1=theta1)
+    build_channel_lattice(params, theta1=theta1)
 
 
 def test_no_cache_is_keyed_by_an_angle_or_a_parameter():

@@ -18,7 +18,6 @@ from krausloom.circuit import (
     GatePlacement,
     ProductStateParams,
     build_channel_lattice,
-    build_pauli_lattice,
     circuit_from_payload,
     circuit_to_payload,
     circuit_unitary,
@@ -116,8 +115,6 @@ FAMILIES = ("dephasing", "gad", "sgad", "pauli")
 
 
 def lattice_of(params, theta1):
-    if isinstance(params, PauliParams):
-        return build_pauli_lattice(params.p, params.q1, params.q2, params.q3, prep_theta=theta1)
     return build_channel_lattice(params, theta1=theta1)
 
 

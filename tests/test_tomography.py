@@ -313,6 +313,32 @@ class TestMLReconstruct:
         assert ml.converged and math.isfinite(ml.optimality_gap)
         assert math.isfinite(ml.log_likelihood)
 
+    @staticmethod
+    def _records_with(counts, total):
+        return [CountRecord(s.index, "".join(s.label), None, int(c), total)
+                for s, c in zip(settings_table(), counts)]
+
+    # 16 records of total 1 with counts of 1e307-3e307 ran to a NaN gap and a
+    # -inf likelihood, after numpy overflow warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_counts_far_above_their_totals_are_refused(self):
+        records = self._records_with(np.linspace(1e307, 3e307, 16), 1)
+        with pytest.raises(InvalidArgument, match=r"^setting 1 \(HH\): counts must be at most "
+                                                  r"1000 times total_shots \(1\) and at most 1e\+305$"):
+            ml_reconstruct(records)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("total", [1, 1000, 10**200, 10**302, tomo_mod.SHOTS_MAX],
+                             ids=["1", "1e3", "1e200", "1e302", "1e305"])
+    def test_counts_up_to_the_bound_give_a_finite_gap(self, total):
+        bound = min(tomo_mod.SHOTS_MAX, tomo_mod.COUNTS_PER_SHOT_MAX * total)
+        counts = [bound if k % 3 else bound // 7 if k % 2 else 0 for k in range(16)]
+        ml = ml_reconstruct(self._records_with(counts, total))
+        assert math.isfinite(ml.optimality_gap) and math.isfinite(ml.log_likelihood)
+        counts[5] += 1
+        with pytest.raises(InvalidArgument, match=r"^setting 6 \(RV\): counts must be at most"):
+            ml_reconstruct(self._records_with(counts, total))
+
 
 ML_TOL = 1e-7  # the optimality gap per shot that ml_reconstruct certifies
 
