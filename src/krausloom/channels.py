@@ -262,17 +262,19 @@ def channel_kraus(params: ChannelParams) -> KrausSet:
     return KrausSet(build(params), labels)
 
 
-def kraus_stack(stack: ParamStack) -> tuple[np.ndarray, tuple[str, ...]]:
+def kraus_stack(stack: ParamStack, *, first_index: int = 0) -> tuple[np.ndarray, tuple[str, ...]]:
     """Operators of every point of a stack, shape (B, k, 2, 2), and their labels.
 
     Each point's completeness residual is checked as KrausSet checks it, by
-    ``check_residuals``, which names the first point that fails.
+    ``check_residuals``, which names the first point that fails by its index
+    in the sweep, first_index + i for the stack's point i.
     """
     build, labels = _FAMILY_OPS[stack.family]
     ops = build(stack)
     ops = ops[None] if len(stack) == 1 else np.broadcast_to(ops, (len(stack),) + ops.shape[-3:])
     check_residuals(completeness_residual(ops), structural_atol(),
-                    "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel)
+                    "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel,
+                    first_index=first_index)
     return ops, labels
 
 

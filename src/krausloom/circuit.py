@@ -753,7 +753,7 @@ def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2)
 
 # -- batched lattices --------------------------------------------------------------
 
-BLOCK_SIZE = 64  # points composed together; stack memory follows it, not the sweep length
+BLOCK_SIZE = 64  # points composed together; a sweep's memory follows it, not the sweep's length
 
 
 def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_index: int,
@@ -827,34 +827,49 @@ def channel_sweep(
     time: their Choi matrices, and their outputs on the qubit theta1 prepares.
 
     Every point is validated, and its Kraus completeness checked, before this
-    returns. Each block is one ``lattice_block`` call given the block's Kraus
-    outputs, so its one residual record, checked once and carried as
-    ``residuals``, holds the lattice's 7 rows, then the Kraus outputs'
-    hermiticity, trace and -lambda_min.
+    returns: a first pass takes ``points`` one block's slice at a time and
+    builds its ``ParamStack`` and operators, then drops them, all but the first
+    block's, which the first block takes over; the other blocks rebuild
+    theirs. So what a sweep holds grows with BLOCK_SIZE, not with its length,
+    and ``points`` may build each slice's records on demand. Each block is one
+    ``lattice_block`` call given the block's Kraus outputs, so its one
+    residual record, checked once and carried as ``residuals``, holds the
+    lattice's 7 rows, then the Kraus outputs' hermiticity, trace and
+    -lambda_min.
     """
-    stack = ParamStack(points)
     system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
-    ops, labels = kraus_stack(stack)
-    recipe = _recipe_of(stack)
+    first = _sweep_stack(points, 0)
+    family = first[0].family
+    for start in range(BLOCK_SIZE, len(points), BLOCK_SIZE):
+        stack, _, _ = _sweep_stack(points, start)
+        if stack.family is not family:
+            raise InvalidArgument("a parameter stack holds one channel family")
+    recipe = _recipe_of(first[0])
     rho_in = np.outer(system_input, system_input).astype(complex)
 
     def blocks():
-        for start in range(0, len(stack), BLOCK_SIZE):
-            block = stack.points[start:start + BLOCK_SIZE]
-            block_ops = ops[start:start + BLOCK_SIZE]
-            knobs = [recipe.knobs(p) for p in block]
-            kraus = apply_operators(rho_in, block_ops)
+        nonlocal first
+        for start in range(0, len(points), BLOCK_SIZE):
+            stack, ops, labels = first or _sweep_stack(points, start)
+            first = None  # so that block 0's stack and operators go with their block
+            knobs = [recipe.knobs(p) for p in stack.points]
+            kraus = apply_operators(rho_in, ops)
             lattice_choi, lattice, _, residuals = lattice_block(
-                stack if len(block) == len(stack) else ParamStack(block), system_input, kraus,
-                first_index=start, knobs=knobs)
-            kraus_choi = choi(block_ops)
+                stack, system_input, kraus, first_index=start, knobs=knobs)
+            kraus_choi = choi(ops)
             deviation = np.maximum(np.max(np.abs(lattice_choi - kraus_choi), axis=(-2, -1)),
                                    np.max(np.abs(lattice - kraus), axis=(-2, -1)))
-            meta = [_lattice_metadata(p, theta1, k) for p, k in zip(block, knobs)]
+            meta = [_lattice_metadata(p, theta1, k) for p, k in zip(stack.points, knobs)]
             yield SweepBlock(start, meta, lattice, kraus, lattice_choi, kraus_choi, deviation,
                              labels, residuals)
 
     return blocks()
+
+
+def _sweep_stack(points, start: int):
+    """The stack of the sweep's block at ``start``, its Kraus operators and labels."""
+    stack = ParamStack(points[start:start + BLOCK_SIZE])
+    return (stack, *kraus_stack(stack, first_index=start))
 
 
 # -- readout helpers ------------------------------------------------------------

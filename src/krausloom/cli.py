@@ -25,6 +25,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import InternalConsistencyError, InvalidArgument, KrausloomError
 from .qmath import (
     ATOL_ARITHMETIC,
     PSD_TOL_MEASURED,
+    _json_chunks,
     _json_text,
     check_residuals,
     density_to_payload,
@@ -49,8 +51,8 @@ from .qmath import (
 )
 
 CONSISTENCY_TOL = 1e-9
-# One file per point, and about 1 KB of stacked lattice and Kraus data per
-# point while the sweep runs: a million points is about 1 GB.
+# One file per point. A sweep holds a block of points at a time, so only the
+# grid's values, 8 bytes a point, grow with it: a million points hold 8 MB.
 GRID_MAX_POINTS = 1_000_000
 
 
@@ -179,10 +181,32 @@ def cmd_channel(args) -> dict | None:
     return _run_channel_point(params, args)
 
 
+class _GridPoints(Sequence):
+    """The grid's parameter records, built from its --p values slice by slice,
+    so that only the slices ``channel_sweep`` asks for are ever held."""
+
+    def __init__(self, args, values: np.ndarray):
+        self._args, self._values = argparse.Namespace(**vars(args)), values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return [self._record(p) for p in self._values[at]]
+        return self._record(self._values[at])
+
+    def _record(self, p) -> channels_mod.ChannelParams:
+        self._args.p = float(p)
+        return _channel_params_from_args(self._args)
+
+
 def _run_channel_grid(args):
     """Sweep --p over a start:stop:count grid, one output file per point.
 
-    Every grid value is validated before the first file is written.
+    Every grid value is validated before the first file is written. Nothing
+    held grows with the grid but its values, 8 bytes a point: the records are
+    built a block at a time, and index.json is streamed from the values.
     """
     _require(args.out is not None, "--grid requires --out pointing at a directory")
     try:
@@ -199,21 +223,18 @@ def _run_channel_grid(args):
     _require("p" in {f.name for f in dataclasses.fields(family)},
              f"--grid sweeps --p; use explicit runs for {family.name}")
     values = np.linspace(start, stop, count)
-    local = argparse.Namespace(**vars(args))
-    points = []
-    for p in values:
-        local.p = float(p)
-        points.append(_channel_params_from_args(local))
-    blocks = circuit_mod.channel_sweep(points, theta1=args.theta1)
+    blocks = circuit_mod.channel_sweep(_GridPoints(args, values), theta1=args.theta1)
+
+    def name(idx: int) -> str:
+        return f"point_{idx:03d}.{args.format}"
 
     os.makedirs(args.out, exist_ok=True)
-    index = []
     for idx, payload in enumerate(_channel_payloads(blocks, args.channel)):
-        name = f"point_{idx:03d}.{args.format}"
-        _emit(payload, args.format, os.path.join(args.out, name))
-        index.append({"index": idx, "p": float(values[idx]), "file": name})
-    save_json({"command": "channel-grid", "channel": args.channel, "points": index},
-              os.path.join(args.out, "index.json"))
+        _emit(payload, args.format, os.path.join(args.out, name(idx)))
+    # "points" sorts last, so each entry is written as it is made
+    entries = ({"index": idx, "p": float(p), "file": name(idx)} for idx, p in enumerate(values))
+    write_atomic(os.path.join(args.out, "index.json"), _json_chunks(
+        {"command": "channel-grid", "channel": args.channel}, "points", entries))
     sys.stdout.write(f"wrote {count} grid points to {args.out}\n")
     return None
 

@@ -17,7 +17,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -385,13 +385,15 @@ def state_from_payload(payload: dict) -> PureState:
     return _read_payload(payload, "state", lambda p: PureState(_entries(p), p["dims"]))
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through ``path.tmp`` and ``os.replace``, so
-    that ``path`` keeps its old content until the new one is complete."""
+def write_atomic(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of text chunks written in turn,
+    to ``path`` through ``path.tmp`` and ``os.replace``, so that ``path`` keeps
+    its old content until the new one is complete. A failure, in a chunk's
+    making too, removes ``path.tmp``."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -404,6 +406,18 @@ def _json_text(payload: dict) -> str:
     ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``. Private, so that a
     traced run charges the encoding to the caller that writes it."""
     return _json_value(payload, "\n") + "\n"
+
+
+def _json_chunks(payload: dict, key: str, items) -> Iterator[str]:
+    """``_json_text`` of ``payload`` with the list of ``items`` under ``key``, in
+    chunks, one per item, so that the list is never held. ``key`` sorts after
+    every other key of ``payload``, and ``items`` holds at least one item."""
+    rest = sorted((k, v) for k, v in payload.items() if k != key)
+    yield "{" + "".join(["\n " + _json_key(k) + ": " + _json_value(v, "\n ") + "," for k, v in rest])
+    yield "\n " + _json_key(key) + ": ["
+    for i, item in enumerate(items):
+        yield ("," if i else "") + "\n  " + _json_value(item, "\n  ")
+    yield "\n ]\n}\n"
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -330,12 +330,17 @@ def _segment_step(probs: np.ndarray, target: np.ndarray, counts: np.ndarray,
                   shots: np.ndarray) -> float:
     """The gamma in [0, 1) that maximises the likelihood at probabilities
     (1 - gamma) probs + gamma target, by bisection on its derivative, which
-    decreases in gamma because the likelihood is concave."""
+    decreases in gamma because the likelihood is concave. The sum runs over
+    the settings with c_s > 0 only, as the likelihood's does: a zero count's
+    mixed probability may reach 0, and 0 / 0 is not 0."""
     diff = target - probs
+    drift = shots @ diff
+    seen = counts > 0
+    counts, probs, moved = counts[seen], probs[seen], diff[seen]
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if counts @ (diff / (probs + mid * diff)) > shots @ diff:
+        if counts @ (moved / (probs + mid * moved)) > drift:
             lo = mid
         else:
             hi = mid

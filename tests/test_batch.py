@@ -7,6 +7,9 @@ by entry, from the lattice's evolve stage on encoded basis inputs and from
 the Kraus operators.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from test_acceptance import _channel_grid
@@ -231,6 +234,56 @@ def test_completeness_failure_names_the_point(monkeypatch):
     monkeypatch.setattr(channels, "structural_atol", lambda: -1.0)
     with pytest.raises(InvalidChannel, match="point 0: completeness residual"):
         channel_sweep([DephasingParams(0.3)])
+
+
+def test_a_completeness_failure_in_the_last_block_raises_from_the_call(monkeypatch):
+    from krausloom import channels
+
+    build, labels = channels._FAMILY_OPS[DephasingParams]
+
+    def doubled_at_p_07(params):
+        return build(params) * np.where(np.asarray(params.p) == 0.7, 2.0, 1.0)[..., None, None, None]
+
+    monkeypatch.setitem(channels._FAMILY_OPS, DephasingParams, (doubled_at_p_07, labels))
+    points = [DephasingParams(0.3)] * (2 * BLOCK_SIZE + 2) + [DephasingParams(0.7)]
+    with pytest.raises(InvalidChannel, match=rf"^point {2 * BLOCK_SIZE + 2}: completeness residual"):
+        channel_sweep(points)  # raises before a block is asked for
+
+
+def test_blocks_stay_bounded(monkeypatch):
+    """No stack, and no Kraus build, ever holds more than BLOCK_SIZE points, and
+    no more than BLOCK_SIZE points' operators are alive when a block is handed
+    out; the first block's stack and operators are built once."""
+    stacks, builds, alive = [], [], []
+    init, build = ParamStack.__init__, circuit.kraus_stack
+
+    def counting_init(self, points):
+        init(self, points)
+        stacks.append(len(self))
+
+    def counting_build(stack, **kwargs):
+        builds.append(len(stack))
+        ops, labels = build(stack, **kwargs)
+        alive.append(weakref.ref(ops))
+        return ops, labels
+
+    def points_alive():
+        gc.collect()
+        return sum(len(ref()) for ref in alive if ref() is not None)
+
+    monkeypatch.setattr(ParamStack, "__init__", counting_init)
+    monkeypatch.setattr(circuit, "kraus_stack", counting_build)
+    count = 2 * BLOCK_SIZE + 3
+    points = [GADParams(p, 0.35) for p in np.linspace(0.0, 1.0, count)]
+    blocks = channel_sweep(points, theta1=0.9)
+    assert builds == [BLOCK_SIZE, BLOCK_SIZE, 3] and points_alive() == BLOCK_SIZE
+    starts = []
+    for block in blocks:
+        assert points_alive() == len(block.params)
+        starts.append(block.start)
+    assert starts == [0, BLOCK_SIZE, 2 * BLOCK_SIZE]
+    assert builds == [BLOCK_SIZE, BLOCK_SIZE, 3, BLOCK_SIZE, 3]
+    assert max(stacks) == BLOCK_SIZE and sum(stacks) == 2 * count - BLOCK_SIZE
 
 
 class TestStackedGates:

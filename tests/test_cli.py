@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -146,6 +147,63 @@ class TestChannel:
         assert run("channel", "--channel", "dephasing", "--grid=-0.5:1:5",
                    "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_a_bad_value_in_the_last_block_writes_nothing(self, tmp_path, capsys):
+        # only points 128 and 129, in the last block, exceed 1; every record is built before any file
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "dephasing", "--grid=0:1.01:130", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    # 130 points span three blocks; index.json is streamed one entry at a time
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_streamed_index_is_json_dumps_text(self, tmp_path, fmt):
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "gad", "--alpha2-sq", "0.75", "--grid", "0:1:130",
+                   "--out", str(out), "--format", fmt) == 0
+        index = {"command": "channel-grid", "channel": "gad", "points": [
+            {"index": i, "p": float(p), "file": f"point_{i:03d}.{fmt}"}
+            for i, p in enumerate(np.linspace(0.0, 1.0, 130))]}
+        want = json.dumps(index, sort_keys=True, indent=1) + "\n"
+        assert (out / "index.json").read_bytes() == want.encode()
+
+    def test_an_index_failing_mid_stream_leaves_no_index(self, tmp_path, monkeypatch, capsys):
+        from krausloom import cli
+
+        chunks = cli._json_chunks
+
+        def failing(*args):
+            for i, chunk in enumerate(chunks(*args)):
+                if i == 70:
+                    raise OSError(28, "No space left on device")
+                yield chunk
+
+        monkeypatch.setattr(cli, "_json_chunks", failing)
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "dephasing", "--grid", "0:1:130", "--out", str(out)) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [f"point_{i:03d}.json" for i in range(130)]
+
+    def test_a_mismatch_in_the_last_block_stops_it_before_its_files(
+            self, tmp_path, monkeypatch, capsys):
+        sweep = circuit_mod.channel_sweep
+
+        def off_at_point_129(points, **kwargs):
+            for block in sweep(points, **kwargs):
+                if block.start + len(block.params) > 129:
+                    deviation = block.deviation.copy()
+                    deviation[129 - block.start] = 1.0
+                    block = dataclasses.replace(block, deviation=deviation)
+                yield block
+
+        monkeypatch.setattr(circuit_mod, "channel_sweep", off_at_point_129)
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "dephasing", "--grid", "0:1:130", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: point 129: lattice and Kraus ")
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [f"point_{i:03d}.json" for i in range(2 * circuit_mod.BLOCK_SIZE)]
 
     # -phi and -lam - pi were reduced by the rounded 2pi, which drifts about
     # 2e-18 |phi| from the Kraus operators' exp(-1j phi): at 1e15 the two

@@ -14,6 +14,7 @@ from krausloom.qmath import (
     ATOL_STRUCTURAL,
     DensityMatrix,
     PureState,
+    _json_chunks,
     _json_text,
     check_densities,
     dagger,
@@ -405,6 +406,24 @@ class TestAtomicWrite:
             write(str(path))
             assert path.read_bytes() == want.encode()
 
+    def test_chunks_are_written_in_turn(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(str(path), (f"{i}\n" for i in range(3)))
+        assert path.read_text() == "0\n1\n2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_a_chunk_failing_mid_stream_leaves_old_file(self, tmp_path):
+        def chunks():
+            yield "new\n"
+            raise OSError(28, "No space left on device")
+
+        path = tmp_path / "out.txt"
+        write_atomic(str(path), "old\n")
+        with pytest.raises(OSError):
+            write_atomic(str(path), chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_failed_write_leaves_old_file(self, tmp_path):
         path = tmp_path / "out.txt"
         write_atomic(str(path), "old\n")
@@ -467,6 +486,16 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_text_is_json_dumps(value):
     assert _json_text(value) == _dumps(value)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4),
+       st.lists(JSON_VALUES, min_size=1, max_size=5))
+def test_json_chunks_are_json_dumps_text(payload, items):
+    # the streamed key sorts after every other key
+    payload = {k: v for k, v in payload.items() if k < "points"}
+    text = "".join(_json_chunks(payload, "points", iter(items)))
+    assert text == _dumps({**payload, "points": items})
 
 
 @pytest.mark.parametrize("value", [

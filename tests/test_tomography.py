@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,19 @@ class TestMLReconstruct:
         counts[5] += 1
         with pytest.raises(InvalidArgument, match=r"^setting 6 \(RV\): counts must be at most"):
             ml_reconstruct(self._records_with(counts, total))
+
+    # a single count at settings 6 and 8 warned 14 times from the segment step's
+    # bisection, where a zero-count setting's mixed probability reached 0
+    @pytest.mark.parametrize("nonzero", [(6, 8), (6,), (5,), (1, 2), (16,)],
+                             ids=["6-8", "6", "5", "1-2", "16"])
+    def test_sparse_records_certify_their_gap_without_warnings(self, nonzero):
+        records = self._records_with([int(k in nonzero) for k in range(1, 17)], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ml = ml_reconstruct(records)
+        assert ml.converged and ml.optimality_gap <= ML_TOL
+        assert math.isfinite(ml.log_likelihood)
+        assert frank_wolfe_gap(ml.rho.matrix, records) <= ML_TOL
 
 
 ML_TOL = 1e-7  # the optimality gap per shot that ml_reconstruct certifies
