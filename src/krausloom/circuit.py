@@ -54,10 +54,11 @@ consecutive runs of layers; every one-point lattice is one run.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -753,7 +754,9 @@ def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2)
 
 # -- batched lattices --------------------------------------------------------------
 
-BLOCK_SIZE = 64  # points composed together; a sweep's memory follows it, not the sweep's length
+# Points a sweep reads, builds and composes together, one block at a time, so
+# its memory follows BLOCK_SIZE, not the sweep's length.
+BLOCK_SIZE = 64
 
 
 def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_index: int,
@@ -821,37 +824,39 @@ class SweepBlock:
 
 
 def channel_sweep(
-    points: Sequence[ChannelParams], *, theta1: float = math.pi / 2
+    points: Iterable[ChannelParams], *, theta1: float = math.pi / 2
 ) -> Iterator[SweepBlock]:
     """Compare each point's lattice with its Kraus set, BLOCK_SIZE points at a
     time: their Choi matrices, and their outputs on the qubit theta1 prepares.
 
-    Every point is validated, and its Kraus completeness checked, before this
-    returns: a first pass takes ``points`` one block's slice at a time and
-    builds its ``ParamStack`` and operators, then drops them, all but the first
-    block's, which the first block takes over; the other blocks rebuild
-    theirs. So what a sweep holds grows with BLOCK_SIZE, not with its length,
-    and ``points`` may build each slice's records on demand. Each block is one
-    ``lattice_block`` call given the block's Kraus outputs, so its one
-    residual record, checked once and carried as ``residuals``, holds the
-    lattice's 7 rows, then the Kraus outputs' hermiticity, trace and
-    -lambda_min.
+    theta1 is checked when this is called; ``points`` is read lazily, one pass
+    of BLOCK_SIZE records per block, so what a sweep holds grows with
+    BLOCK_SIZE, not with its length, and ``points`` may be any iterable, one
+    that builds each record on demand included. Each block builds its
+    ``ParamStack`` and Kraus operators once and is one ``lattice_block`` call
+    given the block's Kraus outputs, so its one residual record, checked once
+    and carried as ``residuals``, holds the lattice's 7 rows, then the Kraus
+    outputs' hermiticity, trace and -lambda_min. A point that fails its
+    completeness check, or a family other than the first block's, raises when
+    its block is reached, after the earlier blocks; an empty sweep raises at
+    the first block.
     """
     system_input = _qubit_amplitudes("theta1", theta1)  # (a1, b1)
-    first = _sweep_stack(points, 0)
-    family = first[0].family
-    for start in range(BLOCK_SIZE, len(points), BLOCK_SIZE):
-        stack, _, _ = _sweep_stack(points, start)
-        if stack.family is not family:
-            raise InvalidArgument("a parameter stack holds one channel family")
-    recipe = _recipe_of(first[0])
     rho_in = np.outer(system_input, system_input).astype(complex)
+    points = iter(points)
 
     def blocks():
-        nonlocal first
-        for start in range(0, len(points), BLOCK_SIZE):
-            stack, ops, labels = first or _sweep_stack(points, start)
-            first = None  # so that block 0's stack and operators go with their block
+        family = None
+        for start in itertools.count(0, BLOCK_SIZE):
+            block = list(itertools.islice(points, BLOCK_SIZE))
+            if start and not block:
+                return
+            stack = ParamStack(block)  # an empty sweep has no first point, and raises here
+            family = family or stack.family
+            if stack.family is not family:
+                raise InvalidArgument("a parameter stack holds one channel family")
+            recipe = _recipe_of(stack)
+            ops, labels = kraus_stack(stack, first_index=start)
             knobs = [recipe.knobs(p) for p in stack.points]
             kraus = apply_operators(rho_in, ops)
             lattice_choi, lattice, _, residuals = lattice_block(
@@ -864,12 +869,6 @@ def channel_sweep(
                              labels, residuals)
 
     return blocks()
-
-
-def _sweep_stack(points, start: int):
-    """The stack of the sweep's block at ``start``, its Kraus operators and labels."""
-    stack = ParamStack(points[start:start + BLOCK_SIZE])
-    return (stack, *kraus_stack(stack, first_index=start))
 
 
 # -- readout helpers ------------------------------------------------------------

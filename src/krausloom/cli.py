@@ -25,7 +25,6 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -181,32 +180,15 @@ def cmd_channel(args) -> dict | None:
     return _run_channel_point(params, args)
 
 
-class _GridPoints(Sequence):
-    """The grid's parameter records, built from its --p values slice by slice,
-    so that only the slices ``channel_sweep`` asks for are ever held."""
-
-    def __init__(self, args, values: np.ndarray):
-        self._args, self._values = argparse.Namespace(**vars(args)), values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, at):
-        if isinstance(at, slice):
-            return [self._record(p) for p in self._values[at]]
-        return self._record(self._values[at])
-
-    def _record(self, p) -> channels_mod.ChannelParams:
-        self._args.p = float(p)
-        return _channel_params_from_args(self._args)
-
-
 def _run_channel_grid(args):
     """Sweep --p over a start:stop:count grid, one output file per point.
 
-    Every grid value is validated before the first file is written. Nothing
-    held grows with the grid but its values, 8 bytes a point: the records are
-    built a block at a time, and index.json is streamed from the values.
+    Every grid value's record is built once, and dropped, before the output
+    directory is made, so a bad value writes nothing; the sweep then builds
+    them again as it reads them, a block at a time. Nothing held grows with
+    the grid but its values, 8 bytes a point, and index.json is streamed from
+    the values. A failing internal check in a block stops the sweep there and
+    leaves the files of the earlier blocks.
     """
     _require(args.out is not None, "--grid requires --out pointing at a directory")
     try:
@@ -223,7 +205,16 @@ def _run_channel_grid(args):
     _require("p" in {f.name for f in dataclasses.fields(family)},
              f"--grid sweeps --p; use explicit runs for {family.name}")
     values = np.linspace(start, stop, count)
-    blocks = circuit_mod.channel_sweep(_GridPoints(args, values), theta1=args.theta1)
+
+    grid_args = argparse.Namespace(**vars(args))
+
+    def record(p) -> channels_mod.ChannelParams:
+        grid_args.p = float(p)
+        return _channel_params_from_args(grid_args)
+
+    blocks = circuit_mod.channel_sweep(map(record, values), theta1=args.theta1)  # reads no value yet
+    for p in values:
+        record(p)
 
     def name(idx: int) -> str:
         return f"point_{idx:03d}.{args.format}"

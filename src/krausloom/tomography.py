@@ -187,12 +187,22 @@ def simulate_counts(
     ]
 
 
+def _check_counts(record: CountRecord, where: str) -> None:
+    """Refuse a negative count or a total below 1, naming the record by
+    ``where``; a count above its total is legal, as Poisson draws make them."""
+    if not (record.counts >= 0 and record.total_shots >= 1):
+        raise InvalidArgument(f"{where}: counts must be >= 0 and total_shots >= 1, "
+                              f"got {record.counts} and {record.total_shots}")
+
+
 def _records_and_frequencies(records):
     """The records in setting order, and each setting's frequency; the
     frequencies are None when linear inversion has nothing to normalize by."""
     recs = sorted(records, key=lambda r: r.setting_index)
     if [r.setting_index for r in recs] != list(range(1, 17)):
         raise InvalidArgument("all 16 settings must be present exactly once")
+    for r in recs:
+        _check_counts(r, f"setting {r.setting_index} ({r.label})")
     if len({r.total_shots for r in recs}) == 1:
         # rows 1..4 project onto an orthonormal basis, so their counts sum to
         # the total intensity; normalize everything against that block
@@ -371,7 +381,8 @@ def ml_reconstruct(records, max_iter: int = 600, tol: float = 1e-7) -> MLReconst
     rho <- (1 - gamma) rho + gamma |v><v| toward the top eigenvector v of G
     (Jaggi, ICML 2013) leaves the face the ascent stalled on. ``iterations``
     counts both kinds of step; a run that reaches ``max_iter`` stops with
-    converged=False. The output is strictly physical either way. A total above
+    converged=False. The output is strictly physical either way. A negative
+    count or a total below 1, which ``load_counts`` refuses too, a total above
     SHOTS_MAX, or a count above SHOTS_MAX or above COUNTS_PER_SHOT_MAX times its
     total, raises InvalidArgument naming the record.
     """
@@ -454,8 +465,6 @@ def load_counts(path: str) -> list[CountRecord]:
             except ValueError as exc:
                 raise InvalidArgument(
                     f"{path}:{line_no}: expected index,label,counts,total_shots ({exc})") from exc
-            if record.counts < 0 or record.total_shots < 1:  # a count above its total is legal
-                raise InvalidArgument(f"{path}:{line_no}: counts must be >= 0 and total_shots >= 1, "
-                                      f"got {record.counts} and {record.total_shots}")
+            _check_counts(record, f"{path}:{line_no}")
             records.append(record)
     return records

@@ -233,10 +233,10 @@ def test_completeness_failure_names_the_point(monkeypatch):
 
     monkeypatch.setattr(channels, "structural_atol", lambda: -1.0)
     with pytest.raises(InvalidChannel, match="point 0: completeness residual"):
-        channel_sweep([DephasingParams(0.3)])
+        next(channel_sweep([DephasingParams(0.3)]))
 
 
-def test_a_completeness_failure_in_the_last_block_raises_from_the_call(monkeypatch):
+def test_a_completeness_failure_in_the_last_block_raises_at_its_block(monkeypatch):
     from krausloom import channels
 
     build, labels = channels._FAMILY_OPS[DephasingParams]
@@ -246,14 +246,30 @@ def test_a_completeness_failure_in_the_last_block_raises_from_the_call(monkeypat
 
     monkeypatch.setitem(channels._FAMILY_OPS, DephasingParams, (doubled_at_p_07, labels))
     points = [DephasingParams(0.3)] * (2 * BLOCK_SIZE + 2) + [DephasingParams(0.7)]
+    blocks = channel_sweep(points)
+    assert [next(blocks).start, next(blocks).start] == [0, BLOCK_SIZE]
     with pytest.raises(InvalidChannel, match=rf"^point {2 * BLOCK_SIZE + 2}: completeness residual"):
-        channel_sweep(points)  # raises before a block is asked for
+        next(blocks)
+
+
+def test_a_family_change_between_blocks_raises_at_its_block():
+    points = [DephasingParams(0.3)] * BLOCK_SIZE + [GADParams(0.3, 0.7)]
+    blocks = channel_sweep(points)
+    assert next(blocks).start == 0
+    with pytest.raises(InvalidArgument, match="^a parameter stack holds one channel family$"):
+        next(blocks)
+
+
+def test_an_empty_sweep_raises_at_its_first_block():
+    with pytest.raises(InvalidArgument, match="^a parameter stack needs at least one point$"):
+        next(channel_sweep(iter(())))
 
 
 def test_blocks_stay_bounded(monkeypatch):
     """No stack, and no Kraus build, ever holds more than BLOCK_SIZE points, and
     no more than BLOCK_SIZE points' operators are alive when a block is handed
-    out; the first block's stack and operators are built once."""
+    out; nothing is built before the first block is asked for, and each block's
+    stack and operators are built once."""
     stacks, builds, alive = [], [], []
     init, build = ParamStack.__init__, circuit.kraus_stack
 
@@ -276,14 +292,14 @@ def test_blocks_stay_bounded(monkeypatch):
     count = 2 * BLOCK_SIZE + 3
     points = [GADParams(p, 0.35) for p in np.linspace(0.0, 1.0, count)]
     blocks = channel_sweep(points, theta1=0.9)
-    assert builds == [BLOCK_SIZE, BLOCK_SIZE, 3] and points_alive() == BLOCK_SIZE
+    assert builds == [] and stacks == []
     starts = []
     for block in blocks:
         assert points_alive() == len(block.params)
         starts.append(block.start)
     assert starts == [0, BLOCK_SIZE, 2 * BLOCK_SIZE]
-    assert builds == [BLOCK_SIZE, BLOCK_SIZE, 3, BLOCK_SIZE, 3]
-    assert max(stacks) == BLOCK_SIZE and sum(stacks) == 2 * count - BLOCK_SIZE
+    assert builds == [BLOCK_SIZE, BLOCK_SIZE, 3]
+    assert max(stacks) == BLOCK_SIZE and sum(stacks) == count
 
 
 class TestStackedGates:

@@ -340,6 +340,25 @@ class TestMLReconstruct:
         with pytest.raises(InvalidArgument, match=r"^setting 6 \(RV\): counts must be at most"):
             ml_reconstruct(self._records_with(counts, total))
 
+    # the records load_counts refuses: all totals 0 divided by a zero mean
+    # total, one total of 0 among unequal ones raised a bare ZeroDivisionError,
+    # and a count of -5 ran to converged=False without an error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("setting, count, total, others", [
+        (1, 0, 0, [0] * 16),
+        (7, 111, 0, [1000 + k for k in range(16)]),
+        (3, -5, 1000, [1000] * 16),
+    ], ids=["zero-totals", "one-zero-total", "negative-count"])
+    def test_the_records_load_counts_refuses_are_refused(self, setting, count, total, others):
+        records = [CountRecord(r.setting_index, r.label, None,
+                               *((count, total) if r.setting_index == setting else (r.counts, other)))
+                   for r, other in zip(self._records_at(1000), others)]
+        label = settings_table()[setting - 1].label
+        with pytest.raises(InvalidArgument, match=re.escape(
+                f"setting {setting} ({''.join(label)}): counts must be >= 0 and total_shots >= 1, "
+                f"got {count} and {total}") + "$"):
+            ml_reconstruct(records)
+
     # a single count at settings 6 and 8 warned 14 times from the segment step's
     # bisection, where a zero-count setting's mixed probability reached 0
     @pytest.mark.parametrize("nonzero", [(6, 8), (6,), (5,), (1, 2), (16,)],
