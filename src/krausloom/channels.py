@@ -111,9 +111,10 @@ class ParamStack:
     """Validated parameter points of one channel family, field by field.
 
     Each field of the family's parameter record becomes an attribute holding
-    an array with one value per point, or a plain float where every point
-    agrees, so the lattice recipes and Kraus operator builders that read a
-    single record read a stack the same way.
+    a float64 array of shape (B,), one value per point, for any number of
+    points B, one included, so the Kraus operator builders that read a
+    single record's floats read a stack's columns the same way, and the
+    lattice programs read nothing else.
     """
 
     def __init__(self, points: Sequence[ChannelParams]):
@@ -126,9 +127,7 @@ class ParamStack:
         self.family = family
         self.points = points
         for f in dataclasses.fields(family):
-            values = [getattr(p, f.name) for p in points]
-            same = all(v == values[0] for v in values)
-            setattr(self, f.name, float(values[0]) if same else np.array(values))
+            setattr(self, f.name, np.array([getattr(p, f.name) for p in points], dtype=float))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -206,7 +205,7 @@ def kraus_apply(rho, k: KrausSet):
 
 
 # Operator builders, shape (k, 2, 2) for one parameter record and
-# (B, k, 2, 2) for a ParamStack whose fields vary.
+# (B, k, 2, 2) for a ParamStack: every operator reads a field, so each stacks.
 
 
 def _dephasing_ops(params) -> np.ndarray:
@@ -231,19 +230,18 @@ def _sgad_ops(params) -> np.ndarray:
     sb2 = np.sqrt(1.0 - params.alpha2_sq)
     eph = np.exp(-1j * np.asarray(params.phi))
     ela = np.exp(-1j * np.asarray(params.lam))
-    return np.stack(np.broadcast_arrays(  # a field may vary in some operators only
+    return np.stack([
         matrix_2x2(sa2 * np.sqrt(1 - a), 0, 0, sa2 * np.sqrt(1 - b)),
         matrix_2x2(0, sa2 * np.sqrt(b), sa2 * (np.sqrt(a) * eph), 0),
         matrix_2x2(sb2 * np.sqrt(1 - mu), 0, 0, sb2 * np.sqrt(1 - nu)),
         matrix_2x2(0, sb2 * np.sqrt(nu), sb2 * (np.sqrt(mu) * ela), 0),
-    ), axis=-3)
+    ], axis=-3)
 
 
 def _pauli_ops(params) -> np.ndarray:
     weights = (1 - params.p, params.p * params.q1, params.p * params.q2, params.p * params.q3)
     paulis = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
-    return np.stack(np.broadcast_arrays(*[np.sqrt(np.asarray(w))[..., None, None] * m
-                                          for w, m in zip(weights, paulis)]), axis=-3)
+    return np.stack([np.sqrt(w)[..., None, None] * m for w, m in zip(weights, paulis)], axis=-3)
 
 
 _FAMILY_OPS = {
@@ -271,7 +269,6 @@ def kraus_stack(stack: ParamStack, *, first_index: int = 0) -> tuple[np.ndarray,
     """
     build, labels = _FAMILY_OPS[stack.family]
     ops = build(stack)
-    ops = ops[None] if len(stack) == 1 else np.broadcast_to(ops, (len(stack),) + ops.shape[-3:])
     check_residuals(completeness_residual(ops), structural_atol(),
                     "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel,
                     first_index=first_index)

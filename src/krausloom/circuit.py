@@ -26,9 +26,10 @@ can be read off directly. As on the bench, a layout is fixed and only its
 wave-plate angles are programmed: a family's recipe (``_RECIPES``, keyed by
 its parameter record's class) and each preparation is a wiring, each layer's
 (kind, wires, condition) slots, and a program for its angle table, the
-(theta, phi, lam) of every rotation, shape (3, U) or (3, B, U) for B points,
-reduced into [0, 2pi) once. Every lattice entry point takes the record
-itself: ``build_channel_lattice(record, theta1=...)``, ``lattice_state``,
+(theta, phi, lam) of every rotation, reduced into [0, 2pi) once. A family's
+program reads a ``ParamStack``'s fields only, one value per point, and gives
+shape (3, B, U) for its B points; one record's table is its one-point
+stack's, (3, U). Every lattice entry point takes the record itself: ``build_channel_lattice(record, theta1=...)``, ``lattice_state``,
 ``lattice_block`` on a ``ParamStack`` and ``channel_sweep``.
 
 Composition
@@ -586,11 +587,13 @@ def _pauli_preparation_angles(theta1) -> np.ndarray:
                       np.array([[2 * math.atan2(b, a), math.pi], [0.0, 0.0], [math.pi, math.pi]]))
 
 
-def _columns(values) -> np.ndarray:
-    """The values side by side, shape (T,), or (B, T) where any holds B points."""
-    if any(isinstance(v, np.ndarray) and v.ndim for v in values):
-        return np.stack(np.broadcast_arrays(*values), axis=-1)
-    return np.array(values, dtype=float)
+def _columns(stack: ParamStack, values) -> np.ndarray:
+    """The values side by side, shape (B, T): each one value per point of the
+    stack's B, or a constant that every point shares."""
+    out = np.empty((len(stack), len(values)))
+    for t, value in enumerate(values):
+        out[:, t] = value
+    return out
 
 
 class _Recipe:
@@ -601,12 +604,14 @@ class _Recipe:
     polarization where the path bits read modes, an x step by the X gate
     (pi, 0, pi). A tag sends its mode's input to stay|H> + move e^{i phase}|V>
     with angles (2 atan2(move, stay), phase, pi) on an H input and
-    (2 atan2(stay, move), phase - pi, pi) on a V input; ``program(params,
-    knobs)`` gives every tag's (y, x, phi) of these, each (T,) or (B, T).
-    ``knobs`` maps one record to its knob angles, ``weight`` a record or stack
-    to what the preparation (or ``_encode``) puts into the environment's
-    ground mode, and ``preparation`` is the preparation's wiring and its
-    table program, ``(theta1, weight) -> (3, P)``.
+    (2 atan2(stay, move), phase - pi, pi) on a V input; ``program(stack)``
+    gives every tag's (y, x, phi) of these from a ``ParamStack``'s fields
+    alone, y and x of shape (B, T) and phi (B, T) or, shared by every point,
+    (T,). ``knobs`` maps one record to its knob angles, which a lattice
+    carries as metadata only, ``weight`` a record or stack to what the
+    preparation (or ``_encode``) puts into the environment's ground mode, and
+    ``preparation`` is the preparation's wiring and its table program,
+    ``(theta1, weight) -> (3, P)``.
     """
 
     def __init__(self, register: Register, steps, program, knobs, weight, preparation):
@@ -619,16 +624,16 @@ class _Recipe:
         self.program, self.knobs, self.weight, self.preparation = program, knobs, weight, preparation
 
 
-def _dephasing_program(params, knobs):
+def _dephasing_program(stack):
     # mode 10 (H in) keeps sqrt(1 - p) and moves sqrt(p)
-    root = np.sqrt(_columns((params.p, 1 - params.p)))
+    root = np.sqrt(_columns(stack, (stack.p, 1 - stack.p)))
     return root[..., :1], root[..., 1:], (0.0,)
 
 
-def _gad_program(params, knobs):
+def _gad_program(stack):
     # modes 10 (H in) and 01 (V in) keep sqrt(1 - p) and move sqrt(p); 00 and 11 stay
-    p, q = params.p, 1 - params.p
-    root = np.sqrt(_columns((0.0, p, q, 1.0, 1.0, q, p, 0.0)))
+    p, q = stack.p, 1 - stack.p
+    root = np.sqrt(_columns(stack, (0.0, p, q, 1.0, 1.0, q, p, 0.0)))
     return root[..., :4], root[..., 4:], (0.0, 0.0, -math.pi, -math.pi)
 
 
@@ -636,24 +641,22 @@ def _phase(x):
     """x, or where |x| > 2pi the angle in [-pi, pi] of equal sine and cosine: the
     Kraus operators' exp(-1j x) reduces x exactly, as a remainder by the
     rounded 2pi would not."""
-    if isinstance(x, float) and abs(x) <= TWO_PI:  # a record's field, or a stack's shared one
-        return x
     return np.where(np.abs(x) > TWO_PI, np.arctan2(np.sin(x), np.cos(x)), x)
 
 
-def _sgad_program(params, knobs):
+def _sgad_program(stack):
     # modes 00, 10 (H in) and 01, 11 (V in) move at rates alpha, beta, mu, nu
-    a, b, mu, nu = params.alpha, params.beta, params.mu, params.nu
-    root = np.sqrt(_columns((a, b, 1 - mu, 1 - nu, 1 - a, 1 - b, mu, nu)))
-    phi, lam = _phase(params.phi), _phase(params.lam)
-    return root[..., :4], root[..., 4:], _columns((-phi, 0.0, -lam - math.pi, -math.pi))
+    a, b, mu, nu = stack.alpha, stack.beta, stack.mu, stack.nu
+    root = np.sqrt(_columns(stack, (a, b, 1 - mu, 1 - nu, 1 - a, 1 - b, mu, nu)))
+    phi, lam = _phase(stack.phi), _phase(stack.lam)
+    return root[..., :4], root[..., 4:], _columns(stack, (-phi, 0.0, -lam - math.pi, -math.pi))
 
 
-def _pauli_program(params, knobs):
+def _pauli_program(stack):
     """Each of the two H-polarized input modes splits into its stay amplitude
     and three double-flip transitions, one sqrt(p q_i) branch per round;
     signs and the i factors ride on the tag phases."""
-    t1, t2, t3 = knobs
+    t1, t2, t3 = pauli_caption_angles(stack.p, stack.q1, stack.q2, stack.q3)
     # absolute branch amplitudes from the knob angles
     m_q1 = np.cos(t1) * np.cos(t2)
     m_q2 = np.cos(t1) * np.sin(t2) * np.cos(t3)
@@ -666,7 +669,8 @@ def _pauli_program(params, knobs):
         moves += [move, move]  # modes 000 and 100
         stays += [stay, stay]
         remaining = remaining * stay
-    return _columns(moves), _columns(stays), (0.0, math.pi, math.pi / 2, -math.pi / 2, 0.0, 0.0)
+    phases = (0.0, math.pi, math.pi / 2, -math.pi / 2, 0.0, 0.0)
+    return _columns(stack, moves), _columns(stack, stays), phases
 
 
 # the system qubit theta1 prepares against (sqrt(alpha2_sq), sqrt(1 - alpha2_sq))
@@ -710,19 +714,17 @@ def _recipe_of(params) -> _Recipe:
     return _RECIPES[family]
 
 
-def _angles(recipe: _Recipe, params, knobs=None) -> np.ndarray:
-    """The recipe's angle table at ``params``, finite and reduced: shape (3, U),
-    or (3, B, U) for a stack whose fields vary. ``knobs`` lists each point's
-    knob angles; they are computed when not given."""
-    if knobs is None:
-        points = params.points if isinstance(params, ParamStack) else [params]
-        knobs = [recipe.knobs(p) for p in points]
-    y, x, phi = recipe.program(params, knobs[0] if len(knobs) == 1 else np.array(knobs).T)
-    theta = 2.0 * np.arctan2(y, x)
-    table = np.empty((3,) + np.broadcast(theta, phi).shape[:-1] + (recipe.rotations,))
+def _angles(recipe: _Recipe, params) -> np.ndarray:
+    """The recipe's angle table, finite and reduced: shape (3, B, U) for a
+    ``ParamStack`` of B points, read off its fields by the recipe's program,
+    and (3, U) for one parameter record, its one-point stack's table."""
+    if not isinstance(params, ParamStack):
+        return _angles(recipe, ParamStack([params]))[:, 0]
+    y, x, phi = recipe.program(params)
+    table = np.empty((3, len(params), recipe.rotations))
     table[0] = table[2] = math.pi  # the X gate, where no tag overwrites it
     table[1] = 0.0
-    table[0][..., recipe.tags] = theta
+    table[0][..., recipe.tags] = 2.0 * np.arctan2(y, x)
     table[1][..., recipe.tags] = phi
     return _principal("lattice angle", table)
 
@@ -743,13 +745,11 @@ def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2)
     state for dephasing and for the Pauli reservoir).
     """
     recipe = _recipe_of(params)
-    knobs = recipe.knobs(params)
-    evolve_angles = _angles(recipe, params, [knobs])
     wiring, program = recipe.preparation
-    angles = np.concatenate([program(theta1, recipe.weight(params)), evolve_angles], axis=1)
+    angles = np.concatenate([program(theta1, recipe.weight(params)), _angles(recipe, params)], axis=1)
     stages = ("prepare",) * len(wiring) + ("evolve",) * len(recipe.layers)
     return CircuitSpec._of(recipe.register, wiring + recipe.layers, angles, stages,
-                           _lattice_metadata(params, theta1, knobs))
+                           _lattice_metadata(params, theta1, recipe.knobs(params)))
 
 
 # -- batched lattices --------------------------------------------------------------
@@ -759,25 +759,22 @@ def build_channel_lattice(params: ChannelParams, *, theta1: float = math.pi / 2)
 BLOCK_SIZE = 64
 
 
-def lattice_block(params: ParamStack, system_input: np.ndarray, kraus, *, first_index: int,
-                  knobs=None):
+def lattice_block(stack: ParamStack, system_input: np.ndarray, kraus, *, first_index: int):
     """The one evaluator of a channel lattice: for a stack's B points, Choi
     matrices (B, 4, 4), reduced outputs (B, 2, 2) on the qubit ``system_input``
     = (a1, b1), joint densities (B, d, d) and their checked (K, B) residual
-    record. One kernel call composes their evolve stages (``knobs`` as
-    ``_angles`` takes them) and applies them to the two encoded system basis
-    inputs; no placement or preparation is built. The record holds one row per
-    check: unitarity, norm, the joint density's hermiticity, trace and
-    -lambda_min, the reduced output's hermiticity and trace (K = 7), then,
-    given the block's Kraus outputs ``kraus`` (B, 2, 2) in place of None, their
-    hermiticity, trace and -lambda_min, measured in one pass with the reduced
-    outputs (K = 10). It is compared with its tolerances once; a failure names
+    record. One kernel call composes their evolve stages, (B, d, d), from the
+    angle table the recipe's program reads off the stack's fields, and applies
+    them to the two encoded system basis inputs; no placement or preparation
+    is built. The record holds one row per check: unitarity, norm, the joint
+    density's hermiticity, trace and -lambda_min, the reduced output's
+    hermiticity and trace (K = 7), then, given the block's Kraus outputs
+    ``kraus`` (B, 2, 2) in place of None, their hermiticity, trace and
+    -lambda_min, measured in one pass with the reduced outputs (K = 10). It is compared with its tolerances once; a failure names
     the first failing point, first_index + i, of the first failing row."""
-    recipe = _recipe_of(params)
-    register, alpha2_sq = recipe.register, recipe.weight(params)
-    d = 2 ** len(register)
-    u = _chain(register, recipe.layers, _angles(recipe, params, knobs))
-    u = u[None] if len(params) == 1 else np.broadcast_to(u, (len(params), d, d))
+    recipe = _recipe_of(stack)
+    register, alpha2_sq = recipe.register, recipe.weight(stack)
+    u = _chain(register, recipe.layers, _angles(recipe, stack))
     # row i: U on the encoded |i>
     cols = _encode(np.eye(2), np.reshape(alpha2_sq, (-1, 1)), len(register)) @ u.swapaxes(-1, -2)
     psi = system_input @ cols
@@ -857,14 +854,13 @@ def channel_sweep(
                 raise InvalidArgument("a parameter stack holds one channel family")
             recipe = _recipe_of(stack)
             ops, labels = kraus_stack(stack, first_index=start)
-            knobs = [recipe.knobs(p) for p in stack.points]
             kraus = apply_operators(rho_in, ops)
-            lattice_choi, lattice, _, residuals = lattice_block(
-                stack, system_input, kraus, first_index=start, knobs=knobs)
+            lattice_choi, lattice, _, residuals = lattice_block(stack, system_input, kraus,
+                                                                first_index=start)
             kraus_choi = choi(ops)
             deviation = np.maximum(np.max(np.abs(lattice_choi - kraus_choi), axis=(-2, -1)),
                                    np.max(np.abs(lattice - kraus), axis=(-2, -1)))
-            meta = [_lattice_metadata(p, theta1, k) for p, k in zip(stack.points, knobs)]
+            meta = [_lattice_metadata(p, theta1, recipe.knobs(p)) for p in stack.points]
             yield SweepBlock(start, meta, lattice, kraus, lattice_choi, kraus_choi, deviation,
                              labels, residuals)
 

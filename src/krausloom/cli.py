@@ -114,9 +114,11 @@ def _channel_family(args):
     return channels_mod.FAMILIES[args.channel]
 
 
-def _channel_params_from_args(args) -> channels_mod.ChannelParams:
+def _channel_params_from_args(args, **given) -> channels_mod.ChannelParams:
+    """The record of the --channel family from its flags, a field ``given``
+    here taking the place of its flag."""
     family = _channel_family(args)
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(family)}
+    values = {f.name: given.get(f.name, getattr(args, f.name)) for f in dataclasses.fields(family)}
     missing = [_PARAM_FLAGS[name] for name, value in values.items() if value is None]
     _require(not missing, f"missing {', '.join(missing)} for the {family.name} channel")
     return family(**values)
@@ -183,12 +185,14 @@ def cmd_channel(args) -> dict | None:
 def _run_channel_grid(args):
     """Sweep --p over a start:stop:count grid, one output file per point.
 
-    Every grid value's record is built once, and dropped, before the output
-    directory is made, so a bad value writes nothing; the sweep then builds
-    them again as it reads them, a block at a time. Nothing held grows with
-    the grid but its values, 8 bytes a point, and index.json is streamed from
-    the values. A failing internal check in a block stops the sweep there and
-    leaves the files of the earlier blocks.
+    The flags are read once, into the first value's record; every other
+    value's is that record with its p replaced, which checks p again. Each
+    is built once, and dropped, before the output directory is made, so a bad
+    value writes nothing; the sweep then builds them again as it reads them,
+    a block at a time. Nothing held grows with the grid but its values, 8
+    bytes a point, and index.json is streamed from the values. A failing
+    internal check in a block stops the sweep there and leaves the files of
+    the earlier blocks.
     """
     _require(args.out is not None, "--grid requires --out pointing at a directory")
     try:
@@ -205,16 +209,11 @@ def _run_channel_grid(args):
     _require("p" in {f.name for f in dataclasses.fields(family)},
              f"--grid sweeps --p; use explicit runs for {family.name}")
     values = np.linspace(start, stop, count)
-
-    grid_args = argparse.Namespace(**vars(args))
-
-    def record(p) -> channels_mod.ChannelParams:
-        grid_args.p = float(p)
-        return _channel_params_from_args(grid_args)
-
-    blocks = circuit_mod.channel_sweep(map(record, values), theta1=args.theta1)  # reads no value yet
-    for p in values:
-        record(p)
+    first = _channel_params_from_args(args, p=float(values[0]))
+    records = (dataclasses.replace(first, p=float(p)) for p in values)
+    blocks = circuit_mod.channel_sweep(records, theta1=args.theta1)  # reads no record yet
+    for p in values[1:]:
+        dataclasses.replace(first, p=float(p))
 
     def name(idx: int) -> str:
         return f"point_{idx:03d}.{args.format}"

@@ -146,11 +146,9 @@ def _product(x, y):
 def matrix_2x2(a, b, c, d) -> np.ndarray:
     """The complex matrix [[a, b], [c, d]]; a stack of them, shape (B, 2, 2),
     when an entry is an array with one value per point."""
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-            or isinstance(c, np.ndarray) or isinstance(d, np.ndarray)):
-        return np.array([[a, b], [c, d]], dtype=complex)
-    entries = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a, b, c, d)))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

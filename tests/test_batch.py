@@ -7,6 +7,7 @@ by entry, from the lattice's evolve stage on encoded basis inputs and from
 the Kraus operators.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -144,7 +145,7 @@ def test_every_point_of_partial_blocks_matches(count):
     [SGADParams(a, 0.4, 0.2, 0.1, 0.5, 1.1, 0.6) for a in (0.0, 0.5, 1.0)],
 ], ids=["pauli-q", "sgad-mu", "sgad-alpha"])
 def test_fields_that_vary_in_some_operators_only(points):
-    # the other operators stay one matrix across the stack
+    # the varying field enters some operators only; every operator stacks all the same
     assert_sweep_matches(points, theta1=1.1)
 
 
@@ -193,10 +194,19 @@ def test_encoded_inputs_are_the_one_point_encoders():
                 assert got.tobytes() == want.amplitudes.tobytes()
 
 
+def assert_one_value_per_point(points):
+    """Every field of ``ParamStack(points)`` is a float64 (B,) array of the points' values."""
+    stack = ParamStack(points)
+    for name in (f.name for f in dataclasses.fields(stack.family)):
+        field = getattr(stack, name)
+        assert type(field) is np.ndarray and field.dtype == np.float64
+        assert field.shape == (len(points),)
+        assert field.tolist() == [getattr(p, name) for p in points]
+
+
 def test_param_stack_collapses_shared_fields():
-    stack = ParamStack([GADParams(0.1, 0.7), GADParams(0.4, 0.7)])
-    assert stack.alpha2_sq == 0.7
-    np.testing.assert_array_equal(stack.p, [0.1, 0.4])
+    # a value every point shares no longer collapses: it stacks like any other field
+    assert_one_value_per_point([GADParams(0.1, 0.7), GADParams(0.4, 0.7)])
     with pytest.raises(InvalidArgument):
         ParamStack([GADParams(0.1, 0.7), DephasingParams(0.1)])
     with pytest.raises(InvalidArgument):
@@ -204,21 +214,36 @@ def test_param_stack_collapses_shared_fields():
 
 
 def test_param_stack_of_one_point_holds_plain_floats():
-    point = SGADParams(0.3, 0.2, 0.5, 0.4, 0.1, -0.2, 0.8)
-    stack = ParamStack([point])
-    for name in ("alpha", "beta", "mu", "nu", "phi", "lam", "alpha2_sq"):
-        assert type(getattr(stack, name)) is float
-        assert getattr(stack, name) == getattr(point, name)
+    # a one-point stack holds (1,) arrays, not plain floats
+    assert_one_value_per_point([SGADParams(0.3, 0.2, 0.5, 0.4, 0.1, -0.2, 0.8)])
+
+
+def random_record(rng, family):
+    """A point of ``family`` whose SGAD phases reach +-1e6 and +-20."""
+    u = rng.uniform
+    if family is DephasingParams:
+        return DephasingParams(u())
+    if family is GADParams:
+        return GADParams(u(), u())
+    if family is SGADParams:
+        return SGADParams(u(), u(), u(), u(), u(-1e6, 1e6), u(-20, 20), u())
+    lo, hi = sorted(u(size=2))
+    return PauliParams(u(), lo, hi - lo, 1.0 - hi)
 
 
 def test_kraus_stack_matches_constructors():
-    points = [PauliParams(p, 0.5, 0.3, 0.2) for p in (0.0, 0.3, 1.0)]
-    ops, labels = kraus_stack(ParamStack(points))
-    assert ops.shape == (3, 4, 2, 2)
-    for op, params in zip(ops, points):
-        kset = channel_kraus(params)
-        assert labels == kset.labels
-        np.testing.assert_array_equal(op, np.stack(kset.operators))
+    # every field varies across each 64-point stack, and each point's
+    # operators are its record's, bit for bit
+    rng = np.random.default_rng(31)
+    for family in (DephasingParams, GADParams, SGADParams, PauliParams):
+        for _ in range(20):
+            points = [random_record(rng, family) for _ in range(64)]
+            ops, labels = kraus_stack(ParamStack(points))
+            for op, params in zip(ops, points):
+                kset = channel_kraus(params)
+                assert labels == kset.labels
+                want = np.stack(kset.operators)
+                assert op.shape == want.shape and op.tobytes() == want.tobytes()
 
 
 def test_failed_check_names_the_point(monkeypatch):

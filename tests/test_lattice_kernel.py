@@ -179,8 +179,8 @@ class TestAgainstPerPlacementProduct:
         recipe = circuit_mod._recipe_of(block)
         angles = circuit_mod._angles(recipe, block)
         d = 2 ** len(register)
-        # one point collapses every field to a float, so nothing stacks
-        assert angles.ndim == (3 if size > 1 else 2)
+        # every field holds one value per point, so even one point stacks
+        assert angles.ndim == 3
         # the kernel on every layer of the table, and on the whole block lattice at once
         at = 0
         for wiring, layer in zip(recipe.layers, layers):
@@ -189,7 +189,7 @@ class TestAgainstPerPlacementProduct:
             at += count
             assert_bits(got, reference_compose(register, [layer]))
         u = reference_compose(register, layers)
-        assert u.shape == ((size, d, d) if size > 1 else (d, d))
+        assert u.shape == (size, d, d)
         assert_bits(circuit_mod._chain(register, recipe.layers, angles), u)
         # the block's outputs come from those unitaries, composed in one run
         system_input = circuit_mod._qubit_amplitudes("theta1", theta1)
@@ -461,7 +461,7 @@ class TestAngleTables:
             register, layers, _ = evolve_placements(params)
             want = reference_compose(register, layers)
             assert_bits(table_kernel(params), want)
-            assert_bits(table_kernel(ParamStack([params])), want)
+            assert_bits(table_kernel(ParamStack([params])), want[None])
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("size", [5, 64])
@@ -539,12 +539,17 @@ class TestAngleTables:
 
         monkeypatch.setattr(circuit_mod, "pauli_caption_angles", counting)
         (block,) = circuit_mod.channel_sweep(points)
-        assert len(calls) == len(points)
+        # the metadata's, once per point; the program reads the stack's fields
+        # in one call, and never a point's knob angles
+        assert [args for args in calls if not np.ndim(args[0])] == [
+            (p.p, p.q1, p.q2, p.q3) for p in points]
+        assert [[a.tolist() for a in args] for args in calls if np.ndim(args[0])] == [
+            [[getattr(p, name) for p in points] for name in ("p", "q1", "q2", "q3")]]
         assert [meta["caption_theta"] for meta in block.params] == [
             [float(t) for t in caption_angles(p.p, p.q1, p.q2, p.q3)] for p in points]
         calls.clear()
         build_channel_lattice(points[0])
-        assert len(calls) == 1
+        assert sum(not np.ndim(args[0]) for args in calls) == 1
 
 
 def wiring_key(params):
