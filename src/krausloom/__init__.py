@@ -7,6 +7,8 @@ Kraus operator sets, and reconstructs two-qubit states from the 16-setting
 projection protocol.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     ChannelParams,
     DephasingParams,
@@ -15,11 +17,9 @@ from .channels import (
     PauliParams,
     SGADParams,
     bloch_vector,
-    channel_action_distance,
     channel_kraus,
     choi,
     completeness_residual,
-    kraus_apply,
 )
 from .circuit import (
     REFERENCE_GAD_ANGLES,
@@ -41,9 +41,7 @@ from .circuit import (
     prepare_product_state,
     preparation_circuit,
     stage_unitary,
-    thermal_weights,
     traced_joint_state,
-    traced_system_state,
 )
 from .errors import (
     InternalConsistencyError,
@@ -69,20 +67,15 @@ from .qmath import (
     ATOL_SPECTRAL,
     ATOL_STRUCTURAL,
     DensityMatrix,
-    DensityReport,
     PureState,
     dagger,
     fidelity,
     partial_trace,
-    tensor,
-    validate_density,
 )
 from .tomography import (
     CountRecord,
     MLReconstruction,
     TomographySetting,
-    hv_block_empty,
-    linear_reconstruct,
     ml_reconstruct,
     project_to_psd,
     projector,
@@ -90,5 +83,7 @@ from .tomography import (
     simulate_counts,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are importable as attributes, but are not names of the API
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -188,22 +188,6 @@ def apply_operators(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.sum(ops @ rho @ dagger(ops), axis=-3)
 
 
-def kraus_apply(rho, k: KrausSet):
-    """Apply the channel: rho' = sum_mu M_mu rho M_mu^dagger.
-
-    Accepts a DensityMatrix (returned as DensityMatrix) or a bare square
-    array (returned bare; useful for operator-basis probes).
-    """
-    wrapped = isinstance(rho, DensityMatrix)
-    mat = rho.matrix if wrapped else np.asarray(rho, dtype=complex)
-    if mat.shape != (k.dim, k.dim):
-        raise InvalidArgument(f"state dim {mat.shape} does not match Kraus dim {k.dim}")
-    out = apply_operators(mat, np.asarray(k.operators))
-    if wrapped:
-        return DensityMatrix(out, rho.dims)
-    return out
-
-
 # Operator builders, shape (k, 2, 2) for one parameter record and
 # (B, k, 2, 2) for a ParamStack: every operator reads a field, so each stacks.
 
@@ -298,14 +282,6 @@ def choi(ops) -> np.ndarray:
     k, d = ops.shape[-3], ops.shape[-1]
     m = ops.swapaxes(-1, -3).reshape(ops.shape[:-3] + (d * d, k))
     return m @ dagger(m)
-
-
-def channel_action_distance(k1: KrausSet, k2: KrausSet) -> float:
-    """Largest entrywise gap between the two channels' Choi matrices, which is
-    the largest gap between their actions on the basis |i><j|."""
-    if k1.dim != k2.dim:
-        raise InvalidArgument("channels act on different dimensions")
-    return float(np.max(np.abs(choi(k1.operators) - choi(k2.operators))))
 
 
 def kraus_set_to_payload(k: KrausSet) -> dict:

@@ -496,27 +496,6 @@ def prepare_product_state(params: ProductStateParams) -> PureState:
     return PureState(unitary[:, 0], (2, 2, 2))
 
 
-def thermal_weights(
-    e1: float, e2: float, kbt: float, *, zero_temperature: bool = False
-) -> tuple[float, float]:
-    """Boltzmann weights (w1, w2) of a two-level environment; w1 + w2 = 1."""
-    e1, e2 = finite_values("e1", e1), finite_values("e2", e2)
-    if zero_temperature:
-        if e1 < e2:
-            return (1.0, 0.0)
-        if e2 < e1:
-            return (0.0, 1.0)
-        return (0.5, 0.5)
-    if not (kbt > 0) or not math.isfinite(kbt):
-        raise InvalidArgument(f"kbt must be positive (got {kbt}); use zero_temperature for T=0")
-    shift = min(e1, e2)
-    w1 = math.exp(-(e1 - shift) / kbt)
-    w2 = math.exp(-(e2 - shift) / kbt)
-    total = w1 + w2
-    w1 /= total
-    return (w1, 1.0 - w1)
-
-
 def _encode(system, alpha2_sq, n_wires: int) -> np.ndarray:
     """Lattice inputs: system amplitudes (..., 2) on the first wire, the rest
     of the register in a2|0...00, H> + b2|0...01, V>, a2 = sqrt(alpha2_sq).
@@ -959,8 +938,3 @@ def traced_joint_state(state: PureState) -> DensityMatrix:
     """Trace the polarization wire (last) out of a lattice state."""
     keep = tuple(range(len(state.dims) - 1))
     return partial_trace(state.density(), keep)
-
-
-def traced_system_state(state: PureState) -> DensityMatrix:
-    """Trace everything but the system wire (first) out of a lattice state."""
-    return partial_trace(state.density(), (0,))

@@ -182,38 +182,47 @@ def cmd_channel(args) -> dict | None:
     return _run_channel_point(params, args)
 
 
-def _run_channel_grid(args):
-    """Sweep --p over a start:stop:count grid, one output file per point.
-
-    The flags are read once, into the first value's record; every other
-    value's is that record with its p replaced, which checks p again. Each
-    is built once, and dropped, before the output directory is made, so a bad
-    value writes nothing; the sweep then builds them again as it reads them,
-    a block at a time. Nothing held grows with the grid but its values, 8
-    bytes a point, and index.json is streamed from the values. A failing
-    internal check in a block stops the sweep there and leaves the files of
-    the earlier blocks.
-    """
-    _require(args.out is not None, "--grid requires --out pointing at a directory")
+def _grid_values(spec: str) -> np.ndarray:
+    """The values of a start:stop:count grid, ``np.linspace(start, stop, count)``.
+    The ends and their span must be finite. Where the span nears the float
+    maximum, linspace's last product overflows before it sets the last value
+    to stop, so that overflow is not reported."""
     try:
-        start, stop, count = args.grid.split(":")
+        start, stop, count = spec.split(":")
         start, stop, count = float(start), float(stop), int(count)
         _require(count >= 1, "grid count must be >= 1")
     except ValueError as exc:
-        raise KrausloomError(f"bad --grid spec {args.grid!r}; expected start:stop:count") from exc
+        raise KrausloomError(f"bad --grid spec {spec!r}; expected start:stop:count") from exc
     if count > GRID_MAX_POINTS:
         raise InvalidArgument(f"grid count {count} exceeds the limit of {GRID_MAX_POINTS} points")
     if not all(map(math.isfinite, (start, stop, stop - start))):
         raise InvalidArgument(f"grid start {start}, stop {stop} and their span must be finite")
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, count)
+
+
+def _run_channel_grid(args):
+    """Sweep --p over a start:stop:count grid, one output file per point.
+
+    The flags are read once, into the first value's record; every other
+    value's is that record with its p replaced, which checks p again. Before
+    the output directory is made, the last value's record is built too: the
+    values lie between the grid's two ends and the check on p is an interval,
+    so a grid whose two ends pass holds no bad value, and a bad end writes
+    nothing. The sweep builds each record once as it reads it, a block at a
+    time. Nothing held grows with the grid but its values, 8 bytes a point,
+    and index.json is streamed from the values. A failing internal check in a
+    block stops the sweep there and leaves the files of the earlier blocks.
+    """
+    _require(args.out is not None, "--grid requires --out pointing at a directory")
+    values = _grid_values(args.grid)
     family = _channel_family(args)
     _require("p" in {f.name for f in dataclasses.fields(family)},
              f"--grid sweeps --p; use explicit runs for {family.name}")
-    values = np.linspace(start, stop, count)
     first = _channel_params_from_args(args, p=float(values[0]))
     records = (dataclasses.replace(first, p=float(p)) for p in values)
     blocks = circuit_mod.channel_sweep(records, theta1=args.theta1)  # reads no record yet
-    for p in values[1:]:
-        dataclasses.replace(first, p=float(p))
+    dataclasses.replace(first, p=float(values[-1]))
 
     def name(idx: int) -> str:
         return f"point_{idx:03d}.{args.format}"
@@ -225,7 +234,7 @@ def _run_channel_grid(args):
     entries = ({"index": idx, "p": float(p), "file": name(idx)} for idx, p in enumerate(values))
     write_atomic(os.path.join(args.out, "index.json"), _json_chunks(
         {"command": "channel-grid", "channel": args.channel}, "points", entries))
-    sys.stdout.write(f"wrote {count} grid points to {args.out}\n")
+    sys.stdout.write(f"wrote {len(values)} grid points to {args.out}\n")
     return None
 
 

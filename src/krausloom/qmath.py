@@ -125,27 +125,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Diagnostics from validate_density; the caller decides pass/fail."""
-
-    hermiticity_residual: float
-    trace_deviation: float
-    min_eigenvalue: float
-
-    def ok(
-        self,
-        herm_atol: float = ATOL_STRUCTURAL,
-        trace_atol: float = ATOL_STRUCTURAL,
-        eig_atol: float = ATOL_SPECTRAL,
-    ) -> bool:
-        return all(_within_tolerance(r, tol) for r, tol in (
-            (self.hermiticity_residual, herm_atol),
-            (self.trace_deviation, trace_atol),
-            (-self.min_eigenvalue, eig_atol),
-        ))
-
-
 def density_residuals(mats, *, eig: bool = True):
     """(hermiticity residual, trace deviation, minimum eigenvalue) of one
     square matrix, or arrays of them over a stack of shape (B, d, d).
@@ -229,32 +208,9 @@ def check_densities(mats, *, eig_atol: float | None = ATOL_SPECTRAL, first_index
         check_residuals(res, tol, message, first_index=first_index)
 
 
-def validate_density(rho) -> DensityReport:
-    """Measure the three density-matrix invariants without judging them."""
-    mat = _as_matrix(rho)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidArgument(f"expected a square matrix, got shape {mat.shape}")
-    return DensityReport(*(float(x) for x in density_residuals(mat)))
-
-
 def dagger(m) -> np.ndarray:
     """Conjugate transpose; of each matrix, for a stack of them."""
     return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
-
-
-def tensor(a, b):
-    """Kronecker product; the left operand varies slowest.
-
-    Two PureStates give a PureState, two DensityMatrices a DensityMatrix,
-    two bare arrays a bare array. dims lists concatenate.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.matrix, b.matrix), a.dims + b.dims)
-    if isinstance(a, (PureState, DensityMatrix)) or isinstance(b, (PureState, DensityMatrix)):
-        raise InvalidArgument("tensor operands must be both states, both densities, or both arrays")
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int], *,

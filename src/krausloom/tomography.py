@@ -5,14 +5,16 @@ Settings are pairs of single-qubit rotations applied before projecting on
 The settings are fixed, so their (16, 4, 4) projector stack, the
 linear-inversion design matrix and the projectors' quadratic forms in a
 Hermitian T are built once, read-only, when the module loads; counts and
-both reconstructions read that one stack. Reconstruction offers plain linear
-inversion and maximum likelihood: a damped Newton ascent of the Poisson
-likelihood over rho = T^2 / Tr(T^2), T = T^dagger, which is physical at every
-step, stopped once the Frank-Wolfe gap certifies that the likelihood lies
-within ``tol`` per shot of its maximum. The likelihood does not depend on the
-scale of T, so each Newton step is taken on the tangent space orthogonal to
-it: one 16x16 solve, with no eigenvalue shift. Where that step does not
-ascend, the Frank-Wolfe step toward the gradient's top eigenvector replaces it.
+both reconstructions read that one stack. Reconstruction is maximum
+likelihood, started from linear inversion, which the result carries as
+``linear`` (None when the H/V block counted nothing). It is a damped Newton
+ascent of the Poisson likelihood over rho = T^2 / Tr(T^2), T = T^dagger,
+which is physical at every step, stopped once the Frank-Wolfe gap certifies
+that the likelihood lies within ``tol`` per shot of its maximum. The
+likelihood does not depend on the scale of T, so each Newton step is taken
+on the tangent space orthogonal to it: one 16x16 solve, with no eigenvalue
+shift. Where that step does not ascend, the Frank-Wolfe step toward the
+gradient's top eigenvector replaces it.
 """
 
 from __future__ import annotations
@@ -196,18 +198,21 @@ def _check_counts(record: CountRecord, where: str) -> None:
 
 
 def _records_and_frequencies(records):
-    """The records in setting order, and each setting's frequency; the
-    frequencies are None when linear inversion has nothing to normalize by."""
+    """The records in setting order, and each setting's frequency. The
+    frequencies are None when the H/V block (settings 1..4) counted nothing,
+    whatever the totals: linear inversion then has no trace to normalize by."""
     recs = sorted(records, key=lambda r: r.setting_index)
     if [r.setting_index for r in recs] != list(range(1, 17)):
         raise InvalidArgument("all 16 settings must be present exactly once")
     for r in recs:
         _check_counts(r, f"setting {r.setting_index} ({r.label})")
-    if len({r.total_shots for r in recs}) == 1:
-        # rows 1..4 project onto an orthonormal basis, so their counts sum to
-        # the total intensity; normalize everything against that block
-        block = sum(r.counts for r in recs[:4])
-        return recs, (np.array([r.counts / block for r in recs]) if block > 0 else None)
+    # rows 1..4 project onto an orthonormal basis, so their counts sum to the
+    # total intensity
+    block = sum(r.counts for r in recs[:4])
+    if block == 0:
+        return recs, None
+    if len({r.total_shots for r in recs}) == 1:  # normalize everything against that block
+        return recs, np.array([r.counts / block for r in recs])
     return recs, np.array([r.counts / r.total_shots for r in recs])
 
 
@@ -215,21 +220,6 @@ def _invert(freqs: np.ndarray) -> DensityMatrix:
     rho = np.linalg.solve(_DESIGN, freqs.astype(complex)).reshape(4, 4)
     rho = (rho + rho.conj().T) / 2
     return DensityMatrix(rho / np.trace(rho).real, (2, 2), eig_atol=None)
-
-
-def hv_block_empty(records) -> bool:
-    """True when every setting has the same total and the H/V block (settings
-    1..4) counted nothing, which leaves linear inversion undefined. Tiny shot
-    budgets do this; maximum likelihood still runs, from I/4."""
-    return _records_and_frequencies(records)[1] is None
-
-
-def linear_reconstruct(records) -> DensityMatrix:
-    """Invert Tr(rho P_s) = prob_s; Hermitized and trace-normalized, PSD not enforced."""
-    freqs = _records_and_frequencies(records)[1]
-    if freqs is None:
-        raise InvalidArgument("H/V block counts sum to zero; cannot normalize")
-    return _invert(freqs)
 
 
 def project_to_psd(m, dims=(2, 2)) -> DensityMatrix:

@@ -1,10 +1,10 @@
 """The batched channel engine against the per-point path it replaces in sweeps.
 
 Every point of a ``channel_sweep`` must equal ``build_channel_lattice`` ->
-``evolve`` -> ``traced_system_state`` on the lattice side and ``kraus_apply``
-on the Kraus side, and its Choi matrices must equal the ones computed, entry
-by entry, from the lattice's evolve stage on encoded basis inputs and from
-the Kraus operators.
+``evolve`` -> ``partial_trace`` to the system on the lattice side and
+``apply_operators`` on the Kraus side, and its Choi matrices must equal the
+ones computed, entry by entry, from the lattice's evolve stage on encoded
+basis inputs and from the Kraus operators.
 """
 
 import dataclasses
@@ -22,8 +22,8 @@ from krausloom.channels import (
     ParamStack,
     PauliParams,
     SGADParams,
+    apply_operators,
     channel_kraus,
-    kraus_apply,
     kraus_stack,
 )
 from krausloom.circuit import (
@@ -38,20 +38,20 @@ from krausloom.circuit import (
     evolve,
     initial_state,
     stage_unitary,
-    traced_system_state,
 )
 from krausloom.errors import InvalidArgument, InvalidChannel, InvalidState
 from krausloom.gates import U3Params, controlled_on_path, embed, make_register, u3
+from krausloom.qmath import partial_trace
 
 TOL = 1e-12
 
 
 def per_point(params, theta1):
     lattice = build_channel_lattice(params, theta1=theta1)
-    rho_lattice = traced_system_state(evolve(initial_state(lattice), lattice)).matrix
+    rho_lattice = partial_trace(evolve(initial_state(lattice), lattice).density(), (0,)).matrix
     a1, b1, _, _ = ProductStateParams(theta1, 0.0).amplitudes()
     rho_in = np.array([[a1 * a1, a1 * b1], [a1 * b1, b1 * b1]], dtype=complex)
-    return lattice, rho_lattice, kraus_apply(rho_in, channel_kraus(params))
+    return lattice, rho_lattice, apply_operators(rho_in, channel_kraus(params).operators)
 
 
 def lattice_choi(lattice, params):

@@ -10,9 +10,9 @@ from krausloom.channels import (
     PauliParams,
     KrausSet,
     SGADParams,
+    apply_operators,
     channel_kraus,
-    kraus_apply,
-    channel_action_distance,
+    choi,
 )
 from krausloom.circuit import (
     CircuitSpec,
@@ -33,9 +33,7 @@ from krausloom.circuit import (
     prepare_product_state,
     preparation_circuit,
     stage_unitary,
-    thermal_weights,
     traced_joint_state,
-    traced_system_state,
     REFERENCE_GAD_ANGLES,
     REFERENCE_GAD_MATRIX,
 )
@@ -147,46 +145,6 @@ def test_prepared_environment_block_always_diagonal(theta1, theta2):
             assert abs(m[2 * s1 + 1, 2 * s2]) < 1e-14
 
 
-class TestThermalWeights:
-    def test_degenerate_levels(self):
-        assert thermal_weights(1.0, 1.0, 2.0) == (0.5, 0.5)
-
-    def test_infinite_temperature_limit(self):
-        w1, w2 = thermal_weights(0.0, 1.0, 1e8)
-        assert w1 == pytest.approx(0.5, abs=1e-6)
-        assert w2 == pytest.approx(0.5, abs=1e-6)
-
-    def test_closed_form_boltzmann_ratio(self):
-        w1, w2 = thermal_weights(0.0, np.log(3.0), 1.0)
-        assert w1 == pytest.approx(0.75, abs=1e-15)
-        assert w2 == pytest.approx(0.25, abs=1e-15)
-
-    def test_sum_exactly_one(self, rng):
-        for _ in range(20):
-            e1, e2 = rng.uniform(-5, 5, size=2)
-            w1, w2 = thermal_weights(e1, e2, rng.uniform(0.01, 10))
-            assert w1 + w2 == 1.0
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(InvalidArgument):
-            thermal_weights(0.0, 1.0, 0.0)
-
-    def test_zero_temperature_flag(self):
-        assert thermal_weights(0.0, 1.0, -1.0, zero_temperature=True) == (1.0, 0.0)
-        assert thermal_weights(3.0, 1.0, -1.0, zero_temperature=True) == (0.0, 1.0)
-
-
-@pytest.mark.parametrize("e1, e2, kbt, zero_temperature", [
-    (np.nan, 0.0, 1.0, False),
-    (np.nan, 0.0, 1.0, True),
-    (np.inf, np.inf, 1.0, False),
-    (0.0, -np.inf, 1.0, True),
-])
-def test_thermal_weights_reject_nonfinite_energies(e1, e2, kbt, zero_temperature):
-    with pytest.raises(InvalidArgument, match="must be finite"):
-        thermal_weights(e1, e2, kbt, zero_temperature=zero_temperature)
-
-
 class TestEvolve:
     def test_empty_circuit_is_identity(self, rng):
         circuit = CircuitSpec(preparation_circuit(ProductStateParams(0, 0)).register, (), ())
@@ -219,11 +177,11 @@ class TestEvolve:
         p = 0.37
         lattice = build_channel_lattice(DephasingParams(p), theta1=1.1)
         out = evolve(initial_state(lattice), lattice)
-        rho_sys = traced_system_state(out)
+        rho_sys = partial_trace(out.density(), (0,))
         prep = ProductStateParams(1.1, 0.0)
         a1, b1, _, _ = prep.amplitudes()
         rho_in = np.array([[a1 * a1, a1 * b1], [a1 * b1, b1 * b1]], dtype=complex)
-        want = kraus_apply(rho_in, channel_kraus(DephasingParams(p)))
+        want = apply_operators(rho_in, channel_kraus(DephasingParams(p)).operators)
         np.testing.assert_allclose(rho_sys.matrix, want, atol=1e-9)
 
 
@@ -361,8 +319,8 @@ class TestLatticeKrausConsistency:
             q = random_qubit(rng)
             enc = encode_joint_state(q, a2sq)
             out = PureState(u_evolve @ enc.amplitudes, enc.dims)
-            rho_lattice = traced_system_state(out)
-            rho_kraus = kraus_apply(np.outer(q, q.conj()), kset)
+            rho_lattice = partial_trace(out.density(), (0,))
+            rho_kraus = apply_operators(np.outer(q, q.conj()), kset.operators)
             np.testing.assert_allclose(rho_lattice.matrix, rho_kraus, atol=1e-9)
 
     # the lattice reduced -phi and -lam - pi by the rounded 2pi: at phi = 1e12
@@ -372,7 +330,7 @@ class TestLatticeKrausConsistency:
         params = SGADParams(0.2, 0.3, 0.4, 0.5, phi, lam, 0.6)
         system = partial_trace(lattice_state(params, theta1=1.1), (0,))
         q = np.array([np.cos(0.55), np.sin(0.55)], dtype=complex)
-        want = kraus_apply(np.outer(q, q), channel_kraus(params))
+        want = apply_operators(np.outer(q, q), channel_kraus(params).operators)
         np.testing.assert_allclose(system.matrix, want, rtol=0, atol=1e-15)
 
     def test_sgad_sweep_over_phase_scales(self):
@@ -389,7 +347,7 @@ class TestLatticeKrausConsistency:
         cols = np.stack([u @ encode_joint_state(e, params.alpha2_sq).amplitudes for e in np.eye(2)])
         extracted = KrausSet(cols.reshape(2, 2, 4).transpose(2, 1, 0))
         constructed = channel_kraus(params)
-        assert channel_action_distance(extracted, constructed) < 1e-9
+        assert np.max(np.abs(choi(extracted.operators) - choi(constructed.operators))) < 1e-9
         # same operators up to per-operator phase, as sets: the extraction
         # indexes by environment out/in, which swaps the off-diagonal labels
         remaining = list(extracted.operators)
@@ -483,7 +441,7 @@ class TestPauliLattice:
         # Bloch shrink factor 1 - 4p/3 vanishes at p = 3/4
         lattice = build_channel_lattice(PauliParams(0.75, 1 / 3, 1 / 3, 1 / 3), theta1=np.pi / 2)
         out = evolve(initial_state(lattice), lattice)
-        rho_sys = traced_system_state(out)
+        rho_sys = partial_trace(out.density(), (0,))
         np.testing.assert_allclose(rho_sys.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_lattice_matches_kraus_engine(self, rng):
@@ -495,8 +453,8 @@ class TestPauliLattice:
             q = random_qubit(rng)
             enc = encode_reservoir_state(q)
             out = PureState(u @ enc.amplitudes, enc.dims)
-            rho_lattice = traced_system_state(out)
-            rho_kraus = kraus_apply(np.outer(q, q.conj()), kset)
+            rho_lattice = partial_trace(out.density(), (0,))
+            rho_kraus = apply_operators(np.outer(q, q.conj()), kset.operators)
             np.testing.assert_allclose(rho_lattice.matrix, rho_kraus, atol=1e-9)
 
     def test_caption_angle_relations_round_trip(self):
@@ -587,13 +545,12 @@ class TestReferenceMatrix:
     def test_diagnostics_of_reconstructed_reference(self):
         # measured matrix: tiny trace deficit and one slightly negative
         # eigenvalue are expected from the reconstruction, nothing worse
-        from krausloom.qmath import validate_density
+        from krausloom.qmath import density_residuals
 
-        rep = validate_density(REFERENCE_GAD_MATRIX)
-        assert rep.hermiticity_residual == 0.0
-        assert rep.trace_deviation < 5e-6
-        assert rep.min_eigenvalue > -1e-6
-        assert rep.ok(trace_atol=5e-6, eig_atol=1e-6)
+        herm, tdev, lo = density_residuals(REFERENCE_GAD_MATRIX)
+        assert herm == 0.0
+        assert tdev < 5e-6
+        assert lo > -1e-6
 
 
 class TestComposedUnitary:

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from krausloom import circuit as circuit_mod
-from krausloom.cli import main
+from krausloom.cli import GRID_MAX_POINTS, _grid_values, main
 from krausloom.qmath import density_from_payload, load_json
 
 
@@ -149,10 +152,21 @@ class TestChannel:
         assert not out.exists()
 
     def test_a_bad_value_in_the_last_block_writes_nothing(self, tmp_path, capsys):
-        # only points 128 and 129, in the last block, exceed 1; every record is built before any file
+        # only points 128 and 129, in the last block, exceed 1; the last grid value's record is
+        # built before any file, and the grid's values lie between its two ends
         out = tmp_path / "sweep"
         assert run("channel", "--channel", "dephasing", "--grid=0:1.01:130", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec, end", [("0:1.01:130", "1.01"),
+                                           ("0:1.7976931348623157e308:4", "1.7976931348623157e+308")])
+    def test_a_bad_grid_is_named_by_its_end(self, tmp_path, capsys, spec, end):
+        # linspace's last product overflowed on the second, with a RuntimeWarning on stderr
+        out = tmp_path / "sweep"
+        assert run("channel", "--channel", "dephasing", f"--grid={spec}", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: p must lie in [0, 1], got {end}\n"
         assert not out.exists()
 
     # 130 points span three blocks; index.json is streamed one entry at a time
@@ -814,3 +828,17 @@ class TestParser:
 
         args = build_parser().parse_args(["prepare", "--theta1", "0.5"])
         assert args.theta1 == 0.5
+
+
+# The grid checks the records of its two ends only: every value of a grid the
+# CLI accepts must lie between them.
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(1, GRID_MAX_POINTS))
+def test_grid_values_lie_between_the_grid_ends(start, stop, count):
+    assume(math.isfinite(stop - start))
+    values = _grid_values(f"{start!r}:{stop!r}:{count}")
+    assert values[0] == start and values[-1] == (stop if count > 1 else start)
+    lo, hi = sorted((values[0], values[-1]))
+    assert lo <= values.min() and values.max() <= hi

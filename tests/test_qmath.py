@@ -19,62 +19,19 @@ from krausloom.qmath import (
     check_densities,
     dagger,
     density_from_payload,
+    density_residuals,
     density_to_payload,
     fidelity,
     partial_trace,
     state_from_payload,
     state_to_payload,
     structural_atol,
-    tensor,
     save_json,
     unitarity_residual,
-    validate_density,
     write_atomic,
 )
 
 I2 = np.eye(2)
-
-
-class TestTensor:
-    def test_identity_case(self):
-        assert np.array_equal(tensor(I2, I2), np.eye(4))
-
-    def test_basis_case(self):
-        ket0 = PureState([1, 0], (2,))
-        ket1 = PureState([0, 1], (2,))
-        out = tensor(ket0, ket1)
-        assert out.dims == (2, 2)
-        np.testing.assert_array_equal(out.amplitudes, [0, 1, 0, 0])
-
-    def test_diagonal_expansion(self):
-        # kron of diag(a,b) and diag(c,d) expanded by hand: diag(ac, ad, bc, bd)
-        a, b, c, d = 1.5, -0.5, 2.0, 3.0
-        out = tensor(np.diag([a, b]), np.diag([c, d]))
-        np.testing.assert_array_equal(out, np.diag([a * c, a * d, b * c, b * d]))
-
-    def test_associative_exactly_on_representable_entries(self, rng):
-        # dyadic entries keep every product exact, so equality is bitwise
-        ms = [
-            (rng.integers(-8, 8, size=(2, 2)) + 1j * rng.integers(-8, 8, size=(2, 2))) / 4.0
-            for _ in range(3)
-        ]
-        left = tensor(tensor(ms[0], ms[1]), ms[2])
-        right = tensor(ms[0], tensor(ms[1], ms[2]))
-        assert np.array_equal(left, right)
-
-    def test_associative_within_rounding_generally(self, rng):
-        ms = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-        left = tensor(tensor(ms[0], ms[1]), ms[2])
-        right = tensor(ms[0], tensor(ms[1], ms[2]))
-        np.testing.assert_allclose(left, right, rtol=1e-15)
-
-    def test_dims_concatenate(self, rng):
-        rho = tensor(random_density(rng, (2,)), random_density(rng, (2, 2)))
-        assert rho.dims == (2, 2, 2)
-
-    def test_mixed_operands_rejected(self, rng):
-        with pytest.raises(InvalidArgument):
-            tensor(random_density(rng, (2,)), I2)
 
 
 class TestPartialTrace:
@@ -86,7 +43,7 @@ class TestPartialTrace:
     def test_product_marginal(self, rng):
         rho_s = random_density(rng, (2,))
         rho_e = random_density(rng, (2,))
-        joint = tensor(rho_s, rho_e)
+        joint = DensityMatrix(np.kron(rho_s.matrix, rho_e.matrix), (2, 2))
         out = partial_trace(joint, keep=(0,))
         np.testing.assert_allclose(out.matrix, rho_s.matrix, atol=1e-14)
 
@@ -268,30 +225,26 @@ class TestDagger:
 
 class TestValidateDensity:
     def test_maximally_mixed(self):
-        rep = validate_density(I2 / 2)
-        assert rep.hermiticity_residual == 0.0
-        assert rep.trace_deviation == 0.0
-        assert rep.min_eigenvalue == pytest.approx(0.5)
+        herm, tdev, lo = density_residuals(I2 / 2)
+        assert herm == 0.0
+        assert tdev == 0.0
+        assert lo == pytest.approx(0.5)
 
     def test_trace_deviation_arithmetic(self):
-        rep = validate_density(np.diag([0.5, 0.6]))
-        assert rep.trace_deviation == pytest.approx(0.1, abs=1e-15)
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(InvalidArgument):
-            validate_density(np.zeros((2, 3)))
+        _, tdev, _ = density_residuals(np.diag([0.5, 0.6]))
+        assert tdev == pytest.approx(0.1, abs=1e-15)
 
     def test_unitary_conjugation_bounded_residuals(self, rng):
         for _ in range(10):
             rho = random_density(rng, (2, 2))
-            rep_in = validate_density(rho)
+            herm_in, tdev_in, lo_in = density_residuals(rho.matrix)
             p = U3Params(*rng.uniform(0, 2 * np.pi, size=3))
             un = np.kron(u3(p), u3(p))
-            rep_out = validate_density(un @ rho.matrix @ dagger(un))
+            herm_out, tdev_out, lo_out = density_residuals(un @ rho.matrix @ dagger(un))
             floor = ATOL_ARITHMETIC
-            assert rep_out.hermiticity_residual <= 10 * max(rep_in.hermiticity_residual, floor)
-            assert rep_out.trace_deviation <= 10 * max(rep_in.trace_deviation, floor)
-            assert rep_out.min_eigenvalue >= min(rep_in.min_eigenvalue, 0) - 10 * floor
+            assert herm_out <= 10 * max(herm_in, floor)
+            assert tdev_out <= 10 * max(tdev_in, floor)
+            assert lo_out >= min(lo_in, 0) - 10 * floor
 
 
 class TestInvariants:
@@ -309,7 +262,7 @@ class TestInvariants:
 
     def test_density_eig_check_can_be_deferred(self):
         m = DensityMatrix(np.diag([1.5, -0.5]), (2,), eig_atol=None)
-        assert validate_density(m).min_eigenvalue == pytest.approx(-0.5)
+        assert density_residuals(m.matrix)[2] == pytest.approx(-0.5)
 
     def test_unitarity_residual(self, rng):
         p = U3Params(*rng.uniform(0, 2 * np.pi, size=3))
