@@ -55,7 +55,6 @@ from .gates import (
     Register,
     Role,
     U3Params,
-    WireIndex,
     cnot_pol_path,
     controlled_on_path,
     embed,

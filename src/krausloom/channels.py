@@ -18,7 +18,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidChannel
+from .errors import InternalConsistencyError, InvalidArgument, InvalidChannel
 from .gates import PAULI_X, PAULI_Y, PAULI_Z, finite_values, matrix_2x2
 from .qmath import ATOL_ARITHMETIC, DensityMatrix, check_residuals, dagger, structural_atol
 
@@ -249,13 +249,15 @@ def kraus_stack(stack: ParamStack, *, first_index: int = 0) -> tuple[np.ndarray,
 
     Each point's completeness residual is checked as KrausSet checks it, by
     ``check_residuals``, which names the first point that fails by its index
-    in the sweep, first_index + i for the stack's point i.
+    in the sweep, first_index + i for the stack's point i. The operators are
+    the package's own, built from checked records, so a failure raises
+    InternalConsistencyError.
     """
     build, labels = _FAMILY_OPS[stack.family]
     ops = build(stack)
     check_residuals(completeness_residual(ops), structural_atol(),
-                    "completeness residual {:.3e} exceeds tolerance", error=InvalidChannel,
-                    first_index=first_index)
+                    "completeness residual {:.3e} exceeds tolerance",
+                    error=InternalConsistencyError, first_index=first_index)
     return ops, labels
 
 

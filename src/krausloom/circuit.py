@@ -171,7 +171,7 @@ def _check_disjoint(register: Register, layers) -> None:
         for kind, wires, condition in layer:
             acted = set(wires)
             if kind == "path-conditioned-u3":
-                acted = {wires[0]} | {w.index for ch, w in zip(condition, path_wires(register)) if ch != "*"}
+                acted = {wires[0]} | {w for ch, w in zip(condition, path_wires(register)) if ch != "*"}
             if acted & seen:
                 raise InvalidArgument("placements within a layer must act on disjoint wires")
             seen |= acted
@@ -203,15 +203,14 @@ def _wiring(register: Register, sizes: tuple[int, ...], slots: tuple):
         if any(w >= n for w in wires):
             raise InvalidArgument(f"placement wires {wires} exceed register size {n}")
         if kind == "cnot-pol-path":
-            if min(wires) < 0:  # register[-1] would name the last wire
+            if min(wires) < 0:
                 raise InvalidArgument(f"placement wires {wires} must be nonnegative")
-            control, target = wires
-            template[g] = cnot_pol_path(register[control], register[target], n).ravel()
+            template[g] = cnot_pol_path(register, *wires).ravel()
             continue
         if kind == "local-u3":
             block, ones = _scatter_slots(*_wire_slots(wires[0], n))
         else:
-            if wires[0] != polarization_wire(register).index:
+            if wires[0] != polarization_wire(register):
                 raise InvalidWiring(
                     f"path-conditioned-u3 must target the polarization wire, got wire {wires[0]}"
                 )
@@ -234,9 +233,10 @@ class CircuitSpec:
 
     ``wiring`` holds each layer's (kind, wires, condition) slots and
     ``angles`` the read-only (3, U) table of reduced (theta, phi, lam), one
-    column per rotation slot in order. The constructor reads layers of
-    placements into both, and ``layers`` builds them back. Equality and
-    hashing cover the register, wiring, angles and stages.
+    column per rotation slot in order. The constructor reads its register,
+    the roles of its wires in wire order, through ``make_register`` and its
+    layers of placements into both, and ``layers`` builds them back. Equality
+    and hashing cover the register, wiring, angles and stages.
     """
 
     register: Register
@@ -247,7 +247,7 @@ class CircuitSpec:
     unitary: np.ndarray = field(repr=False)  # all layers, read-only
 
     def __init__(self, register, layers, stages, metadata=None):
-        self._fill(tuple(register), *_read_layers(layers), stages, metadata)
+        self._fill(make_register(*register), *_read_layers(layers), stages, metadata)
 
     @classmethod
     def _of(cls, register, wiring, angles, stages, metadata) -> "CircuitSpec":
@@ -594,7 +594,7 @@ class _Recipe:
     """
 
     def __init__(self, register: Register, steps, program, knobs, weight, preparation):
-        pol = polarization_wire(register).index
+        pol = polarization_wire(register)
         self.layers = tuple([(("cnot-pol-path", (pol, at), None) if step == "flip"
                               else ("path-conditioned-u3", (pol,), at),) for step, at in steps])
         rotations = [step for step, _ in steps if step != "flip"]
@@ -913,7 +913,7 @@ def circuit_to_payload(circuit: CircuitSpec) -> dict:
             encoded.append(entry)
         layers.append(encoded)
     return {
-        "register": [w.role.value for w in circuit.register],
+        "register": [role.value for role in circuit.register],
         "layers": layers,
         "stages": list(circuit.stages),
         "meta": dict(circuit.metadata),
@@ -921,13 +921,12 @@ def circuit_to_payload(circuit: CircuitSpec) -> dict:
 
 
 def _read_circuit(payload: dict) -> CircuitSpec:
-    register = make_register(*payload["register"])
     layers = [[GatePlacement(entry["kind"], tuple(entry["wires"]), U3Params(*_real(
         "placement angles", [entry["theta"], entry.get("phi", 0.0), entry.get("lambda", 0.0)]))
         if "theta" in entry else None, entry.get("condition"))
         for entry in layer] for layer in payload["layers"]]
     stages = payload.get("stages", ["evolve"] * len(layers))
-    return CircuitSpec(register, layers, stages, payload.get("meta", {}))
+    return CircuitSpec(payload["register"], layers, stages, payload.get("meta", {}))
 
 
 def circuit_from_payload(payload: dict) -> CircuitSpec:

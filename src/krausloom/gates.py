@@ -1,20 +1,19 @@
 """Elementary gates: the U3 rotation, polarization-controlled path flips, and
 embeddings of 2x2 blocks into a multi-qubit register.
 
-A register is an ordered tuple of wires. Wire 0 is the leftmost tensor factor
-(slowest-varying index). Exactly one wire carries the polarization role; the
-others are path qubits. Registers here never exceed 4 qubits, so everything
-is built dense.
+A register is the tuple of its wires' roles, in wire order, and a wire is its
+position in it. Wire 0 is the leftmost tensor factor (slowest-varying index).
+Exactly one wire carries the polarization role; the others are path qubits.
+Registers here never exceed 4 qubits, so everything is built dense.
 
 Every placement matrix, whether an embedding, a path-conditioned gate or a
 polarization-controlled NOT, is one scatter into a zeroed flat (..., d*d)
 buffer: the gate's four entries go to the (h,h), (h,v), (v,h) and (v,v)
 positions of its slot pairs and 1.0 to the other diagonal slots. What
-depends on the wiring alone (those flat positions, the CNOT permutation
-matrices and each register's polarization and path wires) is built once
-per process and shared read-only. Nothing is cached by angle. The lattice
-kernel in ``circuit`` writes a whole run of placements from the same flat
-positions in one scatter.
+depends on the wiring alone (those flat positions and the CNOT permutation
+matrices) is built once per process and shared read-only. Nothing is cached
+by angle. The lattice kernel in ``circuit`` writes a whole run of placements
+from the same flat positions in one scatter.
 """
 
 from __future__ import annotations
@@ -42,41 +41,25 @@ class Role(str, Enum):
         return self is not Role.POLARIZATION
 
 
-@dataclass(frozen=True)
-class WireIndex:
-    index: int
-    role: Role
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise InvalidWiring(f"wire index must be nonnegative, got {self.index}")
-
-
-Register = tuple[WireIndex, ...]
+Register = tuple[Role, ...]
 
 
 def make_register(*roles: Role | str) -> Register:
-    """Build a register from roles in wire order; exactly one polarization."""
-    wires = tuple(WireIndex(i, Role(r)) for i, r in enumerate(roles))
-    n_pol = sum(1 for w in wires if w.role is Role.POLARIZATION)
+    """The roles of a register's wires in wire order, each read by value; a
+    wire is its position. Exactly one wire carries polarization."""
+    register = tuple(Role(r) for r in roles)
+    n_pol = register.count(Role.POLARIZATION)
     if n_pol != 1:
         raise InvalidWiring(f"register needs exactly one polarization wire, got {n_pol}")
-    return wires
+    return register
 
 
-@functools.lru_cache(maxsize=64)
-def _register_wires(register: Register) -> tuple[WireIndex, tuple[WireIndex, ...]]:
-    # registers are immutable tuples, and a program uses a handful of layouts
-    pol = next(w for w in register if w.role is Role.POLARIZATION)
-    return pol, tuple(w for w in register if w.role.is_path)
+def polarization_wire(register: Register) -> int:
+    return register.index(Role.POLARIZATION)
 
 
-def polarization_wire(register: Register) -> WireIndex:
-    return _register_wires(register)[0]
-
-
-def path_wires(register: Register) -> tuple[WireIndex, ...]:
-    return _register_wires(register)[1]
+def path_wires(register: Register) -> tuple[int, ...]:
+    return tuple(w for w, role in enumerate(register) if role.is_path)
 
 
 def finite_values(name: str, value):
@@ -209,38 +192,39 @@ def _check_gate(gate) -> np.ndarray:
     return gate
 
 
-def _wire_slots(wire: int | WireIndex, n: int):
-    """(n, wire index, no fixed bits) of a gate on one wire, checked."""
-    w = wire.index if isinstance(wire, WireIndex) else int(wire)
-    if not (0 <= w < n):
-        raise InvalidArgument(f"wire {w} out of range for register size {n}")
-    return n, w, ()
+def _wire_slots(wire: int, n: int):
+    """(n, wire, no fixed bits) of a gate on one wire, checked."""
+    if not (0 <= wire < n):
+        raise InvalidArgument(f"wire {wire} out of range for register size {n}")
+    return n, wire, ()
 
 
-def embed(gate: np.ndarray, wire: int | WireIndex, n: int) -> np.ndarray:
-    """Act with a 2x2 gate on one wire of an n-qubit register, identity elsewhere.
+def embed(gate: np.ndarray, wire: int, n: int) -> np.ndarray:
+    """Act with a 2x2 gate on wire ``wire``, a position, of an n-qubit
+    register, identity elsewhere.
 
     A stack of gates, shape (B, 2, 2), gives a stack of embeddings.
     """
     return _scatter(_check_gate(gate), *_wire_slots(wire, n))
 
 
-def cnot_pol_path(control: WireIndex, target: WireIndex, n: int) -> np.ndarray:
+def cnot_pol_path(register: Register, control: int, target: int) -> np.ndarray:
     """Permutation flipping the target path qubit exactly when polarization is V.
 
-    This is the action of a polarizing beam splitter / beam displacer: a
-    vertically polarized photon changes path, a horizontal one does not.
-    The matrix is shared and read-only.
+    ``control`` and ``target`` are positions in ``register``: the control must
+    be its polarization wire, the target a path wire, and both in range,
+    which is checked before either role is read. This is the action of a
+    polarizing beam splitter / beam displacer: a vertically polarized photon
+    changes path, a horizontal one does not. The matrix is shared and read-only.
     """
-    if control.role is not Role.POLARIZATION:
+    n = len(register)
+    if not (0 <= control < n and 0 <= target < n):
+        raise InvalidArgument(f"wires ({control},{target}) exceed register size {n}")
+    if register[control] is not Role.POLARIZATION:
         raise InvalidWiring("cnot control must be the polarization wire")
-    if not target.role.is_path:
+    if not register[target].is_path:  # so it differs from the control
         raise InvalidWiring("cnot target must be a path wire")
-    if control.index == target.index:
-        raise InvalidWiring("control and target must differ")
-    if control.index >= n or target.index >= n:
-        raise InvalidArgument(f"wires ({control.index},{target.index}) exceed register size {n}")
-    return _cnot(control.index, target.index, n)
+    return _cnot(control, target, n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -252,7 +236,7 @@ def _cnot(control: int, target: int, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _condition_slots(condition: str, register: Register):
-    """(n, polarization index, fixed path bits) of a path condition, checked.
+    """(n, polarization wire, fixed path bits) of a path condition, checked.
     Lattices place the same few conditions over and over."""
     paths = path_wires(register)
     if len(condition) != len(paths):
@@ -261,8 +245,8 @@ def _condition_slots(condition: str, register: Register):
         )
     if any(ch not in "01*" for ch in condition):
         raise InvalidArgument(f"condition characters must be 0, 1 or *, got {condition!r}")
-    fixed = tuple((w.index, int(ch)) for ch, w in zip(condition, paths) if ch != "*")
-    return len(register), polarization_wire(register).index, fixed
+    fixed = tuple((w, int(ch)) for ch, w in zip(condition, paths) if ch != "*")
+    return len(register), polarization_wire(register), fixed
 
 
 def controlled_on_path(gate: np.ndarray, condition: str, register: Register) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidState, KrausloomError
+from .errors import InternalConsistencyError, InvalidArgument, InvalidState, KrausloomError
 
 # Tolerance tiers. Arithmetic: values that should be exact up to rounding.
 # Structural: matrix-shaped invariants (hermiticity, completeness, unitarity).
@@ -175,11 +175,13 @@ def _check_rows(rows, *, first_index: int = 0) -> np.ndarray:
     and return their (K, B) record. The record is compared with its tolerance
     column once; only when a residual fails are the rows walked through
     ``check_residuals`` in order, so the first failing row names its first
-    failing point."""
+    failing point. The rows are the package's own invariants, so a failure
+    raises InternalConsistencyError."""
     record = np.array([res for res, _, _ in rows])
     if not _within_tolerance(record, np.array([tol for _, tol, _ in rows])[:, None]).all():
         for res, tol, message in rows:
-            check_residuals(res, tol, message, first_index=first_index)
+            check_residuals(res, tol, message, error=InternalConsistencyError,
+                            first_index=first_index)
     return record
 
 
@@ -326,11 +328,6 @@ def _entries(payload: dict) -> np.ndarray:
     re, im = np.asarray(_real("re", payload["re"])), np.asarray(_real("im", payload["im"]))
     with np.errstate(invalid="ignore"):  # an infinite im reads as nan + inf j, refused as not finite
         return re + 1j * im
-
-
-def density_from_payload(payload: dict, **tol_kwargs) -> DensityMatrix:
-    return _read_payload(payload, "density",
-                         lambda p: DensityMatrix(_entries(p), p["dims"], **tol_kwargs))
 
 
 def state_to_payload(psi: PureState) -> dict:

@@ -332,8 +332,10 @@ def _segment_step(probs: np.ndarray, target: np.ndarray, counts: np.ndarray,
     (1 - gamma) probs + gamma target, by bisection on its derivative, which
     decreases in gamma because the likelihood is concave. The sum runs over
     the settings with c_s > 0 only, as the likelihood's does: a zero count's
-    mixed probability may reach 0, and 0 / 0 is not 0."""
-    diff = target - probs
+    mixed probability may reach 0, and 0 / 0 is not 0. The target's
+    probabilities are clipped at 0: a rounding-negative one would let a
+    counted setting's mixed probability cross 0 just below gamma = 1."""
+    diff = np.maximum(target, 0.0) - probs
     drift = shots @ diff
     seen = counts > 0
     counts, probs, moved = counts[seen], probs[seen], diff[seen]

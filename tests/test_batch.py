@@ -39,7 +39,7 @@ from krausloom.circuit import (
     initial_state,
     stage_unitary,
 )
-from krausloom.errors import InvalidArgument, InvalidChannel, InvalidState
+from krausloom.errors import InternalConsistencyError, InvalidArgument
 from krausloom.gates import U3Params, controlled_on_path, embed, make_register, u3
 from krausloom.qmath import partial_trace
 
@@ -249,7 +249,7 @@ def test_kraus_stack_matches_constructors():
 def test_failed_check_names_the_point(monkeypatch):
     monkeypatch.setattr(circuit, "structural_atol", lambda: -1.0)
     points = [DephasingParams(p) for p in (0.1, 0.2)]
-    with pytest.raises(InvalidState, match="point 0: layer composition unitarity"):
+    with pytest.raises(InternalConsistencyError, match="point 0: layer composition unitarity"):
         next(channel_sweep(points))
 
 
@@ -257,7 +257,7 @@ def test_completeness_failure_names_the_point(monkeypatch):
     from krausloom import channels
 
     monkeypatch.setattr(channels, "structural_atol", lambda: -1.0)
-    with pytest.raises(InvalidChannel, match="point 0: completeness residual"):
+    with pytest.raises(InternalConsistencyError, match="point 0: completeness residual"):
         next(channel_sweep([DephasingParams(0.3)]))
 
 
@@ -273,7 +273,8 @@ def test_a_completeness_failure_in_the_last_block_raises_at_its_block(monkeypatc
     points = [DephasingParams(0.3)] * (2 * BLOCK_SIZE + 2) + [DephasingParams(0.7)]
     blocks = channel_sweep(points)
     assert [next(blocks).start, next(blocks).start] == [0, BLOCK_SIZE]
-    with pytest.raises(InvalidChannel, match=rf"^point {2 * BLOCK_SIZE + 2}: completeness residual"):
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"^point {2 * BLOCK_SIZE + 2}: completeness residual"):
         next(blocks)
 
 

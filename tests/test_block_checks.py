@@ -14,7 +14,7 @@ import pytest
 from krausloom import circuit, qmath
 from krausloom.channels import GADParams, ParamStack
 from krausloom.cli import main
-from krausloom.errors import InvalidState
+from krausloom.errors import InternalConsistencyError
 
 POINTS = [GADParams(0.2, 0.9), GADParams(0.4, 0.8), GADParams(0.6, 0.7)]
 SYSTEM_INPUT = circuit._qubit_amplitudes("theta1", math.pi / 2)
@@ -144,10 +144,10 @@ def _sweep_fails_with(monkeypatch, faults, message, first=0):
     for row, point in faults:
         injected.inject(row, point)
     points = [GADParams(0.1, 0.5)] * first + POINTS
-    with pytest.raises(InvalidState) as info:
+    with pytest.raises(InternalConsistencyError) as info:
         for _ in circuit.channel_sweep(points):
             pass
-    assert type(info.value) is InvalidState
+    assert type(info.value) is InternalConsistencyError
     assert str(info.value) == message
 
 
@@ -185,7 +185,7 @@ def test_a_reduced_output_has_no_eigenvalue_check(monkeypatch):
 def test_lattice_outputs_checks_its_rows_alone(monkeypatch, row):
     injected = _Faults(monkeypatch)
     injected.inject(row, 1)
-    with pytest.raises(InvalidState) as info:
+    with pytest.raises(InternalConsistencyError) as info:
         circuit.lattice_block(ParamStack(POINTS), SYSTEM_INPUT, None, first_index=4)[:3]
     assert str(info.value) == f"point 5: {MESSAGES[row]}"
 

@@ -12,7 +12,7 @@ from krausloom import channels
 from krausloom import circuit
 from krausloom.channels import DephasingParams, GADParams, SGADParams
 from krausloom.cli import main
-from krausloom.errors import InvalidArgument, InvalidState
+from krausloom.errors import InternalConsistencyError, InvalidArgument
 from krausloom.qmath import fidelity, partial_trace
 
 
@@ -32,7 +32,8 @@ def test_a_scaled_encoding_fails_the_norm_check(monkeypatch):
     """Kills the lattice output norm bound 1e-12 -> 1e-3 in lattice_block."""
     encode = circuit._encode
     monkeypatch.setattr(circuit, "_encode", lambda *args: (1 + 1e-9) * encode(*args))
-    with pytest.raises(InvalidState, match=r"^point 0: state norm deviates from 1 by 1\.000e-09$"):
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^point 0: state norm deviates from 1 by 1\.000e-09$"):
         circuit.lattice_state(GADParams(0.3, 0.8))
 
 

@@ -16,6 +16,7 @@ from krausloom.channels import (
 )
 from krausloom.circuit import (
     CircuitSpec,
+    GatePlacement,
     ProductStateParams,
     build_channel_lattice,
     channel_sweep,
@@ -38,7 +39,8 @@ from krausloom.circuit import (
     REFERENCE_GAD_MATRIX,
 )
 from krausloom import circuit as circuit_mod
-from krausloom.errors import InvalidArgument, InvalidState
+from krausloom.errors import InvalidArgument, InvalidState, InvalidWiring
+from krausloom.gates import Role
 from krausloom.qmath import PureState, fidelity, partial_trace, save_json, unitarity_residual
 
 
@@ -622,6 +624,22 @@ class TestCircuitSerialization:
     def test_bad_payload_rejected(self):
         with pytest.raises(InvalidArgument):
             circuit_from_payload({"register": ["polarization"]})
+
+    @pytest.mark.parametrize("roles, count", [
+        (("polarization", "polarization", "system-path"), 2),
+        (("system-path", "environment-path"), 0),
+    ], ids=["two", "none"])
+    def test_a_register_needs_one_polarization_wire(self, roles, count):
+        with pytest.raises(InvalidWiring,
+                           match=rf"^register needs exactly one polarization wire, got {count}$"):
+            CircuitSpec(roles, [], [])
+
+    def test_a_register_of_role_names_reads_its_roles_by_value(self):
+        circuit = CircuitSpec(("system-path", "polarization"),
+                              [(GatePlacement("cnot-pol-path", (1, 0)),)], ["evolve"])
+        assert circuit.register == (Role.SYSTEM_PATH, Role.POLARIZATION)
+        assert all(type(role) is Role for role in circuit.register)
+        assert circuit_from_payload(circuit_to_payload(circuit)) == circuit
 
     def test_layer_disjointness_enforced(self):
         lattice = build_channel_lattice(DephasingParams(0.5))

@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 
 from krausloom import circuit as circuit_mod
 from krausloom.cli import GRID_MAX_POINTS, _grid_values, main
-from krausloom.qmath import density_from_payload, load_json
+from krausloom.qmath import DensityMatrix, load_json
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def density_from_payload(payload, **tol_kwargs):
+    """The density matrix a command wrote as a payload; no command reads one back."""
+    matrix = np.array(payload["re"]) + 1j * np.array(payload["im"])
+    return DensityMatrix(matrix, payload["dims"], **tol_kwargs)
 
 
 class TestPrepare:
@@ -306,6 +312,20 @@ class TestWholeChannelCheck:
         err = capsys.readouterr().err
         assert err.startswith("internal consistency failure: point 0: ") and err.count("\n") == 1
         assert not (tmp_path / "sweep" / "index.json").exists()
+
+    @pytest.mark.parametrize("command, check", [("channel", "completeness residual"),
+                                                ("tomography", "layer composition unitarity")])
+    def test_a_failing_block_check_exits_3(self, monkeypatch, capsys, command, check):
+        from krausloom import channels, qmath
+
+        # no residual reaches 1e-300, so the first check a block runs fails
+        for module in (channels, circuit_mod, qmath):
+            monkeypatch.setattr(module, "structural_atol", lambda: 1e-300)
+        assert run(command, "--channel", "gad", "--p", "0.3", "--alpha2-sq", "0.7") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal consistency failure: point 0: {check} ")
+        assert captured.err.count("\n") == 1
 
 
 class TestEvolveCommand:

@@ -2,9 +2,9 @@
 
 Circuit and state files go through ``krausloom evolve``: each example must exit
 0 or 2 with no ``internal error:``, and it may exit 0 only when the new leaf
-keeps the declared type of the leaf it replaced. No command reads density
-payloads or counts files, so those go through ``density_from_payload`` and
-``load_counts`` directly, which may raise only InvalidArgument or InvalidState.
+keeps the declared type of the leaf it replaced. No command reads counts
+files, so those go through ``load_counts`` directly, which may raise only
+InvalidArgument or InvalidState.
 """
 
 import json
@@ -19,7 +19,7 @@ from krausloom.channels import GADParams
 from krausloom.circuit import build_channel_lattice, circuit_to_payload
 from krausloom.cli import main
 from krausloom.errors import InvalidArgument, InvalidState
-from krausloom.qmath import DensityMatrix, PureState, density_from_payload, density_to_payload
+from krausloom.qmath import DensityMatrix, PureState
 from krausloom.qmath import state_to_payload
 from krausloom.tomography import load_counts, save_counts, simulate_counts
 
@@ -28,8 +28,6 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CIRCUIT = circuit_to_payload(build_channel_lattice(GADParams(0.3, 0.8), theta1=1.1))
 STATE = state_to_payload(PureState(np.array([0.6, 0, 0, 0.48j, 0, 0, 0, -0.64]), (2, 2, 2)))
-_V = np.array([0.6, 0.48j, 0.0, -0.64])
-DENSITY = density_to_payload(DensityMatrix(0.5 * np.outer(_V, _V.conj()) + 0.125 * np.eye(4), (2, 2)))
 
 NESTED = "[" * 500 + "0.5" + "]" * 500  # beyond numpy's 64 dimensions
 # each new leaf as JSON text: python's json reads NaN, and 1e400 as inf
@@ -92,17 +90,6 @@ def test_evolve_reads_a_changed_leaf_or_exits_2(tmp_path, capsys, leaf, text):
     else:
         assert code == 2, (name, path, text, err)
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-
-
-@FUZZ
-@given(path=st.sampled_from(leaf_paths(DENSITY)), text=REPLACEMENTS)
-def test_density_payload_reads_a_changed_leaf_or_refuses_it(path, text):
-    body, old = with_leaf(DENSITY, path, text)
-    try:
-        density_from_payload(json.loads(body))
-    except (InvalidArgument, InvalidState):
-        return
-    assert keeps_type(old, json.loads(text)), (path, text)
 
 
 COUNT_TOKENS = st.sampled_from(["x", "true", "null", "[1]", "NaN", "1e400", str(10**400), "-5",

@@ -75,8 +75,7 @@ class TestCnotPolPath:
     register = make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
 
     def cnot(self, target=0):
-        pol = polarization_wire(self.register)
-        return cnot_pol_path(pol, self.register[target], 3)
+        return cnot_pol_path(self.register, polarization_wire(self.register), target)
 
     def test_entangles_polarization_with_path(self):
         # (a|H> + b|V>)|00>  ->  a|H>|00> + b|V>|10>   (basis |s e pol>)
@@ -109,9 +108,9 @@ class TestCnotPolPath:
     def test_wiring_errors(self):
         pol = polarization_wire(self.register)
         with pytest.raises(InvalidWiring):
-            cnot_pol_path(self.register[0], self.register[1], 3)  # control not polarization
+            cnot_pol_path(self.register, 0, 1)  # control not polarization
         with pytest.raises(InvalidWiring):
-            cnot_pol_path(pol, pol, 3)  # path target required
+            cnot_pol_path(self.register, pol, pol)  # path target required
 
 
 class TestEmbed:
@@ -264,8 +263,8 @@ class TestKernelsAgainstReferences:
     def test_controlled_on_path_every_condition(self, rng):
         for register in kernel_registers():
             n = len(register)
-            pol = polarization_wire(register).index
-            paths = [w.index for w in register if w.index != pol]
+            pol = polarization_wire(register)
+            paths = [w for w in range(n) if w != pol]
             for condition in map("".join, itertools.product("01*", repeat=n - 1)):
                 fixed = tuple((w, int(ch)) for w, ch in zip(paths, condition) if ch != "*")
                 for gate in kernel_gates(rng):
@@ -276,21 +275,21 @@ class TestKernelsAgainstReferences:
         for register in kernel_registers():
             n = len(register)
             pol = polarization_wire(register)
-            for target in register:
+            for target in range(n):
                 if target == pol:
                     continue
-                assert_bits_equal(cnot_pol_path(pol, target, n),
-                                  loop_cnot(pol.index, target.index, n))
+                assert_bits_equal(cnot_pol_path(register, pol, target),
+                                  loop_cnot(pol, target, n))
 
 
 class TestWiringConstants:
     register = make_register(Role.SYSTEM_PATH, Role.ENVIRONMENT_PATH, Role.POLARIZATION)
 
     def test_cnot_is_read_only(self):
-        m = cnot_pol_path(polarization_wire(self.register), self.register[0], 3)
+        m = cnot_pol_path(self.register, polarization_wire(self.register), 0)
         with pytest.raises(ValueError):
             m[0, 0] = 2.0
-        assert cnot_pol_path(polarization_wire(self.register), self.register[0], 3) is m
+        assert cnot_pol_path(self.register, polarization_wire(self.register), 0) is m
 
     def test_flat_positions_are_read_only(self):
         block, ones = gates_mod._scatter_slots(3, 2, ((0, 1),))

@@ -49,7 +49,7 @@ def reference_matrix(placement, register):
         return embed(u3(placement.params), placement.wires[0], n)
     if placement.kind == "cnot-pol-path":
         control, target = placement.wires
-        return cnot_pol_path(register[control], register[target], n)
+        return cnot_pol_path(register, control, target)
     return controlled_on_path(u3(placement.params), placement.condition, register)
 
 
@@ -60,7 +60,7 @@ def reference_check_disjoint(register, layers):
             acted = set(p.wires)
             if p.kind == "path-conditioned-u3":
                 acted = {p.wires[0]} | {
-                    w.index for ch, w in zip(p.condition, path_wires(register)) if ch != "*"
+                    w for ch, w in zip(p.condition, path_wires(register)) if ch != "*"
                 }
             if acted & seen:
                 raise InvalidArgument("placements within a layer must act on disjoint wires")
@@ -371,9 +371,14 @@ class TestInvalidWirings:
          "path-conditioned-u3 must target the polarization wire, got wire -1"),
     ], ids=["cnot-control-minus-1", "cnot-target-minus-3", "rotation-on-path", "rotation-on-minus-1"])
     def test_wires_the_composition_would_not_act_on(self, layers, error, message):
-        # the per-placement product accepts these: register[-1] is the
-        # polarization wire, and controlled_on_path ignores the wires entry
-        reference_compose(REG, layers)
+        # the per-placement product accepts a rotation on any wire, since
+        # controlled_on_path ignores the wires entry; cnot_pol_path refuses a
+        # negative wire itself, by its range
+        if layers[0][0].kind == "cnot-pol-path":
+            with pytest.raises(InvalidArgument, match=r"^wires \(-?\d+,-?\d+\) exceed register size 3$"):
+                reference_compose(REG, layers)
+        else:
+            reference_compose(REG, layers)
         for build in (lambda: CircuitSpec(REG, layers, ["evolve"] * len(layers)),
                       lambda: kernel(REG, layers)):
             with pytest.raises(KrausloomError) as got:

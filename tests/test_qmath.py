@@ -18,9 +18,7 @@ from krausloom.qmath import (
     _json_text,
     check_densities,
     dagger,
-    density_from_payload,
     density_residuals,
-    density_to_payload,
     fidelity,
     partial_trace,
     state_from_payload,
@@ -289,29 +287,10 @@ def test_structural_tol_is_the_constant(monkeypatch):
 
 
 class TestSerialization:
-    def test_density_round_trip(self, rng):
-        rho = random_density(rng, (2, 2))
-        again = density_from_payload(density_to_payload(rho))
-        assert np.array_equal(again.matrix, rho.matrix)
-        assert again.dims == rho.dims
-
     def test_state_round_trip(self, rng):
         psi = random_pure(rng, (2, 2, 2))
         again = state_from_payload(state_to_payload(psi))
         assert np.array_equal(again.amplitudes, psi.amplitudes)
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(InvalidArgument):
-            density_from_payload({"re": [[1]]})
-
-    @pytest.mark.parametrize("payload", [
-        {"dims": [2], "re": [[1.0, "x"], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        {"dims": [2], "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-        {"dims": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
-    ], ids=["string-entry", "ragged-row", "scalar-dims"])
-    def test_unreadable_density_payload_is_invalid_argument(self, payload):
-        with pytest.raises(InvalidArgument, match="^bad density payload: "):
-            density_from_payload(payload)
 
     def test_payload_dims_keep_their_invalid_state(self):
         with pytest.raises(InvalidState, match="dims must be positive integers"):

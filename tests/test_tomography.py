@@ -349,6 +349,17 @@ class TestMLReconstruct:
         with pytest.raises(InvalidArgument, match=r"^setting 6 \(RV\): counts must be at most"):
             ml_reconstruct(self._records_with(counts, total))
 
+    # the Frank-Wolfe target's probability at setting 10 rounded to -1.2e-17,
+    # so the segment step's bisection met a mixed probability of 0 and divided by it
+    @pytest.mark.filterwarnings("error")
+    def test_totals_seventeen_decades_apart_run_without_a_warning(self):
+        shape = {9: (0, 10**16), 10: (1, 10**17), 12: (0, 10)}
+        records = [CountRecord(s.index, "".join(s.label), None, *shape.get(s.index, (0, 1)))
+                   for s in settings_table()]
+        ml = ml_reconstruct(records)
+        assert math.isfinite(ml.optimality_gap)
+        assert ml.converged or math.isfinite(ml.log_likelihood)
+
     # the records load_counts refuses: all totals 0 divided by a zero mean
     # total, one total of 0 among unequal ones raised a bare ZeroDivisionError,
     # and a count of -5 ran to converged=False without an error
